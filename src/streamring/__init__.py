@@ -10,7 +10,6 @@ time p(T) stays below the segment duration T.
 
 from .core import (
     CostModel,
-    GpuPool,
     LanguageTag,
     Meeting,
     Participant,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostModel",
-    "GpuPool",
     "LanguageTag",
     "LatencyModel",
     "MeasurementSet",

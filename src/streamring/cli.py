@@ -54,7 +54,6 @@ from .latency import (
 )
 from .segproc import StreamSpec, run_external
 from .simulator import (
-    METRICS_CSV_HEADER,
     load_scenario,
     metrics_csv_rows,
     report_to_json,
@@ -297,8 +296,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.csv is not None:
         write_metrics_csv(report, args.csv)
     payload = report_to_json(report)
-    rows: list[list[object]] = [list(METRICS_CSV_HEADER)]
-    rows.extend(metrics_csv_rows(report))
+    rows = metrics_csv_rows(report)
     startups = report.series.turn_startups
     cold = sum(1 for t in startups if t.cold)
     human = [

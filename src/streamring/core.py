@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Optional
 
 
@@ -70,58 +69,6 @@ class Participant:
             raise ValidationError("participant id must be non-empty")
 
 
-class PipelineState(str, Enum):
-    INITIALIZING = "initializing"
-    ACTIVE = "active"
-    DECOMMISSIONED = "decommissioned"
-
-
-@dataclass
-class PipelineInstance:
-    """One translation chain routing a single (source, target) language pair."""
-
-    id: str
-    source_language: LanguageTag
-    target_language: LanguageTag
-    state: PipelineState = PipelineState.ACTIVE
-
-    def reinitialize(self, source_language: LanguageTag) -> None:
-        """Re-point the pipeline at a new source language (fresh cold start)."""
-        if self.state is PipelineState.DECOMMISSIONED:
-            raise ValidationError(f"pipeline {self.id} is decommissioned")
-        self.source_language = source_language
-        self.state = PipelineState.ACTIVE
-
-    def decommission(self) -> None:
-        self.state = PipelineState.DECOMMISSIONED
-
-
-@dataclass
-class GpuPool:
-    """Fixed number of pipeline slots; ``allocated`` holds occupying pipeline ids."""
-
-    capacity: int
-    allocated: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValidationError("pool capacity must be non-negative")
-        if len(self.allocated) > self.capacity:
-            raise ValidationError("pool over-allocated")
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.allocated)
-
-    def allocate(self, pipeline_id: str) -> None:
-        if self.free_slots <= 0:
-            raise ValidationError("pool exhausted")
-        self.allocated.add(pipeline_id)
-
-    def release(self, pipeline_id: str) -> None:
-        self.allocated.discard(pipeline_id)
-
-
 @dataclass(frozen=True)
 class Route:
     """A media route: ``source`` is SPEAKER_RAW or a pipeline id (its output);
@@ -146,14 +93,24 @@ class RoutingTable:
 
 @dataclass
 class Meeting:
-    """Participants, the active speaker, the slot pool, and current routing."""
+    """Participants, the active speaker, the pool size, and current routing.
+
+    ``routing.pipeline_map`` is the only record of live pipelines: a pipeline
+    is live exactly while the map names it, and pool occupancy is derived
+    from the map's size.  Every live pipeline translates from
+    ``source_language``, the speaker's language at the last pass.
+    """
 
     participants: dict[str, Participant]
-    pool: GpuPool
+    pool_capacity: int
     active_speaker: Optional[str] = None
     routing: RoutingTable = field(default_factory=RoutingTable)
-    pipelines: dict[str, PipelineInstance] = field(default_factory=dict)
+    source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
+
+    def __post_init__(self) -> None:
+        if self.pool_capacity < 0:
+            raise ValidationError("pool capacity must be non-negative")
 
     @classmethod
     def create(
@@ -164,11 +121,20 @@ class Meeting:
             if p.id in members:
                 raise ValidationError(f"duplicate participant id {p.id!r}")
             members[p.id] = p
-        return cls(participants=members, pool=GpuPool(capacity=pool_capacity))
+        return cls(participants=members, pool_capacity=pool_capacity)
 
     def new_pipeline_id(self) -> str:
         self.pipeline_seq += 1
         return f"pl{self.pipeline_seq:04d}"
+
+    @property
+    def pipelines(self) -> dict[LanguageTag, str]:
+        """The live pipelines, language -> id (the routing map itself)."""
+        return self.routing.pipeline_map
+
+    @property
+    def free_slots(self) -> int:
+        return self.pool_capacity - len(self.routing.pipeline_map)
 
     @property
     def size(self) -> int:

@@ -70,6 +70,10 @@ class LatencyModel:
     def __post_init__(self) -> None:
         if self.form not in _FORMS:
             raise ValidationError(f"unknown model form {self.form!r}")
+        numbers = [self.a, self.b, self.cold_start_extra]
+        numbers.extend(x for point in self.points for x in point)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValidationError("model parameters must be finite numbers")
         if self.cold_start_extra < 0:
             raise ValidationError("cold_start_extra must be non-negative")
         if self.form == FORM_TABLE:
@@ -173,13 +177,6 @@ class MeasurementSet:
         for t in self.durations():
             runs = [s.p for s in self.samples if s.t == t]
             out.append((t, statistics.fmean(runs)))
-        return out
-
-    def stdevs(self) -> list[tuple[float, float]]:
-        out = []
-        for t in self.durations():
-            runs = [s.p for s in self.samples if s.t == t]
-            out.append((t, statistics.stdev(runs) if len(runs) > 1 else 0.0))
         return out
 
     def throughput_points(self) -> list[ThroughputPoint]:

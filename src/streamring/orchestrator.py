@@ -7,11 +7,12 @@ distinct listener languages, never by the number of participant pairs.
 
 The transition is deterministic: languages are visited in normalized
 lexicographic order, stale pipelines are released before new ones are
-allocated (so scarce slots reach newly required languages), and pool
-exhaustion produces an allocation-failed event for the affected language
-instead of aborting the pass.  Listeners who share the speaker's language
-receive the raw stream via bypass unless ``translate_same_language`` forces
-an identity pipeline for them.
+allocated (so scarce slots reach newly required languages), and a full pool
+produces an allocation-failed event for the affected language instead of
+aborting the pass.  Listeners who share the speaker's language receive the
+raw stream via bypass unless ``translate_same_language`` forces an identity
+pipeline for them.  Decommissioning a pipeline drops its entry from the
+routing table's language -> pipeline id map, the one record of live pipelines.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from .core import (
     SPEAKER_RAW,
     LanguageTag,
     Meeting,
-    PipelineInstance,
-    PipelineState,
     Route,
     RoutingTable,
     UnknownParticipantError,
-    ValidationError,
 )
 
 __all__ = [
@@ -61,7 +59,8 @@ class OrchestrationEvent:
 
     ``time`` is the caller's virtual timestamp (the simulator clock).
     ``reinitialized`` is meaningful only for pipeline-reused: True when the
-    source language changed and the pipeline restarts cold.
+    speaker's language differs from the previous pass's, so the pipeline is
+    re-pointed at a new source language and restarts cold.
     """
 
     kind: EventKind
@@ -123,41 +122,34 @@ def update_orchestration(
 
     # Stale first: released slots must be reusable within this same pass.
     for language in sorted(set(pipeline_map) - required):
-        pipeline_id = pipeline_map.pop(language)
-        meeting.pipelines[pipeline_id].decommission()
-        meeting.pool.release(pipeline_id)
         events.append(
             OrchestrationEvent(
                 kind=EventKind.PIPELINE_DECOMMISSIONED,
                 time=time,
                 language=language,
-                pipeline_id=pipeline_id,
+                pipeline_id=pipeline_map.pop(language),
             )
         )
 
+    reinitialized = meeting.source_language != speaker_language
+    meeting.source_language = speaker_language
     for language in sorted(required):
         if language in pipeline_map:
-            pipeline = meeting.pipelines[pipeline_map[language]]
-            reinitialized = pipeline.source_language != speaker_language
-            if reinitialized:
-                pipeline.reinitialize(speaker_language)
             events.append(
                 OrchestrationEvent(
                     kind=EventKind.PIPELINE_REUSED,
                     time=time,
                     language=language,
-                    pipeline_id=pipeline.id,
+                    pipeline_id=pipeline_map[language],
                     reinitialized=reinitialized,
                 )
             )
             continue
-        try:
-            meeting.pool.allocate(placeholder := meeting.new_pipeline_id())
-        except ValidationError:
+        if meeting.free_slots <= 0:
             logger.error(
                 "no free pipeline slot for language %s (capacity %d)",
                 language,
-                meeting.pool.capacity,
+                meeting.pool_capacity,
             )
             events.append(
                 OrchestrationEvent(
@@ -165,19 +157,13 @@ def update_orchestration(
                 )
             )
             continue
-        pipeline = PipelineInstance(
-            id=placeholder,
-            source_language=speaker_language,
-            target_language=language,
-        )
-        meeting.pipelines[pipeline.id] = pipeline
-        pipeline_map[language] = pipeline.id
+        pipeline_map[language] = meeting.new_pipeline_id()
         events.append(
             OrchestrationEvent(
                 kind=EventKind.PIPELINE_ALLOCATED,
                 time=time,
                 language=language,
-                pipeline_id=pipeline.id,
+                pipeline_id=pipeline_map[language],
             )
         )
 
@@ -253,38 +239,30 @@ def verify_invariants(
     if not mapped <= required:
         extra = ", ".join(sorted(str(lang) for lang in mapped - required))
         violations.append(f"pipelines kept for unrequired languages: {extra}")
-    if len(mapped) < len(required) and meeting.pool.free_slots > 0:
+    if len(mapped) < len(required) and meeting.free_slots > 0:
         violations.append(
             f"{len(mapped)} pipelines for {len(required)} required languages "
             "with free slots remaining"
         )
-    active_ids = {
-        pid
-        for pid, pipe in meeting.pipelines.items()
-        if pipe.state is not PipelineState.DECOMMISSIONED
-    }
-    if active_ids != set(routing.pipeline_map.values()):
+    if meeting.free_slots < 0:
         violations.append(
-            "live pipelines and pipeline_map disagree "
-            f"({sorted(active_ids)} vs {sorted(routing.pipeline_map.values())})"
+            f"{len(mapped)} live pipelines exceed pool capacity "
+            f"{meeting.pool_capacity}"
         )
-    if meeting.pool.allocated != active_ids:
-        violations.append(
-            "pool allocation does not match live pipelines "
-            f"({sorted(meeting.pool.allocated)} vs {sorted(active_ids)})"
-        )
+    live = set(routing.pipeline_map.values())
+    if len(live) != len(routing.pipeline_map):
+        violations.append("a pipeline id serves more than one language")
 
-    # 3. No decommissioned pipeline referenced anywhere.
-    decommissioned = {
-        pid
-        for pid, pipe in meeting.pipelines.items()
-        if pipe.state is PipelineState.DECOMMISSIONED
-    }
+    # 3. Every pipeline a route names is live.  A route either feeds a
+    #    pipeline from SPEAKER_RAW or leaves a pipeline for a listener.
     for route in routing.routes:
-        if route.source in decommissioned or route.destination in decommissioned:
+        pipeline_id = (
+            route.destination if route.source == SPEAKER_RAW else route.source
+        )
+        if pipeline_id not in live:
             violations.append(
                 f"route {route.source!r}->{route.destination!r} references "
-                "a decommissioned pipeline"
+                f"pipeline {pipeline_id!r}, which is not live"
             )
 
     # Routing completeness: every listener whose language has a pipeline is

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Union
@@ -325,19 +326,23 @@ def _ordered_events(scenario: Scenario) -> list[ScenarioEvent]:
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect every structural violation (empty list means valid)."""
     violations: list[str] = []
-    if not scenario.run_duration > 0:
-        violations.append(f"run_duration must be > 0, got {scenario.run_duration}")
+    if not 0 < scenario.run_duration < math.inf:
+        violations.append(
+            f"run_duration must be finite and > 0, got {scenario.run_duration}"
+        )
     if scenario.pool_capacity < 0:
         violations.append(
             f"pool_capacity must be >= 0, got {scenario.pool_capacity}"
         )
-    if not scenario.unit_cost > 0:
-        violations.append(f"unit_cost must be > 0, got {scenario.unit_cost}")
+    if not 0 < scenario.unit_cost < math.inf:
+        violations.append(
+            f"unit_cost must be finite and > 0, got {scenario.unit_cost}"
+        )
     if scenario.segment_duration != "auto":
         try:
-            if not float(scenario.segment_duration) > 0:
+            if not 0 < float(scenario.segment_duration) < math.inf:
                 violations.append(
-                    "segment_duration must be positive or 'auto', got "
+                    "segment_duration must be finite and positive or 'auto', got "
                     f"{scenario.segment_duration!r}"
                 )
         except (TypeError, ValueError):
@@ -369,7 +374,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     speaker: Optional[str] = None
     for event in _ordered_events(scenario):
         where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
-        if event.time < 0 or event.time > scenario.run_duration:
+        if not 0 <= event.time <= scenario.run_duration:
             violations.append(f"{where}: time outside [0, run_duration]")
         needs_language = event.kind in (
             ScenarioEventKind.JOIN,
@@ -559,7 +564,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 failures += 1
                 warnings.append(
                     f"allocation failed for language {event.language} at "
-                    f"t={when:g} s (pool capacity {meeting.pool.capacity})"
+                    f"t={when:g} s (pool capacity {meeting.pool_capacity})"
                 )
         record_state(when)
 

@@ -227,6 +227,63 @@ class TestSimulate:
         assert rows[0][0] == "time_s"
         assert len(rows) > 2
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_csv_format_has_one_header(self, to_file, tmp_path, capsys):
+        argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
+        assert run_cli(argv + ["--format", "json"]) == EXIT_OK
+        samples = json.loads(capsys.readouterr().out)["samples"]
+        out = tmp_path / "metrics.csv"
+        argv += ["--format", "csv"] + (["--out", str(out)] if to_file else [])
+        assert run_cli(argv) == EXIT_OK
+        text = out.read_text() if to_file else capsys.readouterr().out
+        rows = parse_csv(text)
+        assert sum(row[0] == "time_s" for row in rows) == 1
+        assert rows[0][0] == "time_s"
+        assert len(rows) == len(samples) + 1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("event_time", float("nan"), "time outside [0, run_duration]"),
+            ("run_duration", float("inf"), "run_duration must be finite"),
+            ("run_duration", float("nan"), "run_duration must be finite"),
+            ("segment_duration", float("inf"), "segment_duration must be finite"),
+            ("unit_cost", float("inf"), "unit_cost must be finite"),
+            ("a", float("nan"), "model parameters must be finite"),
+            ("b", float("inf"), "model parameters must be finite"),
+            ("cold_start_extra", float("nan"), "model parameters must be finite"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(
+        self, field, value, message, tmp_path, capsys
+    ):
+        model = {"form": "affine", "params": {"a": 0.2, "b": 0.5}}
+        scenario = {
+            "participants": [
+                {"id": "A", "language": "en"},
+                {"id": "B", "language": "de"},
+            ],
+            "pool_capacity": 4,
+            "latency_model": model,
+            "segment_duration": 3.0,
+            "run_duration": 30.0,
+            "events": [
+                {"time": 0.0, "kind": "speaker-change", "participant": "A"}
+            ],
+        }
+        if field == "event_time":
+            scenario["events"][0]["time"] = value
+        elif field in ("a", "b"):
+            model["params"][field] = value
+        elif field == "cold_start_extra":
+            model[field] = value
+        else:
+            scenario[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(scenario))  # writes NaN / Infinity literals
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["simulate", "--scenario",
                 str(SCENARIO_DIR / "worst_case_6.json"), "--format", "json"]

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from streamring.core import (
     CostModel,
     DegenerateMeetingWarning,
-    GpuPool,
     LanguageTag,
     Meeting,
     MeetingSizeError,
     Participant,
-    PipelineInstance,
-    PipelineState,
     Route,
     ValidationError,
     cost_naive,
@@ -123,25 +120,9 @@ class TestCostToken:
 
 
 class TestPoolAndPipelines:
-    def test_pool_capacity_enforced(self):
-        pool = GpuPool(capacity=1)
-        pool.allocate("a")
-        assert pool.free_slots == 0
-        with pytest.raises(ValidationError):
-            pool.allocate("b")
-        pool.release("a")
-        assert pool.free_slots == 1
-
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValidationError):
-            GpuPool(capacity=-1)
-
-    def test_decommissioned_pipeline_stays_down(self):
-        inst = PipelineInstance("p1", LanguageTag("en"), LanguageTag("de"))
-        inst.decommission()
-        assert inst.state is PipelineState.DECOMMISSIONED
-        with pytest.raises(ValidationError):
-            inst.reinitialize(LanguageTag("tr"))
+            Meeting.create([Participant("a", LanguageTag("en"))], pool_capacity=-1)
 
     def test_route_may_not_loop(self):
         with pytest.raises(ValidationError):

@@ -19,8 +19,6 @@ from streamring.core import (
     LanguageTag,
     Meeting,
     Participant,
-    PipelineInstance,
-    PipelineState,
     Route,
     UnknownParticipantError,
 )
@@ -177,7 +175,7 @@ class TestUpdateOrchestration:
         assert m.routing.bypass == set()
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 1
         assert count(events, EventKind.SPEAKER_BYPASSED) == 0
-        assert m.pool.free_slots == 4
+        assert m.free_slots == 4
         assert verify_invariants(m) == []
 
     def test_idempotent_second_pass(self):
@@ -203,17 +201,31 @@ class TestUpdateOrchestration:
         assert count(events, EventKind.ROUTE_ADDED) == 0  # C's route unchanged
         assert m.routing.bypass == {"A", "B"}
 
+    def test_speaker_language_change_reinitializes(self):
+        m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
+        update_orchestration(m, "A")
+        m.participants["A"] = Participant(id="A", language=LanguageTag("fr"))
+        _, events = update_orchestration(m, "A")
+        reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
+        assert [e.reinitialized for e in reused] == [True, True]
+        assert m.source_language == LanguageTag("fr")
+
     def test_events_carry_timestamp(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
         _, events = update_orchestration(m, "A", time=12.5)
         assert events and all(e.time == 12.5 for e in events)
 
-    def test_decommissioned_pipelines_stay_in_registry(self):
+    def test_retired_pipelines_are_forgotten(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
         update_orchestration(m, "A")
         pid = m.routing.pipeline_map[LanguageTag("de")]
         update_orchestration(m, "B")
-        assert m.pipelines[pid].state is PipelineState.DECOMMISSIONED
+        assert pid not in m.pipelines.values()
+        assert list(m.pipelines) == [LanguageTag("en")]
+        for speaker in ["A", "B"] * 10:
+            update_orchestration(m, speaker)
+        assert len(m.pipelines) == 1
+        assert m.free_slots == 3
 
 
 class TestVerifyInvariants:
@@ -238,14 +250,9 @@ class TestVerifyInvariants:
 
     def test_duplicate_pipeline_for_language(self):
         m = self._orchestrated()
-        rogue = PipelineInstance(
-            id="pl9999",
-            source_language=LanguageTag("en"),
-            target_language=LanguageTag("de"),
-        )
-        m.pipelines[rogue.id] = rogue
-        m.pool.allocate(rogue.id)
-        assert any("disagree" in v for v in verify_invariants(m))
+        pipeline_map = m.routing.pipeline_map
+        pipeline_map[LanguageTag("tr")] = pipeline_map[LanguageTag("de")]
+        assert any("more than one language" in v for v in verify_invariants(m))
 
     def test_stale_pipeline_after_language_change(self):
         m = self._orchestrated()
@@ -254,20 +261,25 @@ class TestVerifyInvariants:
 
     def test_route_to_decommissioned_pipeline(self):
         m = self._orchestrated()
-        pid = m.routing.pipeline_map[LanguageTag("de")]
-        m.pipelines[pid].decommission()
-        violations = verify_invariants(m)
-        assert any("decommissioned" in v for v in violations)
+        pid = m.routing.pipeline_map.pop(LanguageTag("de"))
+        dangling = [v for v in verify_invariants(m) if f"{pid!r}, which is not live" in v]
+        assert len(dangling) == 2  # SPEAKER_RAW -> pid and pid -> B
 
     def test_under_allocation_with_free_slots(self):
         m = self._orchestrated()
         pid = m.routing.pipeline_map.pop(LanguageTag("de"))
-        m.pipelines[pid].decommission()
-        m.pool.release(pid)
         m.routing.routes = {
             r for r in m.routing.routes if pid not in (r.source, r.destination)
         }
         assert any("free slots" in v for v in verify_invariants(m))
+
+    def test_over_capacity(self):
+        m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 2)
+        update_orchestration(m, "A")
+        assert verify_invariants(m) == []
+        m.pool_capacity = 1
+        assert m.free_slots == -1
+        assert any("exceed pool capacity 1" in v for v in verify_invariants(m))
 
 
 ALPHABET = ["de", "en", "fr", "tr"]
@@ -289,14 +301,16 @@ class TestExhaustiveSmallMeetings:
                         LanguageTag(lang) for lang in expected
                     }
                     assert verify_invariants(m) == []
-                    assert m.pool.free_slots + len(m.routing.pipeline_map) == n
+                    assert m.free_slots + len(m.routing.pipeline_map) == n
                     checked += 1
         assert checked == sum(n * 4**n for n in range(2, 5))
 
 
+LANGUAGES = ["de", "en", "es", "fr", "it", "tr"]
+
 participants_strategy = st.dictionaries(
     keys=st.sampled_from([f"p{i}" for i in range(8)]),
-    values=st.sampled_from(["de", "en", "es", "fr", "it", "tr"]),
+    values=st.sampled_from(LANGUAGES),
     min_size=2,
     max_size=8,
 )
@@ -315,7 +329,7 @@ class TestProperties:
             expected = oracle_required(members, speaker)
             assert len(m.routing.pipeline_map) == len(expected)
             assert len(m.routing.pipeline_map) <= n - 1
-            assert m.pool.free_slots + len(m.routing.pipeline_map) == n
+            assert m.free_slots + len(m.routing.pipeline_map) == n
             assert verify_invariants(m) == []
 
     @given(members=participants_strategy, capacity=st.integers(min_value=0, max_value=3))
@@ -349,3 +363,51 @@ class TestProperties:
         ) == snapshot
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
+
+    @given(
+        members=participants_strategy,
+        capacity=st.integers(min_value=0, max_value=4),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_reinitialized_iff_speaker_language_changed(
+        self, members, capacity, data
+    ):
+        # Roster edits are applied before the pass, as the simulator does.
+        m = make_meeting(members, capacity)
+        roster = dict(members)
+        speaker = None
+        previous_language = None  # the speaker's language at the previous pass
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            op = data.draw(
+                st.sampled_from(
+                    ["speak", "join", "leave", "language", "speaker-language"]
+                )
+            )
+            if op == "speak":
+                speaker = data.draw(st.sampled_from([None, *sorted(roster)]))
+            elif op == "join":
+                pid = data.draw(st.sampled_from([f"p{i}" for i in range(10)]))
+                roster[pid] = data.draw(st.sampled_from(LANGUAGES))
+            elif op == "leave" and roster:
+                pid = data.draw(st.sampled_from(sorted(roster)))
+                del roster[pid]
+                if pid == speaker:
+                    speaker = None
+            elif op == "language" and roster:
+                pid = data.draw(st.sampled_from(sorted(roster)))
+                roster[pid] = data.draw(st.sampled_from(LANGUAGES))
+            elif op == "speaker-language" and speaker is not None:
+                roster[speaker] = data.draw(st.sampled_from(LANGUAGES))
+            m.participants = {
+                pid: Participant(id=pid, language=LanguageTag(lang))
+                for pid, lang in roster.items()
+            }
+            _, events = update_orchestration(m, speaker)
+            language = roster[speaker] if speaker is not None else None
+            for event in events:
+                if event.kind is EventKind.PIPELINE_REUSED:
+                    assert event.reinitialized == (language != previous_language)
+            previous_language = language
+            assert len(m.pipelines) <= capacity
+            assert verify_invariants(m) == []
