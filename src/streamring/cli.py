@@ -59,7 +59,6 @@ from .simulator import (
     report_to_json,
     run_scenario,
     sweep_cost,
-    write_metrics_csv,
 )
 
 EXIT_OK = 0
@@ -293,10 +292,10 @@ def cmd_topt(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     report = run_scenario(scenario)
-    if args.csv is not None:
-        write_metrics_csv(report, args.csv)
     payload = report_to_json(report)
     rows = metrics_csv_rows(report)
+    if args.csv is not None:
+        Path(args.csv).write_text(_render_csv(rows), encoding="utf-8")
     startups = report.series.turn_startups
     cold = sum(1 for t in startups if t.cold)
     human = [

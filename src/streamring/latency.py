@@ -72,10 +72,20 @@ class LatencyModel:
             raise ValidationError(f"unknown model form {self.form!r}")
         numbers = [self.a, self.b, self.cold_start_extra]
         numbers.extend(x for point in self.points for x in point)
+        if self.valid_range is not None:
+            if len(self.valid_range) != 2:
+                raise ValidationError("valid_range must be a pair [lo, hi]")
+            numbers.extend(self.valid_range)
         if not all(math.isfinite(x) for x in numbers):
             raise ValidationError("model parameters must be finite numbers")
         if self.cold_start_extra < 0:
             raise ValidationError("cold_start_extra must be non-negative")
+        if self.valid_range is not None and not (
+            0 < self.valid_range[0] <= self.valid_range[1]
+        ):
+            raise ValidationError(
+                f"valid_range must satisfy 0 < lo <= hi, got {list(self.valid_range)}"
+            )
         if self.form == FORM_TABLE:
             if len(self.points) < 2:
                 raise ValidationError("table model needs at least 2 points")
@@ -410,19 +420,19 @@ def model_from_json(data: dict) -> LatencyModel:
     if form not in _FORMS:
         raise ValidationError(f"unknown model form {form!r}")
     valid_range = data.get("valid_range")
-    kwargs = {
-        "form": form,
-        "valid_range": tuple(valid_range) if valid_range else None,
-        "cold_start_extra": float(data.get("cold_start_extra", 0.0)),
-    }
+    kwargs: dict = {"form": form}
     try:
+        kwargs["valid_range"] = (
+            tuple(float(x) for x in valid_range) if valid_range else None
+        )
+        kwargs["cold_start_extra"] = float(data.get("cold_start_extra", 0.0))
         if form == FORM_TABLE:
             kwargs["points"] = tuple((float(t), float(p)) for t, p in params["points"])
         else:
             kwargs["a"] = float(params["a"])
             kwargs["b"] = float(params["b"])
     except (TypeError, KeyError, ValueError) as exc:
-        raise ValidationError(f"malformed model params: {exc}") from None
+        raise ValidationError(f"malformed model: {exc}") from None
     return LatencyModel(**kwargs)
 
 

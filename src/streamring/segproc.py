@@ -52,6 +52,10 @@ logger = logging.getLogger(__name__)
 
 SEGMENT_FILE_PATTERN = "seg_%05d"
 
+#: Most segments one stream may be cut into; a longer schedule is rejected
+#: before any of it is built.
+MAX_SEGMENTS = 10**6
+
 
 class StreamMode(str, Enum):
     LIVE = "live"  # segment k finishes arriving at (k+1)*T
@@ -140,7 +144,13 @@ def _segments(total_duration: float, segment_duration: float) -> list[tuple[floa
         raise ValidationError(
             f"segment duration must be positive, got {segment_duration}"
         )
-    n_full = int(total_duration / segment_duration + 1e-9)
+    ratio = total_duration / segment_duration
+    if not ratio <= MAX_SEGMENTS:  # also rejects inf and NaN
+        raise ValidationError(
+            f"{total_duration:g} s in {segment_duration:g} s segments exceeds "
+            f"the {MAX_SEGMENTS} segment limit"
+        )
+    n_full = int(ratio + 1e-9)
     out = [
         (segment_duration, (k + 1) * segment_duration) for k in range(n_full)
     ]

@@ -15,6 +15,10 @@ else's stream.  A repeated speaker-change to the current speaker is a
 no-op.  Stall seconds accrue to the listeners of a session's language at
 the moment the session closes.
 
+The report is written in one pass: a closing session adds its startup, its
+listeners' stalls and its segment samples to the report, and each pass adds a
+state point; after the loop come only two sorts and the aggregate integrals.
+
 Same-timestamp events apply in a fixed order — leaves, joins, language
 changes, speaker changes, each by participant id — which makes reports
 byte-reproducible and order-independent for semantically independent
@@ -74,7 +78,6 @@ __all__ = [
     "scenario_to_json",
     "sweep_cost",
     "validate_scenario",
-    "write_metrics_csv",
 ]
 
 METRICS_CSV_HEADER = (
@@ -418,33 +421,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 # The event loop
 
 
-@dataclass
-class _OpenSession:
-    language: LanguageTag
-    started_at: float
-    cold: bool
-
-
-@dataclass
-class _ClosedSession:
-    language: LanguageTag
-    started_at: float
-    closed_at: float
-    cold: bool
-    startup_delay: float
-    stall_total: float
-    listeners: tuple[str, ...]
-    boundaries: tuple[tuple[float, float], ...]  # (absolute time, stall seconds)
-
-
-@dataclass(frozen=True)
-class _StatePoint:
-    time: float
-    k: int
-    n: int
-    failures_cum: int
-
-
 def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the scenario deterministically and report the metrics series
     plus aggregates.  Raises ScenarioError listing all structural violations
@@ -475,12 +451,17 @@ def run_scenario(scenario: Scenario) -> RunReport:
         pool_capacity=scenario.pool_capacity,
     )
 
-    open_sessions: dict[LanguageTag, _OpenSession] = {}
-    closed_sessions: list[_ClosedSession] = []
-    states: list[_StatePoint] = []
+    series = MetricsSeries()
+    open_sessions: dict[LanguageTag, tuple[float, bool]] = {}  # started_at, cold
+    # summed with sum() in close order: on Python >= 3.12 sum() compensates,
+    # so a running += would change the total's last bits
+    session_stalls: list[float] = []
+    # (time, 0, language, stall) per segment boundary; the state points join
+    # as (time, 1, "", point) after the loop
+    entries: list[tuple[float, int, str, object]] = []
+    states: list[tuple[float, int, int, int]] = []  # (time, k, n, failures)
     failures = 0
 
-    cold_model = model
     warm_model = (
         model
         if model.cold_start_extra == 0.0
@@ -488,48 +469,44 @@ def run_scenario(scenario: Scenario) -> RunReport:
     )
 
     def close_session(language: LanguageTag, when: float) -> None:
-        session = open_sessions.pop(language, None)
-        if session is None:
+        opened = open_sessions.pop(language, None)
+        if opened is None:
             return
-        duration = when - session.started_at
+        started_at, cold = opened
+        duration = when - started_at
         if duration <= 1e-9:
             return
-        session_model = cold_model if session.cold else warm_model
         jobs, play = schedule_stream(
-            StreamSpec(duration), session_model, segment_duration
+            StreamSpec(duration), model if cold else warm_model, segment_duration
         )
-        listeners = tuple(
-            sorted(
-                pid
-                for pid, member in meeting.participants.items()
-                if member.language == language and pid != meeting.active_speaker
-            )
-        )
-        closed_sessions.append(
-            _ClosedSession(
-                language=language,
-                started_at=session.started_at,
-                closed_at=when,
-                cold=session.cold,
+        series.turn_startups.append(
+            TurnStartup(
+                time=started_at,
+                language=language.code,
                 startup_delay=play.startup_delay,
-                stall_total=play.stall_total,
-                listeners=listeners,
-                boundaries=tuple(
-                    (session.started_at + job.available_at, timing.stall)
-                    for job, timing in zip(jobs, play.per_segment)
-                ),
+                cold=cold,
             )
+        )
+        session_stalls.append(play.stall_total)
+        stalls = series.listener_stalls
+        for pid in sorted(
+            pid
+            for pid, member in meeting.participants.items()
+            if member.language == language and pid != meeting.active_speaker
+        ):
+            stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
+        entries.extend(
+            (started_at + job.available_at, 0, language.code, timing.stall)
+            for job, timing in zip(jobs, play.per_segment)
         )
 
     def record_state(when: float) -> None:
-        states.append(
-            _StatePoint(
-                time=when,
-                k=len(meeting.routing.pipeline_map),
-                n=meeting.size,
-                failures_cum=failures,
-            )
-        )
+        # a later pass at the same time supersedes the earlier state
+        point = (when, len(meeting.routing.pipeline_map), meeting.size, failures)
+        if states and states[-1][0] == when:
+            states[-1] = point
+        else:
+            states.append(point)
 
     def orchestration_pass(
         when: float, speaker: Optional[str], turnover: bool
@@ -542,25 +519,17 @@ def run_scenario(scenario: Scenario) -> RunReport:
             translate_same_language=scenario.translate_same_language,
         )
         for event in events:
-            if event.kind is EventKind.PIPELINE_DECOMMISSIONED:
+            kind = event.kind
+            if kind is EventKind.PIPELINE_DECOMMISSIONED:
                 close_session(event.language, when)
-            elif event.kind is EventKind.PIPELINE_ALLOCATED:
+            elif kind is EventKind.PIPELINE_ALLOCATED or (
+                kind is EventKind.PIPELINE_REUSED
+                and (event.reinitialized or turnover)
+            ):
                 close_session(event.language, when)
-                open_sessions[event.language] = _OpenSession(
-                    language=event.language, started_at=when, cold=True
-                )
-            elif event.kind is EventKind.PIPELINE_REUSED:
-                if event.reinitialized:
-                    close_session(event.language, when)
-                    open_sessions[event.language] = _OpenSession(
-                        language=event.language, started_at=when, cold=True
-                    )
-                elif turnover:
-                    close_session(event.language, when)
-                    open_sessions[event.language] = _OpenSession(
-                        language=event.language, started_at=when, cold=False
-                    )
-            elif event.kind is EventKind.ALLOCATION_FAILED:
+                cold = kind is EventKind.PIPELINE_ALLOCATED or event.reinitialized
+                open_sessions[event.language] = (when, cold)
+            elif kind is EventKind.ALLOCATION_FAILED:
                 failures += 1
                 warnings.append(
                     f"allocation failed for language {event.language} at "
@@ -570,115 +539,70 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     record_state(0.0)
     for event in _ordered_events(scenario):
-        when = event.time
         if event.kind is ScenarioEventKind.SPEAKER_CHANGE:
             if event.participant == meeting.active_speaker:
                 continue  # repeated floor grant: nothing changes
-            orchestration_pass(when, event.participant, turnover=True)
+            orchestration_pass(event.time, event.participant, turnover=True)
             continue
-        if event.kind is ScenarioEventKind.JOIN:
-            meeting.participants[event.participant] = Participant(
-                id=event.participant, language=LanguageTag(event.language)
-            )
-        elif event.kind is ScenarioEventKind.LEAVE:
+        if event.kind is ScenarioEventKind.LEAVE:
             del meeting.participants[event.participant]
-        elif event.kind is ScenarioEventKind.LANGUAGE_CHANGE:
+        else:  # join or language change
             meeting.participants[event.participant] = Participant(
                 id=event.participant, language=LanguageTag(event.language)
             )
         speaker = meeting.active_speaker
-        if speaker is not None and speaker not in meeting.participants:
-            speaker = None  # the active speaker just left
-        orchestration_pass(when, speaker, turnover=False)
+        if speaker not in meeting.participants:
+            speaker = None  # no speaker yet, or the active speaker just left
+        orchestration_pass(event.time, speaker, turnover=False)
 
     for language in sorted(open_sessions):
         close_session(language, scenario.run_duration)
     record_state(scenario.run_duration)
 
-    return _assemble_report(
-        scenario, segment_duration, cost, states, closed_sessions, warnings
-    )
-
-
-def _assemble_report(
-    scenario: Scenario,
-    segment_duration: float,
-    cost: CostModel,
-    states: list[_StatePoint],
-    sessions: list[_ClosedSession],
-    warnings: list[str],
-) -> RunReport:
-    # collapse same-time state points, keeping the last (post-event) one
-    deduped: list[_StatePoint] = []
-    for point in states:
-        if deduped and deduped[-1].time == point.time:
-            deduped[-1] = point
-        else:
-            deduped.append(point)
-
-    series = MetricsSeries()
-    for session in sessions:
-        series.turn_startups.append(
-            TurnStartup(
-                time=session.started_at,
-                language=session.language.code,
-                startup_delay=session.startup_delay,
-                cold=session.cold,
-            )
-        )
-        for listener in session.listeners:
-            series.listener_stalls[listener] = (
-                series.listener_stalls.get(listener, 0.0) + session.stall_total
-            )
     series.turn_startups.sort(key=lambda s: (s.time, s.language))
 
-    # merge state-change samples with per-segment boundary samples; at equal
-    # times a boundary belongs to the interval that is ending, so it sorts
-    # before the state change
-    entries: list[tuple[float, int, str, object]] = []
-    for point in deduped:
-        entries.append((point.time, 1, "", point))
-    for session in sessions:
-        for when, stall in session.boundaries:
-            entries.append((when, 0, session.language.code, stall))
+    # at equal times a boundary belongs to the interval that is ending, so it
+    # sorts before the state change
+    entries.extend((point[0], 1, "", point) for point in states)
     entries.sort(key=lambda item: (item[0], item[1], item[2]))
-
-    current = deduped[0]
+    current = states[0]
     stalls_cum = 0.0
     for when, priority, _, payload in entries:
         if priority == 1:
             current = payload  # type: ignore[assignment]
         else:
             stalls_cum += payload  # type: ignore[operator]
+        _, k, n, failures_cum = current
         series.samples.append(
             MetricsSample(
                 time_s=when,
-                k=current.k,
-                token_cost=cost.unit_cost * current.k,
-                naive_cost=cost_naive(current.n, cost) if current.n >= 2 else 0.0,
-                alloc_failures=current.failures_cum,
+                k=k,
+                token_cost=cost.unit_cost * k,
+                naive_cost=cost_naive(n, cost) if n >= 2 else 0.0,
+                alloc_failures=failures_cum,
                 stalls_cum=stalls_cum,
             )
         )
 
+    max_k = states[-1][1]
     token_integral = 0.0
     naive_integral = 0.0
     k_integral = 0.0
-    for point, nxt in zip(deduped, deduped[1:]):
-        dt = nxt.time - point.time
-        k_integral += point.k * dt
-        token_integral += cost.unit_cost * point.k * dt
-        if point.n >= 2:
-            naive_integral += cost_naive(point.n, cost) * dt
+    for (when, k, n, _), nxt in zip(states, states[1:]):
+        max_k = max(max_k, k)
+        dt = nxt[0] - when
+        k_integral += k * dt
+        token_integral += cost.unit_cost * k * dt
+        if n >= 2:
+            naive_integral += cost_naive(n, cost) * dt
 
-    total_stall = sum(s.stall_total for s in sessions)
     return RunReport(
         scenario_digest=scenario_digest(scenario),
         resolved_segment_duration=segment_duration,
         series=series,
-        max_k=max(point.k for point in deduped),
+        max_k=max_k,
         mean_k=k_integral / scenario.run_duration,
-        total_stall_seconds=total_stall,
+        total_stall_seconds=sum(session_stalls),
         cost_ratio=token_integral / naive_integral if naive_integral > 0 else 0.0,
         warnings=tuple(warnings),
     )
@@ -800,9 +724,3 @@ def metrics_csv_rows(report: RunReport) -> list[list]:
         )
     return rows
 
-
-def write_metrics_csv(report: RunReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(metrics_csv_rows(report))

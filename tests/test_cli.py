@@ -48,6 +48,20 @@ def parse_csv(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
 
 
+def two_party_scenario(model: dict, segment_duration) -> dict:
+    return {
+        "participants": [
+            {"id": "A", "language": "en"},
+            {"id": "B", "language": "de"},
+        ],
+        "pool_capacity": 4,
+        "latency_model": model,
+        "segment_duration": segment_duration,
+        "run_duration": 30.0,
+        "events": [{"time": 0.0, "kind": "speaker-change", "participant": "A"}],
+    }
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run_cli([]) == EXIT_USAGE
@@ -227,6 +241,13 @@ class TestSimulate:
         assert rows[0][0] == "time_s"
         assert len(rows) > 2
 
+    def test_csv_flag_matches_csv_format(self, tmp_path, capsys):
+        argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
+        flag, out = tmp_path / "flag.csv", tmp_path / "out.csv"
+        assert run_cli(argv + ["--csv", str(flag), "--quiet"]) == EXIT_OK
+        assert run_cli(argv + ["--out", str(out), "--format", "csv"]) == EXIT_OK
+        assert flag.read_bytes() == out.read_bytes()
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_csv_format_has_one_header(self, to_file, tmp_path, capsys):
         argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
@@ -258,19 +279,7 @@ class TestSimulate:
         self, field, value, message, tmp_path, capsys
     ):
         model = {"form": "affine", "params": {"a": 0.2, "b": 0.5}}
-        scenario = {
-            "participants": [
-                {"id": "A", "language": "en"},
-                {"id": "B", "language": "de"},
-            ],
-            "pool_capacity": 4,
-            "latency_model": model,
-            "segment_duration": 3.0,
-            "run_duration": 30.0,
-            "events": [
-                {"time": 0.0, "kind": "speaker-change", "participant": "A"}
-            ],
-        }
+        scenario = two_party_scenario(model, 3.0)
         if field == "event_time":
             scenario["events"][0]["time"] = value
         elif field in ("a", "b"):
@@ -283,6 +292,33 @@ class TestSimulate:
         path.write_text(json.dumps(scenario))  # writes NaN / Infinity literals
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "valid_range, message",
+        [
+            ([1.0, "x"], "malformed model"),
+            ([1.0, float("nan")], "model parameters must be finite"),
+            ([1.0, 1e-300], "valid_range must satisfy 0 < lo <= hi"),
+            ([1.0, 2.0, 3.0], "valid_range must be a pair"),
+        ],
+    )
+    def test_bad_valid_range_rejected(
+        self, valid_range, message, tmp_path, capsys
+    ):
+        # never real-time viable, so "auto" would fall back to valid_range[1]
+        model = {"form": "affine", "params": {"a": 0.5, "b": 1.2},
+                 "valid_range": valid_range}
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(two_party_scenario(model, "auto")))
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_segment_count_bounded(self, tmp_path, capsys):
+        model = {"form": "affine", "params": {"a": 0.2, "b": 0.5}}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(two_party_scenario(model, 1e-300)))
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert "segment limit" in capsys.readouterr().err
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["simulate", "--scenario",

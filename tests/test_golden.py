@@ -1,7 +1,18 @@
-"""Frozen ``simulate --format json`` reports for the shipped scenarios.
+"""Frozen ``simulate --format json`` reports.
 
 The files under ``tests/golden/`` were written by ``streamring simulate
---scenario scenarios/<name>.json --format json --out tests/golden/<name>.json``.
+--scenario S --format json --out tests/golden/<name>.json``, where S is
+``scenarios/<name>.json`` for the shipped scenarios and
+``tests/golden/<name>.scenario.json`` for the two that exist only to pin the
+report paths the shipped ones never reach:
+
+* ``churn_stalls_6`` — an affine model with tau > 1 and a cold-start extra
+  (cold and warm sessions, stalls), a pool of 2 against up to 5 listener
+  languages (failed allocations), joins, leaves and language changes, the
+  speaker leaving mid-turn and same-time events of every kind.
+* ``table_tail_4`` — a table model with tau > 1, sessions ending in a short
+  tail segment, and ``translate_same_language``.
+
 A refactor must reproduce them byte for byte; a change that is meant to alter
 a report regenerates the file with that command and says why.
 """
@@ -18,11 +29,20 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
-@pytest.mark.parametrize("name", ["bilingual_10", "worst_case_6", "handoff_3"])
+SCENARIOS = {
+    "bilingual_10": ROOT / "scenarios" / "bilingual_10.json",
+    "worst_case_6": ROOT / "scenarios" / "worst_case_6.json",
+    "handoff_3": ROOT / "scenarios" / "handoff_3.json",
+    "churn_stalls_6": GOLDEN_DIR / "churn_stalls_6.scenario.json",
+    "table_tail_4": GOLDEN_DIR / "table_tail_4.scenario.json",
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
 def test_simulate_json_matches_golden(name, tmp_path, capsys):
     out = tmp_path / f"{name}.json"
     code = main(
-        ["simulate", "--scenario", str(ROOT / "scenarios" / f"{name}.json"),
+        ["simulate", "--scenario", str(SCENARIOS[name]),
          "--format", "json", "--out", str(out)]
     )
     assert code == EXIT_OK

@@ -9,7 +9,6 @@ E[k] = (pool-1) * (1 - ((pool-1)/pool)^(N-1)).
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -23,13 +22,13 @@ from streamring.simulator import (
     ScenarioError,
     ScenarioEvent,
     load_scenario,
+    metrics_csv_rows,
     report_to_json,
     run_scenario,
     save_scenario,
     scenario_digest,
     sweep_cost,
     validate_scenario,
-    write_metrics_csv,
 )
 from tests.test_latency import fixture_set
 
@@ -359,12 +358,9 @@ class TestScenarioFiles:
 
 
 class TestMetricsCsv:
-    def test_csv_shape(self, tmp_path):
+    def test_csv_shape(self):
         report = run_scenario(two_party())
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(report, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = metrics_csv_rows(report)
         assert rows[0] == [
             "time_s", "k", "token_cost", "naive_cost", "alloc_failures", "stalls_cum",
         ]
