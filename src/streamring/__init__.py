@@ -8,6 +8,8 @@ gap-free after a single buffering event whenever the per-segment processing
 time p(T) stays below the segment duration T.
 """
 
+import logging
+
 from .core import (
     CostModel,
     LanguageTag,
@@ -51,6 +53,10 @@ from .simulator import (
 )
 
 __version__ = "0.1.0"
+
+# A library does not configure logging; without a handler of its own, every
+# logged allocation failure would reach stderr through logging's last resort.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "CostModel",

@@ -10,8 +10,9 @@ the state the orchestrator transforms.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 
 class ValidationError(ValueError):
@@ -82,26 +83,93 @@ class Route:
             raise ValidationError("route may not loop back to its own endpoint")
 
 
+class Roster(MutableMapping[str, Participant]):
+    """Participants by id, plus the ids of each language's members.
+
+    Every set and delete updates both, so the language index cannot drift
+    from the members.  Only members are indexed: a language whose last
+    member leaves or changes language is dropped from the index.
+    """
+
+    def __init__(self, members: Optional[Mapping[str, Participant]] = None) -> None:
+        self._members: dict[str, Participant] = {}
+        self._index: dict[LanguageTag, set[str]] = {}
+        if members:
+            self.update(members)
+
+    def __getitem__(self, pid: str) -> Participant:
+        return self._members[pid]
+
+    def __contains__(self, pid: object) -> bool:
+        return pid in self._members
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __setitem__(self, pid: str, participant: Participant) -> None:
+        if pid in self._members:
+            self._unindex(pid)
+        self._members[pid] = participant
+        self._index.setdefault(participant.language, set()).add(pid)
+
+    def __delitem__(self, pid: str) -> None:
+        self._unindex(pid)
+        del self._members[pid]
+
+    def _unindex(self, pid: str) -> None:
+        language = self._members[pid].language
+        ids = self._index[language]
+        ids.discard(pid)
+        if not ids:
+            del self._index[language]
+
+    def __repr__(self) -> str:
+        return f"Roster({self._members!r})"
+
+    def ids_of(self, language: LanguageTag) -> AbstractSet[str]:
+        """The ids of the members who speak ``language`` (do not mutate)."""
+        return self._index.get(language, frozenset())
+
+    def languages(self) -> AbstractSet[LanguageTag]:
+        """The distinct languages of the members, a live view."""
+        return self._index.keys()
+
+
 @dataclass
 class RoutingTable:
-    """Language-to-pipeline mapping plus the stream routes derived from it."""
+    """Language-to-pipeline mapping, each listener's pipeline and the bypass
+    set.  The stream routes are derived from ``delivery``, not stored."""
 
     pipeline_map: dict[LanguageTag, str] = field(default_factory=dict)
-    routes: set[Route] = field(default_factory=set)
+    delivery: dict[str, str] = field(default_factory=dict)  # listener -> pipeline
     bypass: set[str] = field(default_factory=set)
+
+    @property
+    def routes(self) -> frozenset[Route]:
+        """``SPEAKER_RAW -> pipeline`` for each pipeline that feeds a
+        listener, and ``pipeline -> listener`` for each delivery."""
+        feeds = {Route(SPEAKER_RAW, p) for p in set(self.delivery.values())}
+        return frozenset(feeds).union(
+            Route(p, pid) for pid, p in self.delivery.items()
+        )
 
 
 @dataclass
 class Meeting:
     """Participants, the active speaker, the pool size, and current routing.
 
+    ``participants`` is a ``Roster``: any mapping assigned to it is copied
+    into one, so the per-language index always matches the members.
     ``routing.pipeline_map`` is the only record of live pipelines: a pipeline
     is live exactly while the map names it, and pool occupancy is derived
     from the map's size.  Every live pipeline translates from
     ``source_language``, the speaker's language at the last pass.
     """
 
-    participants: dict[str, Participant]
+    participants: Roster
     pool_capacity: int
     active_speaker: Optional[str] = None
     routing: RoutingTable = field(default_factory=RoutingTable)
@@ -112,11 +180,16 @@ class Meeting:
         if self.pool_capacity < 0:
             raise ValidationError("pool capacity must be non-negative")
 
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "participants" and not isinstance(value, Roster):
+            value = Roster(value)  # type: ignore[arg-type]
+        object.__setattr__(self, name, value)
+
     @classmethod
     def create(
         cls, participants: Iterable[Participant], pool_capacity: int
     ) -> "Meeting":
-        members: dict[str, Participant] = {}
+        members = Roster()
         for p in participants:
             if p.id in members:
                 raise ValidationError(f"duplicate participant id {p.id!r}")

@@ -13,6 +13,11 @@ aborting the pass.  Listeners who share the speaker's language receive the
 raw stream via bypass unless ``translate_same_language`` forces an identity
 pipeline for them.  Decommissioning a pipeline drops its entry from the
 routing table's language -> pipeline id map, the one record of live pipelines.
+
+A pass reads the roster's language index rather than scanning the roster:
+the required languages cost O(L), and the routing table stores only each
+listener's pipeline (``delivery``), built per mapped language.  The stream
+routes are derived from ``delivery`` on demand and are never stored.
 """
 
 from __future__ import annotations
@@ -79,16 +84,17 @@ def required_languages(
 ) -> set[LanguageTag]:
     """Distinct languages of the non-speakers; the speaker's own language is
     excluded unless identity translation is requested.  ``speaker=None``
-    (no one holds the floor) requires nothing."""
+    (no one holds the floor) requires nothing.  Costs O(L) in the number of
+    distinct languages: it reads the roster's language index."""
     if speaker is None:
         return set()
-    if speaker not in meeting.participants:
+    roster = meeting.participants
+    if speaker not in roster:
         raise UnknownParticipantError(f"unknown participant id {speaker!r}")
-    langs = {
-        p.language for pid, p in meeting.participants.items() if pid != speaker
-    }
-    if not translate_same_language:
-        langs.discard(meeting.participants[speaker].language)
+    langs = set(roster.languages())
+    language = roster[speaker].language
+    if not translate_same_language or len(roster.ids_of(language)) == 1:
+        langs.discard(language)
     return langs
 
 
@@ -103,21 +109,19 @@ def update_orchestration(
 
     Returns the (mutated in place) meeting and the events of this pass.
     ``new_speaker=None`` releases the floor: every pipeline is decommissioned
-    and all routes dropped.  An unknown speaker id raises before any state
-    is touched.
+    and all deliveries dropped.  An unknown speaker id raises before any
+    state is touched.
     """
     if new_speaker is not None and new_speaker not in meeting.participants:
         raise UnknownParticipantError(f"unknown participant id {new_speaker!r}")
 
     events: list[OrchestrationEvent] = []
-    previous_routes = set(meeting.routing.routes)
+    roster = meeting.participants
     required = required_languages(
         meeting, new_speaker, translate_same_language=translate_same_language
     )
     meeting.active_speaker = new_speaker
-    speaker_language = (
-        meeting.participants[new_speaker].language if new_speaker else None
-    )
+    speaker_language = roster[new_speaker].language if new_speaker else None
     pipeline_map = meeting.routing.pipeline_map
 
     # Stale first: released slots must be reusable within this same pass.
@@ -167,10 +171,11 @@ def update_orchestration(
             )
         )
 
-    routes: set[Route] = set()
     bypass: set[str] = set()
     if new_speaker is not None:
         bypass.add(new_speaker)
+        if not translate_same_language:
+            bypass.update(roster.ids_of(speaker_language))
         events.append(
             OrchestrationEvent(
                 kind=EventKind.SPEAKER_BYPASSED,
@@ -179,30 +184,28 @@ def update_orchestration(
                 language=speaker_language,
             )
         )
-    for participant_id in sorted(meeting.participants):
-        if participant_id == new_speaker:
-            continue
-        language = meeting.participants[participant_id].language
-        if not translate_same_language and language == speaker_language:
-            bypass.add(participant_id)
-            continue
-        if language not in pipeline_map:
-            continue  # allocation failed: surfaced above, listener unrouted
-        pipeline_id = pipeline_map[language]
-        routes.add(Route(source=SPEAKER_RAW, destination=pipeline_id))
-        delivery = Route(source=pipeline_id, destination=participant_id)
-        routes.add(delivery)
-        if delivery not in previous_routes:
-            events.append(
-                OrchestrationEvent(
-                    kind=EventKind.ROUTE_ADDED,
-                    time=time,
-                    language=language,
-                    pipeline_id=pipeline_id,
-                    participant=participant_id,
-                )
+    # Every mapped language is required, so every listener of one is
+    # outside the bypass set; a listener whose language failed to allocate
+    # stays undelivered.
+    delivery: dict[str, str] = {}
+    for language, pipeline_id in pipeline_map.items():
+        delivery.update(dict.fromkeys(roster.ids_of(language), pipeline_id))
+    delivery.pop(new_speaker, None)  # an identity pipeline's own speaker
+    previous = meeting.routing.delivery
+    for participant_id in sorted(
+        pid for pid, pipeline_id in delivery.items()
+        if previous.get(pid) != pipeline_id
+    ):
+        events.append(
+            OrchestrationEvent(
+                kind=EventKind.ROUTE_ADDED,
+                time=time,
+                language=roster[participant_id].language,
+                pipeline_id=delivery[participant_id],
+                participant=participant_id,
             )
-    meeting.routing.routes = routes
+        )
+    meeting.routing.delivery = delivery
     meeting.routing.bypass = bypass
     return meeting, events
 
@@ -214,21 +217,23 @@ def verify_invariants(
 
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
-    raises on bad state.
+    raises on bad state.  Costs O(N + k): it reads ``routing.delivery`` and
+    the roster's language index, never the derived routes.
     """
     violations: list[str] = []
     routing = meeting.routing
+    delivery = routing.delivery
     speaker = meeting.active_speaker
 
     # 1. Speaker bypass: the speaker is never a pipeline consumer.
     if speaker is not None:
         if speaker not in routing.bypass:
             violations.append(f"active speaker {speaker!r} not in bypass set")
-        for route in routing.routes:
-            if route.destination == speaker:
-                violations.append(
-                    f"active speaker {speaker!r} consumes route from {route.source!r}"
-                )
+        if speaker in delivery:
+            violations.append(
+                f"active speaker {speaker!r} consumes route from "
+                f"{delivery[speaker]!r}"
+            )
 
     # 2. Minimal allocation: one pipeline per required language, short only
     #    when the pool ran dry.
@@ -253,34 +258,31 @@ def verify_invariants(
     if len(live) != len(routing.pipeline_map):
         violations.append("a pipeline id serves more than one language")
 
-    # 3. Every pipeline a route names is live.  A route either feeds a
-    #    pipeline from SPEAKER_RAW or leaves a pipeline for a listener.
-    for route in routing.routes:
-        pipeline_id = (
-            route.destination if route.source == SPEAKER_RAW else route.source
-        )
+    # 3. Every pipeline a route names is live.  The routes are one
+    #    SPEAKER_RAW -> pipeline per delivering pipeline and one
+    #    pipeline -> listener per delivery.
+    feeds = [(SPEAKER_RAW, p, p) for p in dict.fromkeys(delivery.values())]
+    outputs = [(p, pid, p) for pid, p in delivery.items()]
+    for source, destination, pipeline_id in feeds + outputs:
         if pipeline_id not in live:
             violations.append(
-                f"route {route.source!r}->{route.destination!r} references "
+                f"route {source!r}->{destination!r} references "
                 f"pipeline {pipeline_id!r}, which is not live"
             )
 
     # Routing completeness: every listener whose language has a pipeline is
     # fed by exactly one route from it.
-    for participant_id, participant in meeting.participants.items():
-        if participant_id == speaker or participant_id in routing.bypass:
-            continue
-        pipeline_id = routing.pipeline_map.get(participant.language)
-        if pipeline_id is None:
-            continue
-        feeds = [
-            r
-            for r in routing.routes
-            if r.destination == participant_id and r.source == pipeline_id
-        ]
-        if len(feeds) != 1:
-            violations.append(
-                f"listener {participant_id!r} has {len(feeds)} routes from "
-                f"pipeline {pipeline_id!r}, expected exactly 1"
-            )
+    unfed = sorted(
+        (participant_id, pipeline_id)
+        for language, pipeline_id in routing.pipeline_map.items()
+        for participant_id in meeting.participants.ids_of(language)
+        if participant_id != speaker
+        and participant_id not in routing.bypass
+        and delivery.get(participant_id) != pipeline_id
+    )
+    for participant_id, pipeline_id in unfed:
+        violations.append(
+            f"listener {participant_id!r} has 0 routes from "
+            f"pipeline {pipeline_id!r}, expected exactly 1"
+        )
     return violations

@@ -489,12 +489,9 @@ def run_scenario(scenario: Scenario) -> RunReport:
         )
         session_stalls.append(play.stall_total)
         stalls = series.listener_stalls
-        for pid in sorted(
-            pid
-            for pid, member in meeting.participants.items()
-            if member.language == language and pid != meeting.active_speaker
-        ):
-            stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
+        for pid in sorted(meeting.participants.ids_of(language)):
+            if pid != meeting.active_speaker:
+                stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
         entries.extend(
             (started_at + job.available_at, 0, language.code, timing.stall)
             for job, timing in zip(jobs, play.per_segment)

@@ -26,6 +26,7 @@ from streamring.cli import (
 from streamring.latency import load_model
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # stub whose runtime grows with segment duration: p ~= 0.04 + 0.1 t, so a
 # two-duration bench run yields a clean, admissible affine fit
@@ -352,6 +353,22 @@ class TestSimulate:
         code = run_cli(["simulate", "--scenario", "/no/such/scenario.json"])
         assert code == EXIT_VALIDATION
         assert "scenario.json" in capsys.readouterr().err
+
+    def test_allocation_failures_not_logged_to_stderr(self):
+        # A fresh interpreter: in-process, pytest's log capture handler would
+        # stand in for the logging configuration a real run lacks.
+        scenario = GOLDEN_DIR / "churn_stalls_6.scenario.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from streamring.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "simulate", "--scenario", str(scenario)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK
+        assert "warning: allocation failed" in proc.stdout + proc.stderr
+        assert "no free pipeline slot" not in proc.stderr
 
 
 class TestSweep:

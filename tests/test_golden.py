@@ -3,8 +3,8 @@
 The files under ``tests/golden/`` were written by ``streamring simulate
 --scenario S --format json --out tests/golden/<name>.json``, where S is
 ``scenarios/<name>.json`` for the shipped scenarios and
-``tests/golden/<name>.scenario.json`` for the two that exist only to pin the
-report paths the shipped ones never reach:
+``tests/golden/<name>.scenario.json`` for the others.  Two of those exist
+only to pin the report paths the shipped ones never reach:
 
 * ``churn_stalls_6`` — an affine model with tau > 1 and a cold-start extra
   (cold and warm sessions, stalls), a pool of 2 against up to 5 listener
@@ -12,6 +12,12 @@ report paths the shipped ones never reach:
   speaker leaving mid-turn and same-time events of every kind.
 * ``table_tail_4`` — a table model with tau > 1, sessions ending in a short
   tail segment, and ``translate_same_language``.
+
+``churn_large_5`` is the first meeting of ``python3 perfbench/workloads.py
+--workload churn-large --seed 5``: 500 people in 40 languages with a pool of
+32, so every pass fails some allocations, and 28 joins, leaves and language
+changes between 4 hand-offs.  It pins the roster-scale bookkeeping: the
+per-language listener sets behind routing and stall charging.
 
 A refactor must reproduce them byte for byte; a change that is meant to alter
 a report regenerates the file with that command and says why.
@@ -35,6 +41,7 @@ SCENARIOS = {
     "handoff_3": ROOT / "scenarios" / "handoff_3.json",
     "churn_stalls_6": GOLDEN_DIR / "churn_stalls_6.scenario.json",
     "table_tail_4": GOLDEN_DIR / "table_tail_4.scenario.json",
+    "churn_large_5": GOLDEN_DIR / "churn_large_5.scenario.json",
 }
 
 

@@ -240,7 +240,8 @@ class TestVerifyInvariants:
     def test_speaker_consuming_a_pipeline(self):
         m = self._orchestrated()
         pid = m.routing.pipeline_map[LanguageTag("de")]
-        m.routing.routes.add(Route(source=pid, destination="A"))
+        m.routing.delivery["A"] = pid
+        assert Route(source=pid, destination="A") in m.routing.routes
         assert any("speaker" in v for v in verify_invariants(m))
 
     def test_speaker_missing_from_bypass(self):
@@ -268,9 +269,10 @@ class TestVerifyInvariants:
     def test_under_allocation_with_free_slots(self):
         m = self._orchestrated()
         pid = m.routing.pipeline_map.pop(LanguageTag("de"))
-        m.routing.routes = {
-            r for r in m.routing.routes if pid not in (r.source, r.destination)
+        m.routing.delivery = {
+            listener: p for listener, p in m.routing.delivery.items() if p != pid
         }
+        assert not any(pid in (r.source, r.destination) for r in m.routing.routes)
         assert any("free slots" in v for v in verify_invariants(m))
 
     def test_over_capacity(self):
@@ -411,3 +413,134 @@ class TestProperties:
             previous_language = language
             assert len(m.pipelines) <= capacity
             assert verify_invariants(m) == []
+
+
+def scratch_delivery(
+    m: Meeting, speaker, translate_same_language: bool
+) -> dict[str, str]:
+    """Each listener's pipeline, recomputed from the whole roster."""
+    if speaker is None:
+        return {}
+    speaker_language = m.participants[speaker].language
+    return {
+        pid: m.routing.pipeline_map[p.language]
+        for pid, p in m.participants.items()
+        if pid != speaker
+        and (translate_same_language or p.language != speaker_language)
+        and p.language in m.routing.pipeline_map
+    }
+
+
+def rebuilt_routes(
+    m: Meeting, speaker, translate_same_language: bool
+) -> set[Route]:
+    """The route set a full rebuild over the sorted roster produces."""
+    routes: set[Route] = set()
+    if speaker is None:
+        return routes
+    speaker_language = m.participants[speaker].language
+    for pid in sorted(m.participants):
+        language = m.participants[pid].language
+        if pid == speaker:
+            continue
+        if not translate_same_language and language == speaker_language:
+            continue
+        if language not in m.routing.pipeline_map:
+            continue
+        pipeline_id = m.routing.pipeline_map[language]
+        routes.add(Route(source=SPEAKER_RAW, destination=pipeline_id))
+        routes.add(Route(source=pipeline_id, destination=pid))
+    return routes
+
+
+# mixed case: tags that differ only in case must share one index entry
+CASED_LANGUAGES = [*LANGUAGES, "EN", "De"]
+
+
+class TestRosterIndex:
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_index_matches_a_fresh_grouping(self, data):
+        m = make_meeting({}, 4)
+        ids = [f"p{i}" for i in range(8)]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=20))):
+            op = data.draw(st.sampled_from(["set", "delete", "reassign"]))
+            if op == "set":
+                pid = data.draw(st.sampled_from(ids))
+                language = LanguageTag(data.draw(st.sampled_from(CASED_LANGUAGES)))
+                m.participants[pid] = Participant(id=pid, language=language)
+            elif op == "delete" and m.participants:
+                del m.participants[data.draw(st.sampled_from(sorted(m.participants)))]
+            elif op == "reassign":
+                members = data.draw(
+                    st.dictionaries(
+                        st.sampled_from(ids), st.sampled_from(CASED_LANGUAGES)
+                    )
+                )
+                m.participants = {
+                    pid: Participant(id=pid, language=LanguageTag(lang))
+                    for pid, lang in members.items()
+                }
+            grouping: dict[LanguageTag, set[str]] = {}
+            for pid, p in m.participants.items():
+                grouping.setdefault(p.language, set()).add(pid)
+            roster = m.participants
+            index = {lang: set(roster.ids_of(lang)) for lang in roster.languages()}
+            assert index == grouping
+            assert roster.ids_of(LanguageTag("xx")) == set()
+
+    @given(
+        members=participants_strategy,
+        capacity=st.integers(min_value=0, max_value=4),
+        translate_same_language=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_routes_match_a_full_rebuild(
+        self, members, capacity, translate_same_language, data
+    ):
+        # Roster edits in place, as the simulator makes them, then a pass.
+        m = make_meeting(members, capacity)
+        speaker = None
+        previous: dict[str, str] = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            op = data.draw(
+                st.sampled_from(
+                    ["speak", "join", "leave", "language", "speaker-language"]
+                )
+            )
+            roster = m.participants
+            if op == "speak":
+                speaker = data.draw(st.sampled_from([None, *sorted(roster)]))
+            elif op in ("join", "language", "speaker-language"):
+                if op == "join":
+                    pid = data.draw(st.sampled_from([f"p{i}" for i in range(10)]))
+                elif op == "language" and roster:
+                    pid = data.draw(st.sampled_from(sorted(roster)))
+                elif op == "speaker-language" and speaker is not None:
+                    pid = speaker
+                else:
+                    continue
+                language = LanguageTag(data.draw(st.sampled_from(LANGUAGES)))
+                roster[pid] = Participant(id=pid, language=language)
+            elif op == "leave" and roster:
+                pid = data.draw(st.sampled_from(sorted(roster)))
+                del roster[pid]
+                if pid == speaker:
+                    speaker = None
+            _, events = update_orchestration(
+                m, speaker, translate_same_language=translate_same_language
+            )
+            expected = scratch_delivery(m, speaker, translate_same_language)
+            added = [e.participant for e in events if e.kind is EventKind.ROUTE_ADDED]
+            assert added == sorted(
+                pid for pid, p in expected.items() if previous.get(pid) != p
+            )
+            assert m.routing.delivery == expected
+            assert m.routing.routes == rebuilt_routes(
+                m, speaker, translate_same_language
+            )
+            assert verify_invariants(
+                m, translate_same_language=translate_same_language
+            ) == []
+            previous = expected
