@@ -293,7 +293,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     report = run_scenario(scenario)
     payload = report_to_json(report)
-    rows = metrics_csv_rows(report)
+    # built only for a CSV rendering: ``_finish`` renders json otherwise
+    wants_csv = args.csv is not None or args.format == "csv"
+    rows = metrics_csv_rows(report) if wants_csv else []
     if args.csv is not None:
         Path(args.csv).write_text(_render_csv(rows), encoding="utf-8")
     startups = report.series.turn_startups

@@ -23,6 +23,7 @@ import statistics
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -123,9 +124,15 @@ class LatencyModel:
         """Reciprocal throughput p(t)/t; < 1 means ahead of real time."""
         return self.evaluate(t) / t
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """A table's durations and latencies, split once per instance.  The
+        cache lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and ``repr`` never see it."""
+        return tuple(t for t, _ in self.points), tuple(p for _, p in self.points)
+
     def _interpolate(self, t: float) -> float:
-        ts = [pt for pt, _ in self.points]
-        ps = [pp for _, pp in self.points]
+        ts, ps = self._columns
         if t < ts[0] or t > ts[-1]:
             warnings.warn(
                 f"t={t} outside measured range [{ts[0]}, {ts[-1]}]; "
@@ -175,19 +182,18 @@ class MeasurementSet:
     samples: list[MeasurementSample] = field(default_factory=list)
 
     def add(self, t: float, p: float, run: int = 0) -> None:
-        if t <= 0:
-            raise ValidationError(f"duration must be positive, got {t}")
+        if not 0 < t < math.inf:
+            raise ValidationError(f"duration must be finite and positive, got {t}")
         self.samples.append(MeasurementSample(t=t, p=p, run=run))
 
     def durations(self) -> list[float]:
         return sorted({s.t for s in self.samples})
 
     def means(self) -> list[tuple[float, float]]:
-        out = []
-        for t in self.durations():
-            runs = [s.p for s in self.samples if s.t == t]
-            out.append((t, statistics.fmean(runs)))
-        return out
+        runs: dict[float, list[float]] = {}
+        for s in self.samples:
+            runs.setdefault(s.t, []).append(s.p)
+        return [(t, statistics.fmean(runs[t])) for t in sorted(runs)]
 
     def throughput_points(self) -> list[ThroughputPoint]:
         return [ThroughputPoint(t=t, p=p) for t, p in self.means()]
@@ -384,9 +390,10 @@ def read_measurement_csv(path: "Path | str") -> dict[str, MeasurementSet]:
                 p = float(row[3])
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            if t <= 0:
+            if not 0 < t < math.inf:
                 raise ValidationError(
-                    f"{path}: line {lineno}: duration must be positive, got {t}"
+                    f"{path}: line {lineno}: duration must be finite and "
+                    f"positive, got {t}"
                 )
             sets.setdefault(label, MeasurementSet(label=label)).add(t, p, run)
     return sets

@@ -137,6 +137,7 @@ def update_orchestration(
 
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
+    unserved: list[LanguageTag] = []
     for language in sorted(required):
         if language in pipeline_map:
             events.append(
@@ -150,11 +151,7 @@ def update_orchestration(
             )
             continue
         if meeting.free_slots <= 0:
-            logger.error(
-                "no free pipeline slot for language %s (capacity %d)",
-                language,
-                meeting.pool_capacity,
-            )
+            unserved.append(language)
             events.append(
                 OrchestrationEvent(
                     kind=EventKind.ALLOCATION_FAILED, time=time, language=language
@@ -169,6 +166,15 @@ def update_orchestration(
                 language=language,
                 pipeline_id=pipeline_map[language],
             )
+        )
+
+    if unserved:
+        # one record per pass, not per language: a LogRecord is built for
+        # each call even when no handler will emit it
+        logger.error(
+            "no free pipeline slot for languages %s (capacity %d)",
+            ", ".join(map(str, unserved)),
+            meeting.pool_capacity,
         )
 
     bypass: set[str] = set()

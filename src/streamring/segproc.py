@@ -128,7 +128,12 @@ def check_viability(model: LatencyModel, segment_duration: float) -> ViabilityCh
         raise ValidationError(
             f"segment duration must be positive, got {segment_duration}"
         )
-    tau = model.tau(segment_duration)
+    return _viability(model.evaluate(segment_duration), segment_duration)
+
+
+def _viability(p: float, segment_duration: float) -> ViabilityCheck:
+    """The check from an already evaluated p(T)."""
+    tau = p / segment_duration
     return ViabilityCheck(viable=tau < 1.0, tau=tau)
 
 
@@ -174,12 +179,19 @@ def schedule_stream(
     first job pays ``model.cold_start_extra`` on top of p(duration).  A
     non-viable (p(T) >= T) configuration is not rejected — the lag shows up
     in the report, and ``report.viability`` flags it.
+
+    Every full segment costs the same p(T), so the model is evaluated once
+    per distinct duration (T and at most one shorter tail), in the order the
+    segments first need it, and the viability check reuses p(T).  As
+    ``evaluate`` is a pure function of the duration, every job time is the
+    one a per-segment evaluation would give, to the bit.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     segments = _segments(stream.total_duration, segment_duration)
     live = stream.mode is StreamMode.LIVE
 
+    costs: dict[float, float] = {}  # duration -> p(duration)
     worker_free = [0.0] * workers
     worker_started = [False] * workers
     jobs: list[SegmentJob] = []
@@ -188,7 +200,9 @@ def schedule_stream(
         available = live_available if live else 0.0
         w = min(range(workers), key=worker_free.__getitem__)
         start = max(available, worker_free[w])
-        processing = model.evaluate(duration)
+        processing = costs.get(duration)
+        if processing is None:
+            processing = costs[duration] = model.evaluate(duration)
         if not worker_started[w]:
             processing += model.cold_start_extra
             worker_started[w] = True
@@ -208,12 +222,15 @@ def schedule_stream(
             )
         )
 
+    p_full = costs.get(segment_duration)
+    if p_full is None:  # the whole stream is one short segment
+        p_full = model.evaluate(segment_duration)
     report = _playback_report(
         jobs,
         segment_duration,
         startup_delay,
         live_full_first=live and segments[0][0] == segment_duration,
-        viability=check_viability(model, segment_duration),
+        viability=_viability(p_full, segment_duration),
     )
     return jobs, report
 

@@ -328,7 +328,16 @@ def _ordered_events(scenario: Scenario) -> list[ScenarioEvent]:
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Collect every structural violation (empty list means valid)."""
+    return _check_scenario(scenario)[0]
+
+
+def _check_scenario(
+    scenario: Scenario,
+) -> tuple[list[str], Optional[LatencyModel]]:
+    """The violations, and the latency model resolved while checking it (None
+    when it did not resolve), so a run resolves the model only once."""
     violations: list[str] = []
+    model: Optional[LatencyModel] = None
     if not 0 < scenario.run_duration < math.inf:
         violations.append(
             f"run_duration must be finite and > 0, got {scenario.run_duration}"
@@ -354,7 +363,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 f"{scenario.segment_duration!r}"
             )
     try:
-        resolve_model(scenario.model_spec)
+        model = resolve_model(scenario.model_spec)
     except ValidationError as exc:
         violations.append(f"latency model: {exc}")
 
@@ -414,7 +423,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 violations.append(f"{where}: participant not present")
             else:
                 speaker = event.participant
-    return violations
+    return violations, model
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +434,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the scenario deterministically and report the metrics series
     plus aggregates.  Raises ScenarioError listing all structural violations
     when the scenario is malformed."""
-    violations = validate_scenario(scenario)
+    violations, model = _check_scenario(scenario)
     if violations:
         raise ScenarioError(
             "invalid scenario:\n" + "\n".join(f"  - {v}" for v in violations)
         )
-
-    model = resolve_model(scenario.model_spec)
     segment_duration, warnings = resolve_segment_duration(
         model, scenario.segment_duration
     )

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from streamring import cli
 from streamring.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -248,6 +249,21 @@ class TestSimulate:
         assert run_cli(argv + ["--csv", str(flag), "--quiet"]) == EXIT_OK
         assert run_cli(argv + ["--out", str(out), "--format", "csv"]) == EXIT_OK
         assert flag.read_bytes() == out.read_bytes()
+
+    def test_csv_rows_built_only_when_asked(self, tmp_path, monkeypatch, capsys):
+        built = []
+        rows_of = cli.metrics_csv_rows
+        monkeypatch.setattr(
+            cli, "metrics_csv_rows", lambda report: built.append(1) or rows_of(report)
+        )
+        argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
+        assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert run_cli(argv + ["--format", "json"]) == EXIT_OK
+        assert run_cli(argv) == EXIT_OK
+        assert built == []
+        assert run_cli(argv + ["--format", "csv"]) == EXIT_OK
+        assert run_cli(argv + ["--csv", str(tmp_path / "m.csv"), "--quiet"]) == EXIT_OK
+        assert built == [1, 1]
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_csv_format_has_one_header(self, to_file, tmp_path, capsys):

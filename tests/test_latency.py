@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 import warnings
 
 import pytest
@@ -135,6 +136,17 @@ class TestLatencyModel:
         with pytest.warns(ExtrapolationWarning):
             # first-segment slope (4-2)/(3-1) = 1
             assert m.evaluate(0.5) == pytest.approx(1.5)
+
+    def test_table_columns_are_not_fields(self):
+        points = ((1.0, 2.0), (3.0, 4.0), (5.0, 8.0))
+        used = LatencyModel(form="table", points=points)
+        fresh = LatencyModel(form="table", points=points)
+        used.evaluate(2.0)  # fills the column cache
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert model_to_json(used) == model_to_json(fresh)
+        assert with_cold_start(used, 1.0).evaluate(4.0) == fresh.evaluate(4.0)
 
     def test_table_validation(self):
         with pytest.raises(ValidationError):
@@ -325,6 +337,15 @@ class TestMeasurementCsv:
         with pytest.raises(ValidationError, match="line 2"):
             read_measurement_csv(path)
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_nonfinite_duration(self, tmp_path, t):
+        path = tmp_path / "m.csv"
+        path.write_text(f"label,t_seconds,run,p_seconds\na,1,0,2\na,{t},0,2\n")
+        with pytest.raises(ValidationError, match="line 3: duration must be finite"):
+            read_measurement_csv(path)
+        with pytest.raises(ValidationError, match="finite"):
+            MeasurementSet(label="a").add(float(t), 2.0)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")
@@ -480,3 +501,25 @@ class TestProperties:
         discrete = t_opt_discrete(points)
         if discrete is not None:
             assert discrete >= crossing - 1e-9
+
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5, 1e-3]),
+                st.floats(min_value=-1e6, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_means_equal_filtering_per_duration(self, samples):
+        mset = MeasurementSet(label="x")
+        for run, (t, p) in enumerate(samples):
+            mset.add(t, p, run)
+        # the per-duration filter over all samples, O(D*S): same values in
+        # the same order, so fmean gives the same bits
+        expected = [
+            (t, statistics.fmean([s.p for s in mset.samples if s.t == t]))
+            for t in sorted({s.t for s in mset.samples})
+        ]
+        assert mset.means() == expected

@@ -144,6 +144,20 @@ class TestUpdateOrchestration:
         assert any(r.destination == "D" for r in m.routing.routes)
         assert verify_invariants(m) == []
 
+    def test_one_log_record_per_pass(self, caplog):
+        m = make_meeting({"A": "en", "B": "ja", "C": "tr", "D": "fr", "E": "de"}, 1)
+        with caplog.at_level("ERROR", logger="streamring.orchestrator"):
+            _, events = update_orchestration(m, "A")
+        failed = [e.language for e in events if e.kind is EventKind.ALLOCATION_FAILED]
+        assert failed == [LanguageTag(code) for code in ("fr", "ja", "tr")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "no free pipeline slot for languages fr, ja, tr (capacity 1)"
+        ]
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="streamring.orchestrator"):
+            update_orchestration(m, None)  # nothing required, nothing logged
+        assert caplog.records == []
+
     def test_failed_language_retried_after_slot_frees(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr", "D": "fr"}, 2)
         update_orchestration(m, "A")

@@ -10,15 +10,20 @@ with stub commands of known sleep duration and generous jitter bounds.
 from __future__ import annotations
 
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streamring.core import ValidationError
-from streamring.latency import LatencyModel, fit, table_model
+from streamring.latency import ExtrapolationWarning, LatencyModel, fit, table_model
 from streamring.segproc import (
+    SegmentJob,
     StreamMode,
     StreamSpec,
+    ViabilityCheck,
+    _playback_report,
+    _segments,
     check_viability,
     run_external,
     schedule_stream,
@@ -296,6 +301,116 @@ class TestProperties:
         jobs2, report2 = schedule_stream(spec, model, t, workers=workers)
         assert jobs2 == jobs
         assert report2 == report
+
+
+def reference_schedule(stream, model, segment_duration, workers=1):
+    """A reference scheduler that calls ``model.evaluate`` for every segment
+    and again for the viability check.  Segmentation and the playback
+    timeline are the module's own helpers: they do not depend on how often
+    p is evaluated."""
+    segments = _segments(stream.total_duration, segment_duration)
+    live = stream.mode is StreamMode.LIVE
+    worker_free = [0.0] * workers
+    worker_started = [False] * workers
+    jobs = []
+    startup_delay = 0.0
+    for index, (duration, live_available) in enumerate(segments):
+        available = live_available if live else 0.0
+        w = min(range(workers), key=worker_free.__getitem__)
+        start = max(available, worker_free[w])
+        processing = model.evaluate(duration)
+        if not worker_started[w]:
+            processing += model.cold_start_extra
+            worker_started[w] = True
+        if index == 0:
+            startup_delay = processing
+        finish = start + processing
+        worker_free[w] = finish
+        jobs.append(SegmentJob(index, duration, available, start, finish))
+    tau = model.evaluate(segment_duration) / segment_duration
+    report = _playback_report(
+        jobs,
+        segment_duration,
+        startup_delay,
+        live_full_first=live and segments[0][0] == segment_duration,
+        viability=ViabilityCheck(viable=tau < 1.0, tau=tau),
+    )
+    return jobs, report
+
+
+@st.composite
+def latency_models(draw):
+    """Affine, log (positive on every duration drawn below) and table models,
+    with and without a cold-start extra."""
+    cold = draw(st.sampled_from([0.0, 0.25, 1.7]))
+    form = draw(st.sampled_from(["affine", "log", "table"]))
+    if form == "affine":
+        a = draw(st.floats(min_value=0.0, max_value=5.0))
+        b = draw(st.floats(min_value=0.0, max_value=2.0))
+        assume(a > 0.0 or b > 0.0)
+        return LatencyModel(form="affine", a=a, b=b, cold_start_extra=cold)
+    if form == "log":
+        # a + b*ln(t) > 0 for every t > e**-6, the shortest tail being 0.005 s
+        a = draw(st.floats(min_value=0.5, max_value=10.0))
+        b = a * draw(st.floats(min_value=0.0, max_value=1.0)) / 6.0
+        return LatencyModel(form="log", a=a, b=b, cold_start_extra=cold)
+    ts = draw(
+        st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=8,
+                 unique=True)
+    )
+    ps = draw(
+        st.lists(st.floats(min_value=0.05, max_value=30.0), min_size=len(ts),
+                 max_size=len(ts))
+    )
+    points = tuple(zip((t / 4.0 for t in sorted(ts)), ps))
+    return LatencyModel(form="table", points=points, cold_start_extra=cold)
+
+
+class TestOneEvaluationPerDuration:
+    @given(
+        model=latency_models(),
+        segment_duration=st.floats(min_value=0.1, max_value=10.0),
+        n_full=st.integers(min_value=0, max_value=60),
+        tail=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.77, 0.95]),
+        workers=st.integers(min_value=1, max_value=4),
+        batch=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_segment_evaluation(
+        self, model, segment_duration, n_full, tail, workers, batch
+    ):
+        total = (n_full + tail) * segment_duration
+        assume(total > 0.0)
+        stream = StreamSpec(total, mode="batch" if batch else "live")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            expected_jobs, expected = reference_schedule(
+                stream, model, segment_duration, workers
+            )
+            jobs, report = schedule_stream(stream, model, segment_duration, workers)
+        assert jobs == expected_jobs
+        assert report.per_segment == expected.per_segment
+        assert report.startup_delay == expected.startup_delay
+        assert report.glass_latency == expected.glass_latency
+        assert report.stall_count == expected.stall_count
+        assert report.stall_total == expected.stall_total
+        assert report.viability == expected.viability
+        assert report == expected
+
+    def test_table_tail_outside_range_still_warns(self):
+        model = LatencyModel(form="table", points=((1.0, 0.5), (2.0, 1.0), (4.0, 2.5)))
+        with pytest.warns(ExtrapolationWarning, match="t=0.5 outside"):
+            jobs, _ = schedule_stream(StreamSpec(6.5), model, 2.0)
+        assert [j.duration for j in jobs] == [2.0, 2.0, 2.0, 0.5]
+
+    def test_warns_once_per_distinct_duration(self):
+        model = LatencyModel(form="table", points=((1.0, 0.5), (2.0, 1.0)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            schedule_stream(StreamSpec(20.5), model, 4.0)  # 5 x 4 s and 0.5 s
+        messages = sorted(str(w.message).split(" ")[0] for w in caught
+                          if issubclass(w.category, ExtrapolationWarning))
+        assert messages == ["t=0.5", "t=4.0"]
 
 
 # -- wall-clock adapter -----------------------------------------------------

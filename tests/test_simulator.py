@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamring import simulator
 from streamring.core import CostModel, ValidationError
 from streamring.latency import fit
 from streamring.simulator import (
@@ -98,6 +99,17 @@ class TestValidation:
         assert "already present" in joined
         assert "not present" in joined
         assert "outside [0, run_duration]" in joined
+
+    def test_run_resolves_the_model_once(self, monkeypatch):
+        calls = []
+        resolve = simulator.resolve_model
+        monkeypatch.setattr(
+            simulator, "resolve_model", lambda spec: calls.append(spec) or resolve(spec)
+        )
+        run_scenario(two_party())
+        assert calls == [A100_SPEC]
+        assert validate_scenario(two_party()) == []
+        assert len(calls) == 2
 
     def test_join_needs_language(self):
         scenario = two_party(
