@@ -11,13 +11,19 @@ Subcommands:
 * ``sweep`` — tabulate per-speaker pipeline cost against meeting size for
   the three language-assignment regimes.
 * ``bench`` — time a real per-segment command over a chunked stream and
-  emit measurement CSV that ``calibrate`` accepts unmodified.
+  emit measurement CSV (``--format csv`` or ``--out``) that ``calibrate``
+  accepts unmodified.
 
 Global flags (valid on every subcommand): ``--seed`` (default 42),
 ``--out PATH``, ``--format json|csv``, ``--quiet``.  Standard output is
 human-readable by default; ``--format`` switches it (or the ``--out`` file)
 to a machine representation with stable key order.  ``--quiet`` suppresses
 the human summary only, never explicitly requested machine output.
+
+The CSV rendering is one table of records inside the JSON payload (tau
+table, samples, sweep rows or measurements), each record's fields in header
+order.  ``--out`` without ``--format`` writes JSON, or CSV for ``sweep`` and
+``bench``; ``calibrate --out`` writes model JSON, not the command's output.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime failure.
 """
@@ -54,8 +60,8 @@ from .latency import (
 )
 from .segproc import StreamSpec, run_external
 from .simulator import (
+    METRICS_CSV_HEADER,
     load_scenario,
-    metrics_csv_rows,
     report_to_json,
     run_scenario,
     sweep_cost,
@@ -71,6 +77,9 @@ _SWEEP_ASSIGNMENTS = {
     "distinct": "all-distinct",
     "same": "all-same",
 }
+
+_TAU_HEADER = ("t_seconds", "p_seconds", "tau", "real_time")
+_SWEEP_HEADER = ("n", "mean_k", "token_cost", "naive_cost", "cost_ratio")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,36 +141,44 @@ def _n_range_arg(text: str) -> list[int]:
     return out
 
 
-def _render_csv(rows: list[list[object]]) -> str:
+def _render_csv(header: Sequence[str], records: list[dict]) -> str:
+    """The table ``records`` as CSV: the header, then each record's values
+    in header order, with bools written as 0/1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(header)
+    for record in records:
+        row = [record[key] for key in header]
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in row])
     return buf.getvalue()
 
 
-def _render(fmt: str, payload: object, rows: list[list[object]]) -> str:
+def _render(fmt: str, payload: object, header: Sequence[str],
+            records: list[dict]) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return _render_csv(rows)
+    return _render_csv(header, records)
 
 
 def _finish(
     args: argparse.Namespace,
     human: list[str],
     payload: object,
-    rows: list[list[object]],
+    header: Sequence[str],
+    records: list[dict],
     out_default: str = "json",
 ) -> int:
     """Route one command's results: ``--out`` gets the machine rendering
     (``--format`` or the command's default), bare ``--format`` replaces the
-    stdout summary, otherwise the summary prints unless ``--quiet``."""
+    stdout summary, otherwise the summary prints unless ``--quiet``.  The
+    CSV rendering is the table ``records``, which lies inside ``payload``."""
     if args.out is not None:
-        fmt = args.format or out_default
-        Path(args.out).write_text(_render(fmt, payload, rows), encoding="utf-8")
+        text = _render(args.format or out_default, payload, header, records)
+        Path(args.out).write_text(text, encoding="utf-8")
         if not args.quiet:
             print("\n".join(human + [f"wrote {args.out}"]))
     elif args.format is not None:
-        sys.stdout.write(_render(args.format, payload, rows))
+        sys.stdout.write(_render(args.format, payload, header, records))
     elif not args.quiet:
         print("\n".join(human))
     return EXIT_OK
@@ -190,17 +207,9 @@ def _pick_label(sets: dict[str, MeasurementSet], label: Optional[str],
     )
 
 
-def _tau_rows(points: list[ThroughputPoint]) -> list[list[object]]:
-    rows: list[list[object]] = [["t_seconds", "p_seconds", "tau", "real_time"]]
-    rows.extend([pt.t, pt.p, pt.tau, int(pt.tau < 1.0)] for pt in points)
-    return rows
-
-
 def _tau_payload(points: list[ThroughputPoint]) -> list[dict]:
     return [
-        {"t_seconds": pt.t, "p_seconds": pt.p, "tau": pt.tau,
-         "real_time": pt.tau < 1.0}
-        for pt in points
+        dict(zip(_TAU_HEADER, (pt.t, pt.p, pt.tau, pt.tau < 1.0))) for pt in points
     ]
 
 
@@ -224,11 +233,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         sets = load_bundled_measurements()
         source = "bundled fixture"
     mset = _pick_label(sets, args.label, source)
+    # first, so latencies too large to average fail with their own message
+    points = mset.throughput_points()
     if args.form == "auto":
         model, diag = fit_auto(mset)
     else:
         model, diag = fit(mset, args.form)
-    points = mset.throughput_points()
 
     payload = {
         "label": mset.label,
@@ -255,7 +265,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         save_model(model, args.out)
         human.append(f"model written: {args.out}")
     if args.format is not None:
-        sys.stdout.write(_render(args.format, payload, _tau_rows(points)))
+        sys.stdout.write(
+            _render(args.format, payload, _TAU_HEADER, payload["tau_table"])
+        )
     elif not args.quiet:
         print("\n".join(human))
     return EXIT_OK
@@ -286,18 +298,18 @@ def cmd_topt(args: argparse.Namespace) -> int:
     if args.continuous:
         payload["t_opt_continuous"] = continuous
         human.append(f"T_opt (continuous): {fmt_opt(continuous)}")
-    return _finish(args, human, payload, _tau_rows(points))
+    return _finish(args, human, payload, _TAU_HEADER, payload["tau_table"])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     report = run_scenario(scenario)
     payload = report_to_json(report)
-    # built only for a CSV rendering: ``_finish`` renders json otherwise
-    wants_csv = args.csv is not None or args.format == "csv"
-    rows = metrics_csv_rows(report) if wants_csv else []
+    samples = payload["samples"]
     if args.csv is not None:
-        Path(args.csv).write_text(_render_csv(rows), encoding="utf-8")
+        Path(args.csv).write_text(
+            _render_csv(METRICS_CSV_HEADER, samples), encoding="utf-8"
+        )
     startups = report.series.turn_startups
     cold = sum(1 for t in startups if t.cold)
     human = [
@@ -312,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         human.append(f"warning: {warning}")
     if args.csv is not None:
         human.append(f"metrics csv: {args.csv}")
-    return _finish(args, human, payload, rows)
+    return _finish(args, human, payload, METRICS_CSV_HEADER, samples)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -325,22 +337,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     payload = [
-        {
-            "n": r.n,
-            "mean_k": r.mean_k,
-            "token_cost": r.token_cost,
-            "naive_cost": r.naive_cost,
-            "cost_ratio": r.token_cost / r.naive_cost,
-        }
+        dict(zip(_SWEEP_HEADER, (r.n, r.mean_k, r.token_cost, r.naive_cost,
+                                 r.token_cost / r.naive_cost)))
         for r in rows_data
     ]
-    rows: list[list[object]] = [
-        ["n", "mean_k", "token_cost", "naive_cost", "cost_ratio"]
-    ]
-    rows.extend(
-        [r.n, r.mean_k, r.token_cost, r.naive_cost, r.token_cost / r.naive_cost]
-        for r in rows_data
-    )
     human = [
         f"assignment: {args.assignment}  languages: {args.langs}  "
         f"trials: {args.trials}  seed: {args.seed}",
@@ -351,15 +351,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{r.naive_cost:>12.4f} {r.token_cost / r.naive_cost:>10.6f}"
         for r in rows_data
     )
-    return _finish(args, human, payload, rows, out_default="csv")
+    return _finish(args, human, payload, _SWEEP_HEADER, payload, out_default="csv")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     stream = StreamSpec(total_duration=args.stream_seconds, mode=args.mode)
     if args.workdir is not None:
-        workdir = Path(args.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        result = run_external(args.cmd, stream, args.segment, workdir,
+        result = run_external(args.cmd, stream, args.segment, args.workdir,
                               label=args.label)
     else:
         with tempfile.TemporaryDirectory(prefix="streamring-bench-") as tmp:
@@ -367,15 +365,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                   label=args.label)
 
     mset = result.measurements
-    rows: list[list[object]] = [list(MEASUREMENT_CSV_HEADER)]
-    rows.extend([mset.label, s.t, s.run, s.p] for s in mset.samples)
     payload: dict = {
         "label": mset.label,
         "ok": result.ok,
         "failed_segment": result.failed_segment,
         "error": result.error,
         "measurements": [
-            {"label": mset.label, "t_seconds": s.t, "run": s.run, "p_seconds": s.p}
+            dict(zip(MEASUREMENT_CSV_HEADER, (mset.label, s.t, s.run, s.p)))
             for s in mset.samples
         ],
         "report": None,
@@ -388,17 +384,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "stall_total": result.report.stall_total,
         }
 
-    csv_text = _render_csv(rows)
-    if args.out is not None:
-        fmt = args.format or "csv"
-        Path(args.out).write_text(_render(fmt, payload, rows), encoding="utf-8")
-    elif args.format == "json":
-        sys.stdout.write(_render("json", payload, rows))
-    elif not args.quiet or args.format == "csv":
-        # measurement CSV is bench's primary product, so it is the default
-        # stdout rendering as well
-        sys.stdout.write(csv_text)
-
+    human = [
+        f"label: {mset.label}",
+        f"segments measured: {len(mset.samples)}",
+        "throughput (measured means):",
+        *_tau_lines(mset.throughput_points()),
+    ]
+    _finish(args, human, payload, MEASUREMENT_CSV_HEADER,
+            payload["measurements"], out_default="csv")
     if not result.ok:
         _err(
             f"segment {result.failed_segment} command failed: "

@@ -22,7 +22,7 @@ import math
 import statistics
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -184,6 +184,8 @@ class MeasurementSet:
     def add(self, t: float, p: float, run: int = 0) -> None:
         if not 0 < t < math.inf:
             raise ValidationError(f"duration must be finite and positive, got {t}")
+        if not math.isfinite(p):
+            raise ValidationError(f"latency must be finite, got {p}")
         self.samples.append(MeasurementSample(t=t, p=p, run=run))
 
     def durations(self) -> list[float]:
@@ -193,7 +195,12 @@ class MeasurementSet:
         runs: dict[float, list[float]] = {}
         for s in self.samples:
             runs.setdefault(s.t, []).append(s.p)
-        return [(t, statistics.fmean(runs[t])) for t in sorted(runs)]
+        try:
+            return [(t, statistics.fmean(runs[t])) for t in sorted(runs)]
+        except OverflowError:
+            raise ValidationError(
+                f"{self.label}: latencies too large to average"
+            ) from None
 
     def throughput_points(self) -> list[ThroughputPoint]:
         return [ThroughputPoint(t=t, p=p) for t, p in self.means()]
@@ -228,7 +235,10 @@ def fit(
     ts = [t for t, _ in means]
     ps = [p for _, p in means]
     xs = ts if form == FORM_AFFINE else [math.log(t) for t in ts]
-    b, a = statistics.linear_regression(xs, ps)  # returns (slope, intercept)
+    try:
+        b, a = statistics.linear_regression(xs, ps)  # returns (slope, intercept)
+    except (OverflowError, ValueError) as exc:  # huge or too close durations
+        raise ValidationError(f"cannot fit the {form} form: {exc}") from None
     # Least squares on data whose true parameter is 0 can land at -1e-17;
     # snap those artifacts back instead of rejecting the fit.
     if -1e-9 < a < 0.0:
@@ -349,53 +359,40 @@ def _bisect_crossing(model: LatencyModel, t_search_max: float) -> Optional[float
 # Measurement CSV and model JSON interchange
 
 
-def write_measurement_csv(
-    path: "Path | str", sets: Iterable[MeasurementSet]
-) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEASUREMENT_CSV_HEADER)
-        for mset in sets:
-            for s in mset.samples:
-                writer.writerow([mset.label, s.t, s.run, s.p])
-
-
 def read_measurement_csv(path: "Path | str") -> dict[str, MeasurementSet]:
     """Parse a measurement CSV into per-label sets; raises ValidationError
     with the offending line number on malformed rows."""
     sets: dict[str, MeasurementSet] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InsufficientDataError(f"{path}: insufficient data (empty file)")
-        if [h.strip() for h in header] != list(MEASUREMENT_CSV_HEADER):
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
+    if not rows:
+        raise InsufficientDataError(f"{path}: insufficient data (empty file)")
+    header = rows[0]
+    if [h.strip() for h in header] != list(MEASUREMENT_CSV_HEADER):
+        raise ValidationError(
+            f"{path}: line 1: expected header "
+            f"{','.join(MEASUREMENT_CSV_HEADER)}, got {','.join(header)}"
+        )
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 4:
             raise ValidationError(
-                f"{path}: line 1: expected header "
-                f"{','.join(MEASUREMENT_CSV_HEADER)}, got {','.join(header)}"
+                f"{path}: line {lineno}: expected 4 fields, got {len(row)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected 4 fields, got {len(row)}"
-                )
-            label = row[0].strip()
-            if not label:
-                raise ValidationError(f"{path}: line {lineno}: empty label")
-            try:
-                t = float(row[1])
-                run = int(row[2])
-                p = float(row[3])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            if not 0 < t < math.inf:
-                raise ValidationError(
-                    f"{path}: line {lineno}: duration must be finite and "
-                    f"positive, got {t}"
-                )
+        label = row[0].strip()
+        if not label:
+            raise ValidationError(f"{path}: line {lineno}: empty label")
+        try:
+            t = float(row[1])
+            run = int(row[2])
+            p = float(row[3])
             sets.setdefault(label, MeasurementSet(label=label)).add(t, p, run)
+        except ValueError as exc:  # ValidationError is a ValueError
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     return sets
 
 
@@ -438,7 +435,7 @@ def model_from_json(data: dict) -> LatencyModel:
         else:
             kwargs["a"] = float(params["a"])
             kwargs["b"] = float(params["b"])
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model: {exc}") from None
     return LatencyModel(**kwargs)
 
@@ -453,10 +450,6 @@ def load_model(path: "Path | str") -> LatencyModel:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     return model_from_json(data)
-
-
-def with_cold_start(model: LatencyModel, cold_start_extra: float) -> LatencyModel:
-    return replace(model, cold_start_extra=cold_start_extra)

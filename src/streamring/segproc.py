@@ -17,8 +17,8 @@ re-buffering player would distribute the same total differently, so
 policy-sensitive one.
 
 ``run_external`` is the wall-clock twin of the virtual scheduler: it
-materializes chunk files, runs a user command per chunk, and reports real
-measured latencies in the measurement-CSV schema of the latency module.
+writes each chunk file just before running a user command on it, and reports
+real measured latencies in the measurement-CSV schema of the latency module.
 """
 
 from __future__ import annotations
@@ -315,11 +315,12 @@ def run_external(
 ) -> ExternalRunResult:
     """Benchmark a real per-segment command against the chunked schedule.
 
-    Chunks are materialized as opaque files ``seg_%05d`` under ``workdir``;
-    the template's ``{input}``/``{output}`` tokens are substituted per
-    segment and the command runs once per chunk, serialized FIFO.  In live
-    mode the runner sleeps until each chunk would have finished arriving.
-    A non-zero exit aborts the run, keeping the rows measured so far.
+    Each chunk is written as an opaque file ``seg_%05d`` under ``workdir``
+    just before its run; the template's ``{input}``/``{output}`` tokens are
+    substituted per segment and the command runs once per chunk, serialized
+    FIFO.  In live mode the runner sleeps until each chunk would have
+    finished arriving.  A non-zero exit, or a command that cannot start,
+    aborts the run at that segment, keeping the rows measured so far.
     """
     if not command_template.strip():
         raise ValidationError("command template must be non-empty")
@@ -328,12 +329,6 @@ def run_external(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     argv_template = shlex.split(command_template)
-
-    inputs = []
-    for index, (duration, _) in enumerate(segments):
-        path = workdir / (SEGMENT_FILE_PATTERN % index)
-        path.write_bytes(b"segment %d duration %r\n" % (index, duration))
-        inputs.append(path)
 
     measurements = MeasurementSet(label=label)
     jobs: list[SegmentJob] = []
@@ -344,28 +339,30 @@ def run_external(
             wait = origin + available - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
+        in_path = workdir / (SEGMENT_FILE_PATTERN % index)
+        in_path.write_bytes(b"segment %d duration %r\n" % (index, duration))
         out_path = workdir / (SEGMENT_FILE_PATTERN % index + ".out")
         argv = [
-            token.replace("{input}", str(inputs[index])).replace(
-                "{output}", str(out_path)
-            )
+            token.replace("{input}", str(in_path)).replace("{output}", str(out_path))
             for token in argv_template
         ]
         started = time.monotonic() - origin
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True)
+        except OSError as exc:  # the command could not start
+            error: Optional[str] = str(exc)
+        else:
+            error = None
+            if proc.returncode != 0:
+                error = proc.stderr.strip() or f"exit status {proc.returncode}"
         finished = time.monotonic() - origin
-        if proc.returncode != 0:
-            logger.error(
-                "segment %d command exited %d: %s",
-                index,
-                proc.returncode,
-                proc.stderr.strip(),
-            )
+        if error is not None:
+            logger.error("segment %d command failed: %s", index, error)
             return ExternalRunResult(
                 measurements=measurements,
                 report=_external_report(jobs, segment_duration),
                 failed_segment=index,
-                error=proc.stderr.strip() or f"exit status {proc.returncode}",
+                error=error,
             )
         measurements.add(duration, finished - started, run=index)
         jobs.append(

@@ -69,7 +69,6 @@ __all__ = [
     "SweepRow",
     "TurnStartup",
     "load_scenario",
-    "metrics_csv_rows",
     "report_to_json",
     "run_scenario",
     "save_scenario",
@@ -80,6 +79,8 @@ __all__ = [
     "validate_scenario",
 ]
 
+#: Column order of the metrics CSV, whose rows are ``report_to_json``'s
+#: ``samples``.
 METRICS_CSV_HEADER = (
     "time_s",
     "k",
@@ -124,6 +125,10 @@ class ScenarioEvent:
                 object.__setattr__(self, "kind", ScenarioEventKind(self.kind))
             except ValueError:
                 raise ValidationError(f"unknown event kind {self.kind!r}") from None
+        if self.language is not None and not isinstance(self.language, str):
+            raise ValidationError(
+                f"event language must be a string, got {self.language!r}"
+            )
 
 
 @dataclass
@@ -210,6 +215,14 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
+def _field(convert, value: object, name: str, expected: str = "a number"):
+    """``convert(value)``, or a ValidationError that names the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be {expected}, got {value!r}") from None
+
+
 def scenario_from_json(data: dict) -> Scenario:
     try:
         participants = [
@@ -217,21 +230,23 @@ def scenario_from_json(data: dict) -> Scenario:
         ]
         events = [
             ScenarioEvent(
-                time=float(e["time"]),
+                time=_field(float, e["time"], f"events[{i}].time"),
                 kind=e["kind"],
                 participant=str(e["participant"]),
                 language=e.get("language"),
             )
-            for e in data.get("events", [])
+            for i, e in enumerate(data.get("events", []))
         ]
         return Scenario(
             participants=participants,
-            pool_capacity=int(data["pool_capacity"]),
-            model_spec=dict(data["latency_model"]),
+            pool_capacity=_field(int, data["pool_capacity"], "pool_capacity"),
+            model_spec=_field(
+                dict, data["latency_model"], "latency_model", "an object"
+            ),
             segment_duration=data["segment_duration"],
-            run_duration=float(data["run_duration"]),
+            run_duration=_field(float, data["run_duration"], "run_duration"),
             events=events,
-            unit_cost=float(data.get("unit_cost", 1.0)),
+            unit_cost=_field(float, data.get("unit_cost", 1.0), "unit_cost"),
             translate_same_language=bool(data.get("translate_same_language", False)),
         )
     except (KeyError, TypeError) as exc:
@@ -242,7 +257,7 @@ def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     return scenario_from_json(data)
 
@@ -270,12 +285,12 @@ def resolve_model(spec: dict) -> LatencyModel:
     if "fixture" in spec:
         label = spec["fixture"]
         sets = load_bundled_measurements()
-        if label not in sets:
+        if not isinstance(label, str) or label not in sets:
             raise ValidationError(
                 f"unknown fixture label {label!r}; available: {sorted(sets)}"
             )
         form = spec.get("form", "auto")
-        cold = float(spec.get("cold_start_extra", 0.0))
+        cold = _field(float, spec.get("cold_start_extra", 0.0), "cold_start_extra")
         mset = sets[label]
         if form == "table":
             return table_model(mset, cold)
@@ -357,7 +372,7 @@ def _check_scenario(
                     "segment_duration must be finite and positive or 'auto', got "
                     f"{scenario.segment_duration!r}"
                 )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             violations.append(
                 f"segment_duration must be a number or 'auto', got "
                 f"{scenario.segment_duration!r}"
@@ -718,13 +733,3 @@ def report_to_json(report: RunReport) -> dict:
             for t in report.series.turn_startups
         ],
     }
-
-
-def metrics_csv_rows(report: RunReport) -> list[list]:
-    rows: list[list] = [list(METRICS_CSV_HEADER)]
-    for s in report.series.samples:
-        rows.append(
-            [s.time_s, s.k, s.token_cost, s.naive_cost, s.alloc_failures, s.stalls_cum]
-        )
-    return rows
-

@@ -8,6 +8,7 @@ test runs the module as a subprocess to cover the entry-point wiring.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import subprocess
@@ -252,9 +253,10 @@ class TestSimulate:
 
     def test_csv_rows_built_only_when_asked(self, tmp_path, monkeypatch, capsys):
         built = []
-        rows_of = cli.metrics_csv_rows
+        render_csv = cli._render_csv
         monkeypatch.setattr(
-            cli, "metrics_csv_rows", lambda report: built.append(1) or rows_of(report)
+            cli, "_render_csv",
+            lambda header, records: built.append(1) or render_csv(header, records),
         )
         argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
         assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_OK
@@ -370,6 +372,43 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "scenario.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s["events"][0].update(time="abc"),
+             "events[0].time must be a number, got 'abc'"),
+            (lambda s: s.update(pool_capacity="x"),
+             "pool_capacity must be a number, got 'x'"),
+            (lambda s: s.update(pool_capacity=float("inf")),
+             "pool_capacity must be a number, got inf"),
+            (lambda s: s.update(run_duration=10**400),
+             "run_duration must be a number"),
+            (lambda s: s["events"].append(
+                {"time": 1.0, "kind": "join", "participant": "C", "language": 5}),
+             "event language must be a string, got 5"),
+            (lambda s: s.update(latency_model={"fixture": "A100",
+                                               "cold_start_extra": "x"}),
+             "cold_start_extra must be a number, got 'x'"),
+            (lambda s: s.update(latency_model={"fixture": [1]}),
+             "unknown fixture label [1]"),
+            (lambda s: s.update(segment_duration=10**400),
+             "segment_duration must be a number or 'auto'"),
+            (lambda s: s.update(latency_model="x"),
+             "latency_model must be an object, got 'x'"),
+        ],
+        ids=["time", "pool-str", "pool-inf", "run-huge-int", "language-int",
+             "fixture-cold", "fixture-list", "segment-huge-int", "model-str"],
+    )
+    def test_malformed_values_rejected(self, edit, message, tmp_path, capsys):
+        scenario = two_party_scenario(
+            {"form": "affine", "params": {"a": 0.2, "b": 0.5}}, 3.0
+        )
+        edit(scenario)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_allocation_failures_not_logged_to_stderr(self):
         # A fresh interpreter: in-process, pytest's log capture handler would
         # stand in for the logging configuration a real run lacks.
@@ -440,7 +479,7 @@ class TestBench:
     def test_constant_stub_rows(self, capsys):
         code = run_cli(
             ["bench", "--cmd", "sh -c 'sleep 0.02; cp {input} {output}'",
-             "--stream-seconds", "3", "--segment", "1"]
+             "--stream-seconds", "3", "--segment", "1", "--format", "csv"]
         )
         assert code == EXIT_OK
         rows = parse_csv(capsys.readouterr().out)
@@ -465,7 +504,8 @@ class TestBench:
         cmd = ("sh -c 'grep -q \"segment 2\" {input} "
                "&& { echo boom >&2; exit 7; }; cp {input} {output}'")
         code = run_cli(
-            ["bench", "--cmd", cmd, "--stream-seconds", "4", "--segment", "1"]
+            ["bench", "--cmd", cmd, "--stream-seconds", "4", "--segment", "1",
+             "--format", "csv"]
         )
         assert code == EXIT_RUNTIME
         captured = capsys.readouterr()
@@ -484,6 +524,40 @@ class TestBench:
         assert payload["report"]["stall_count"] >= 0
         assert len(payload["measurements"]) == 2
 
+    def test_missing_executable_keeps_rows(self, capsys):
+        code = run_cli(
+            ["bench", "--cmd", "/no/such/bin {input}", "--stream-seconds", "2",
+             "--segment", "1", "--format", "csv"]
+        )
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert parse_csv(captured.out) == [["label", "t_seconds", "run", "p_seconds"]]
+        assert "segment 0 command failed" in captured.err
+        assert "No such file or directory" in captured.err
+
+    def test_chunks_written_only_up_to_failure(self, tmp_path, capsys):
+        work = tmp_path / "chunks"
+        cmd = ("sh -c 'grep -q \"segment 2\" {input} "
+               "&& exit 7; cp {input} {output}'")
+        code = run_cli(
+            ["bench", "--cmd", cmd, "--stream-seconds", "5", "--segment", "1",
+             "--workdir", str(work), "--quiet"]
+        )
+        assert code == EXIT_RUNTIME
+        assert (work / "seg_00002").exists()
+        assert not (work / "seg_00003").exists()
+
+    def test_stdout_is_a_summary_by_default(self, capsys):
+        code = run_cli(
+            ["bench", "--cmd", "cp {input} {output}", "--stream-seconds", "2.5",
+             "--segment", "1", "--label", "box"]
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "label: box" in out
+        assert "segments measured: 3" in out
+        assert "t_seconds" not in out
+
     def test_workdir_keeps_chunks(self, tmp_path, capsys):
         work = tmp_path / "chunks"
         code = run_cli(
@@ -493,6 +567,76 @@ class TestBench:
         assert code == EXIT_OK
         assert (work / "seg_00000").exists()
         assert (work / "seg_00001.out").exists()
+
+
+class TestTableSchema:
+    """A ``--format csv`` table is the ``--format json`` records, column by
+    column, with bools as 0/1."""
+
+    @pytest.mark.parametrize("command", ["topt", "sweep", "simulate", "bench"])
+    def test_csv_rows_are_json_records(
+        self, command, model_files, tmp_path, monkeypatch, capsys
+    ):
+        argv, records_of = {
+            "topt": (["topt", "--model", model_files["T4"], "--grid", "2,8,20"],
+                     lambda p: p["tau_table"]),
+            "sweep": (["sweep", "--n", "2:6", "--trials", "5"], lambda p: p),
+            "simulate": (
+                ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")],
+                lambda p: p["samples"],
+            ),
+            "bench": (
+                ["bench", "--cmd", "cp {input} {output}", "--stream-seconds",
+                 "2.5", "--segment", "1", "--workdir", str(tmp_path)],
+                lambda p: p["measurements"],
+            ),
+        }[command]
+        # one measured bench run serves both renderings
+        monkeypatch.setattr(cli, "run_external", functools.cache(cli.run_external))
+        assert run_cli(argv + ["--format", "json"]) == EXIT_OK
+        records = records_of(json.loads(capsys.readouterr().out))
+        assert run_cli(argv + ["--format", "csv"]) == EXIT_OK
+        header, *rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == len(records) > 0
+        for row, record in zip(rows, records):
+            assert sorted(header) == sorted(record)
+            expected = [record[key] for key in header]
+            assert row == [str(int(v) if isinstance(v, bool) else v) for v in expected]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "flag", [["simulate", "--scenario"], ["topt", "--model"],
+                 ["calibrate", "--input"]]
+    )
+    def test_non_utf8_file(self, flag, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("label,caf\xe9".encode("latin-1"))
+        assert run_cli(flag + [str(path)]) == EXIT_VALIDATION
+        assert "can't decode byte 0xe9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["simulate", "--scenario"], ["topt", "--model"]])
+    def test_deeply_nested_json(self, flag, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert run_cli(flag + [str(path)]) == EXIT_VALIDATION
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("A,1e308,0,1\nA,1.5e308,0,2\n", "cannot fit the affine form"),
+            ("A,1,0,1e308\nA,1,1,1.5e308\nA,2,0,3\n", "too large to average"),
+            ("A," + "9" * 200_000 + ",0,1\n", "unreadable CSV"),
+        ],
+        ids=["durations", "latencies", "field-limit"],
+    )
+    def test_measurements_out_of_range(self, rows, message, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("label,t_seconds,run,p_seconds\n" + rows)
+        code = run_cli(["calibrate", "--input", str(path), "--form", "affine"])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 class TestEntryPoint:

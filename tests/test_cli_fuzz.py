@@ -1,0 +1,217 @@
+"""Fuzzing of the CLI boundary: generated scenario JSON, model JSON and
+measurement CSV go through ``cli.main``.
+
+Each input starts from a small valid document, then some of its fields get
+wrong types, non-finite or huge numbers, or go missing, and some files get
+bytes that are not UTF-8.  Whatever the input, ``main`` must return 0, or
+1, 2 or 3 with a ``streamring: error:`` message; it must never raise.  Valid
+draws stay small (runs of at most 60 s cut into segments of at least about
+0.5 s), so each call is fast.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from streamring.cli import main
+
+# generated table models are often evaluated outside their points on purpose
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::streamring.latency.ExtrapolationWarning"
+)
+
+DELETE = object()
+
+#: Wrong types, non-finite and huge numbers; each value replaces one field.
+ODD_VALUES = st.sampled_from(
+    [None, True, "x", "", [], [1], {}, {"a": 1}, -1, 0, 1e-300, 1e308,
+     10**400, math.nan, math.inf, -math.inf, DELETE]
+)
+
+LANGUAGES = ["en", "de", "fr", "ja"]
+KINDS = ["speaker-change", "join", "leave", "language-change"]
+
+FUZZ = settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def models() -> st.SearchStrategy[dict]:
+    coefficient = st.floats(0.5, 2.0)
+    cold = st.floats(0.0, 1.0)
+    return st.one_of(
+        st.builds(
+            lambda form, a, b, c: {"form": form, "params": {"a": a, "b": b},
+                                   "valid_range": [1.0, 8.0], "cold_start_extra": c},
+            st.sampled_from(["affine", "log"]), coefficient, st.floats(0.0, 2.0), cold,
+        ),
+        st.builds(
+            lambda c: {"form": "table", "params": {"points": [[1.0, 0.8], [2.0, 1.2],
+                                                              [4.0, 2.0]]},
+                       "cold_start_extra": c},
+            cold,
+        ),
+        st.builds(
+            lambda label, form: {"fixture": label, "form": form},
+            st.sampled_from(["A100", "RTX4060", "T4"]),
+            st.sampled_from(["affine", "log", "table", "auto"]),
+        ),
+    )
+
+
+@st.composite
+def scenarios(draw) -> dict:
+    n = draw(st.integers(2, 5))
+    run_duration = draw(st.floats(1.0, 60.0))
+    events = draw(st.lists(
+        st.tuples(st.floats(0.0, run_duration), st.sampled_from(KINDS),
+                  st.integers(0, n), st.sampled_from(LANGUAGES)),
+        max_size=6,
+    ))
+    return {
+        "participants": [
+            {"id": f"p{i}", "language": draw(st.sampled_from(LANGUAGES))}
+            for i in range(n)
+        ],
+        "pool_capacity": draw(st.integers(0, 4)),
+        "latency_model": draw(models()),
+        "segment_duration": draw(st.one_of(st.just("auto"), st.floats(0.5, 10.0))),
+        "run_duration": run_duration,
+        "events": [
+            {"time": t, "kind": kind, "participant": f"p{who}", "language": lang}
+            for t, kind, who, lang in sorted(events)
+        ],
+        "unit_cost": 1.0,
+    }
+
+
+SCENARIO_PATHS = [
+    ("participants",), ("participants", 0), ("participants", 0, "id"),
+    ("participants", 0, "language"), ("pool_capacity",), ("latency_model",),
+    ("latency_model", "form"), ("latency_model", "params"),
+    ("latency_model", "params", "a"), ("latency_model", "params", "b"),
+    ("latency_model", "params", "points"), ("latency_model", "valid_range"),
+    ("latency_model", "cold_start_extra"), ("latency_model", "fixture"),
+    ("segment_duration",), ("run_duration",), ("events",), ("events", 0),
+    ("events", 0, "time"), ("events", 0, "kind"), ("events", 0, "participant"),
+    ("events", 0, "language"), ("unit_cost",), ("translate_same_language",),
+]
+
+MODEL_PATHS = [
+    path[1:] for path in SCENARIO_PATHS if path[0] == "latency_model" and path[1:]
+]
+
+
+def mutate(doc: object, path: tuple, value: object) -> None:
+    """Set (or, for DELETE, remove) the field at ``path`` when its parent
+    exists."""
+    *parents, last = path
+    with contextlib.suppress(KeyError, IndexError, TypeError):
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = copy.deepcopy(value)  # ODD_VALUES hands out shared objects
+
+
+@st.composite
+def documents(draw, base: st.SearchStrategy, paths: list[tuple]) -> bytes:
+    """A base document with up to three fields replaced or removed, encoded
+    as JSON; sometimes with a non-UTF-8 byte, or raw bytes instead."""
+    doc = draw(base)
+    for _ in range(draw(st.integers(0, 3))):
+        mutate(doc, draw(st.sampled_from(paths)), draw(ODD_VALUES))
+    data = json.dumps(doc).encode("utf-8")
+    corruption = draw(st.sampled_from(["none"] * 6 + ["byte", "raw"]))
+    if corruption == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    elif corruption == "raw":
+        data = draw(st.binary(max_size=64))
+    return data
+
+
+#: Malformed, non-finite and huge cells; each replaces (or, for DELETE,
+#: removes) one cell of a valid table.
+ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "1.7e308", "1e999", "9" * 400, "-1", "0",
+     "abc", "", "M", DELETE]
+)
+
+
+@st.composite
+def measurement_csvs(draw) -> bytes:
+    """A valid one-label measurement table with up to three cells replaced or
+    removed; sometimes with a non-UTF-8 byte."""
+    samples = draw(st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]), st.integers(0, 3),
+                  st.floats(0.1, 20.0)),
+        min_size=2, max_size=8,
+    ))
+    rows = [["label", "t_seconds", "run", "p_seconds"]]
+    rows += [["L", repr(t), str(run), repr(p)] for t, run, p in samples]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        column = draw(st.integers(0, len(row) - 1)) if row else 0
+        cell = draw(ODD_CELLS)
+        if cell is DELETE:
+            row[column:column + 1] = []
+        else:
+            row[column:column + 1] = [cell]
+    data = "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def assert_clean_exit(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        assert "streamring: error:" in err.getvalue()
+
+
+@FUZZ
+@given(data=documents(scenarios(), SCENARIO_PATHS))
+def test_scenario_json(work, data):
+    path = work / "scenario.json"
+    path.write_bytes(data)
+    assert_clean_exit(["simulate", "--scenario", str(path), "--format", "json"])
+
+
+@FUZZ
+@given(data=documents(models().filter(lambda m: "form" in m and "params" in m),
+                      MODEL_PATHS))
+def test_model_json(work, data):
+    path = work / "model.json"
+    path.write_bytes(data)
+    assert_clean_exit(["topt", "--model", str(path), "--continuous",
+                       "--format", "json"])
+
+
+@FUZZ
+@given(data=measurement_csvs(), form=st.sampled_from(["auto", "affine", "log"]))
+def test_measurement_csv(work, data, form):
+    path = work / "measurements.csv"
+    path.write_bytes(data)
+    assert_clean_exit(["calibrate", "--input", str(path), "--form", form,
+                       "--format", "json"])

@@ -13,6 +13,7 @@ import json
 import math
 import statistics
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +36,6 @@ from streamring.latency import (
     t_opt_continuous,
     t_opt_discrete,
     table_model,
-    with_cold_start,
-    write_measurement_csv,
 )
 
 # -- independent least-squares oracle (normal equations) --------------------
@@ -146,7 +145,7 @@ class TestLatencyModel:
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert model_to_json(used) == model_to_json(fresh)
-        assert with_cold_start(used, 1.0).evaluate(4.0) == fresh.evaluate(4.0)
+        assert replace(used, cold_start_extra=1.0).evaluate(4.0) == fresh.evaluate(4.0)
 
     def test_table_validation(self):
         with pytest.raises(ValidationError):
@@ -162,7 +161,7 @@ class TestLatencyModel:
 
     def test_with_cold_start(self):
         m = LatencyModel(form="affine", a=1.0, b=0.1)
-        warm = with_cold_start(m, 2.5)
+        warm = replace(m, cold_start_extra=2.5)
         assert warm.cold_start_extra == 2.5
         assert warm.evaluate(3.0) == m.evaluate(3.0)  # applied by scheduler only
 
@@ -302,12 +301,9 @@ class TestViabilitySolvers:
 class TestMeasurementCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
-        a = MeasurementSet(label="a")
-        a.add(1.0, 2.0, run=0)
-        a.add(1.0, 2.2, run=1)
-        b = MeasurementSet(label="b")
-        b.add(3.0, 4.5)
-        write_measurement_csv(path, [a, b])
+        path.write_text(
+            "label,t_seconds,run,p_seconds\na,1.0,0,2.0\na,1.0,1,2.2\nb,3.0,0,4.5\n"
+        )
         loaded = read_measurement_csv(path)
         assert set(loaded) == {"a", "b"}
         assert loaded["a"].means() == [(1.0, pytest.approx(2.1))]
@@ -345,6 +341,13 @@ class TestMeasurementCsv:
             read_measurement_csv(path)
         with pytest.raises(ValidationError, match="finite"):
             MeasurementSet(label="a").add(float(t), 2.0)
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_nonfinite_latency(self, tmp_path, p):
+        path = tmp_path / "m.csv"
+        path.write_text(f"label,t_seconds,run,p_seconds\na,1,0,2\na,2,0,{p}\n")
+        with pytest.raises(ValidationError, match="line 3: latency must be finite"):
+            read_measurement_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamring import simulator
+from streamring.cli import _render_csv
 from streamring.core import CostModel, ValidationError
 from streamring.latency import fit
 from streamring.simulator import (
+    METRICS_CSV_HEADER,
     Scenario,
     ScenarioError,
     ScenarioEvent,
     load_scenario,
-    metrics_csv_rows,
     report_to_json,
     run_scenario,
     save_scenario,
@@ -372,7 +373,9 @@ class TestScenarioFiles:
 class TestMetricsCsv:
     def test_csv_shape(self):
         report = run_scenario(two_party())
-        rows = metrics_csv_rows(report)
+        samples = report_to_json(report)["samples"]
+        rows = [line.split(",") for line in
+                _render_csv(METRICS_CSV_HEADER, samples).splitlines()]
         assert rows[0] == [
             "time_s", "k", "token_cost", "naive_cost", "alloc_failures", "stalls_cum",
         ]
