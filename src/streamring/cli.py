@@ -31,6 +31,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -38,7 +39,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import CostModel, ValidationError
 from .latency import (
@@ -61,6 +62,7 @@ from .latency import (
 from .segproc import StreamSpec, run_external
 from .simulator import (
     METRICS_CSV_HEADER,
+    SweepRow,
     load_scenario,
     report_to_json,
     run_scenario,
@@ -79,7 +81,7 @@ _SWEEP_ASSIGNMENTS = {
 }
 
 _TAU_HEADER = ("t_seconds", "p_seconds", "tau", "real_time")
-_SWEEP_HEADER = ("n", "mean_k", "token_cost", "naive_cost", "cost_ratio")
+_SWEEP_HEADER = (*SweepRow._fields, "cost_ratio")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,9 +186,17 @@ def _finish(
     return EXIT_OK
 
 
-def _relay_warnings(caught: list[warnings.WarningMessage]) -> None:
-    for item in caught:
-        sys.stderr.write(f"streamring: warning: {item.message}\n")
+@contextlib.contextmanager
+def _relay_warnings() -> Iterator[None]:
+    """Catch the Python warnings the block raises, then print each distinct
+    message once, in the CLI's format."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(item.message) for item in caught):
+                sys.stderr.write(f"streamring: warning: {message}\n")
 
 
 def _pick_label(sets: dict[str, MeasurementSet], label: Optional[str],
@@ -275,12 +285,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_topt(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _relay_warnings():
         points = [ThroughputPoint(t, model.evaluate(t)) for t in sorted(args.grid)]
         discrete = t_opt_discrete(points)
         continuous = t_opt_continuous(model) if args.continuous else None
-    _relay_warnings(caught)
 
     payload: dict = {
         "model": model_to_json(model),
@@ -303,7 +311,8 @@ def cmd_topt(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    report = run_scenario(scenario)
+    with _relay_warnings():
+        report = run_scenario(scenario)
     payload = report_to_json(report)
     samples = payload["samples"]
     if args.csv is not None:
@@ -337,8 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     payload = [
-        dict(zip(_SWEEP_HEADER, (r.n, r.mean_k, r.token_cost, r.naive_cost,
-                                 r.token_cost / r.naive_cost)))
+        dict(zip(_SWEEP_HEADER, (*r, r.token_cost / r.naive_cost)))
         for r in rows_data
     ]
     human = [

@@ -118,6 +118,7 @@ class LatencyModel:
                     f"log model is non-positive at t={t} (outside meaningful range)"
                 )
             return p
+        self._warn_outside(t)
         return self._interpolate(t)
 
     def tau(self, t: float) -> float:
@@ -131,8 +132,8 @@ class LatencyModel:
         fields, so equality, hashing and ``repr`` never see it."""
         return tuple(t for t, _ in self.points), tuple(p for _, p in self.points)
 
-    def _interpolate(self, t: float) -> float:
-        ts, ps = self._columns
+    def _warn_outside(self, t: float) -> None:
+        ts = self._columns[0]
         if t < ts[0] or t > ts[-1]:
             warnings.warn(
                 f"t={t} outside measured range [{ts[0]}, {ts[-1]}]; "
@@ -140,9 +141,14 @@ class LatencyModel:
                 ExtrapolationWarning,
                 stacklevel=3,
             )
-            if t < ts[0]:
-                slope = (ps[1] - ps[0]) / (ts[1] - ts[0])
-                return ps[0] + slope * (t - ts[0])
+
+    def _interpolate(self, t: float) -> float:
+        """A table's p(t); ``evaluate`` warns when this extrapolates."""
+        ts, ps = self._columns
+        if t < ts[0]:
+            slope = (ps[1] - ps[0]) / (ts[1] - ts[0])
+            return ps[0] + slope * (t - ts[0])
+        if t > ts[-1]:
             slope = (ps[-1] - ps[-2]) / (ts[-1] - ts[-2])
             return ps[-1] + slope * (t - ts[-1])
         i = bisect_left(ts, t)
@@ -313,19 +319,25 @@ def t_opt_continuous(
 
     Affine models solve in closed form: t = a / (1 - b), impossible for
     b >= 1.  Log and table models bisect on t - p(t), walking down from
-    t_search_max to bracket the lag-to-viable crossing.
+    t_search_max to bracket the lag-to-viable crossing; a table warns only
+    when that crossing lies outside its measured range.
     """
     if model.form == FORM_AFFINE:
         if model.b >= 1.0:
             return None
         crossing = model.a / (1.0 - model.b)
         return crossing if crossing <= t_search_max else None
-    return _bisect_crossing(model, t_search_max)
+    crossing = _bisect_crossing(model, t_search_max)
+    if crossing is not None and model.form == FORM_TABLE:
+        model._warn_outside(crossing)
+    return crossing
 
 
 def _bisect_crossing(model: LatencyModel, t_search_max: float) -> Optional[float]:
+    p = model._interpolate if model.form == FORM_TABLE else model.evaluate
+
     def gap(t: float) -> float:
-        return t - model.evaluate(t)
+        return t - p(t)
 
     if gap(t_search_max) <= 0:
         return None

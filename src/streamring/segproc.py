@@ -1,13 +1,13 @@
 """Segmented stream processing on a deterministic virtual clock.
 
 A stream of ``total_duration`` seconds is cut into fixed chunks of
-``segment_duration`` (the tail may be shorter), each chunk is processed as a
-FIFO job on a bounded worker pool, and completed chunks are emitted strictly
-in index order.  Playback starts when the first job finishes — the one-time
-startup buffering — and from then on segment k is needed exactly k chunk
-durations later.  When the latency model satisfies p(T) < T a single worker
-keeps that schedule with zero stalls; when p(T) > T the backlog grows
-linearly and the report quantifies it.
+``segment_duration`` (the tail may be shorter), and one sequential worker
+processes the chunks as FIFO jobs, so they complete in index order.
+Playback starts when the first job finishes — the one-time startup
+buffering — and from then on segment k is needed exactly k chunk durations
+later.  When the latency model satisfies p(T) < T the worker keeps that
+schedule with zero stalls; when p(T) > T the backlog grows linearly and the
+report quantifies it.
 
 Stall accounting follows a player that pauses only when a segment is not
 ready at its (already pause-shifted) deadline: the pause before segment k is
@@ -96,8 +96,8 @@ class SegmentJob:
 
 @dataclass(frozen=True)
 class SegmentTiming:
-    """Playback view of one segment: when it became emittable, when the
-    player needed it, and how long the player paused for it."""
+    """Playback view of one segment: when it was ready, when the player
+    needed it, and how long the player paused for it."""
 
     ready: float
     needed: float
@@ -171,14 +171,14 @@ def schedule_stream(
     stream: StreamSpec,
     model: LatencyModel,
     segment_duration: float,
-    workers: int = 1,
 ) -> tuple[list[SegmentJob], PlaybackReport]:
     """Deterministic virtual-clock schedule of the chunked stream.
 
-    Jobs are dispatched FIFO to the earliest-free worker; each worker's
-    first job pays ``model.cold_start_extra`` on top of p(duration).  A
-    non-viable (p(T) >= T) configuration is not rejected — the lag shows up
-    in the report, and ``report.viability`` flags it.
+    One worker takes the jobs FIFO, each as soon as it is available and the
+    previous job has finished; the first job pays ``model.cold_start_extra``
+    on top of p(duration).  A non-viable (p(T) >= T) configuration is not
+    rejected — the lag shows up in the report, and ``report.viability``
+    flags it.
 
     Every full segment costs the same p(T), so the model is evaluated once
     per distinct duration (T and at most one shorter tail), in the order the
@@ -186,41 +186,25 @@ def schedule_stream(
     ``evaluate`` is a pure function of the duration, every job time is the
     one a per-segment evaluation would give, to the bit.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     segments = _segments(stream.total_duration, segment_duration)
     live = stream.mode is StreamMode.LIVE
 
     costs: dict[float, float] = {}  # duration -> p(duration)
-    worker_free = [0.0] * workers
-    worker_started = [False] * workers
+    free = 0.0
     jobs: list[SegmentJob] = []
-    startup_delay = 0.0
     for index, (duration, live_available) in enumerate(segments):
         available = live_available if live else 0.0
-        w = min(range(workers), key=worker_free.__getitem__)
-        start = max(available, worker_free[w])
+        start = max(available, free)
         processing = costs.get(duration)
         if processing is None:
             processing = costs[duration] = model.evaluate(duration)
-        if not worker_started[w]:
-            processing += model.cold_start_extra
-            worker_started[w] = True
         if index == 0:
+            processing += model.cold_start_extra
             # kept as the model's own output (not finish-start), so the
             # reported startup is p(T) with no rounding residue
             startup_delay = processing
-        finish = start + processing
-        worker_free[w] = finish
-        jobs.append(
-            SegmentJob(
-                index=index,
-                duration=duration,
-                available_at=available,
-                start_at=start,
-                finish_at=finish,
-            )
-        )
+        free = start + processing
+        jobs.append(SegmentJob(index, duration, available, start, free))
 
     p_full = costs.get(segment_duration)
     if p_full is None:  # the whole stream is one short segment
@@ -244,12 +228,12 @@ def _playback_report(
 ) -> PlaybackReport:
     """Derive the playback timeline from scheduled jobs.
 
-    Segment k is emittable once jobs 0..k have all finished (FIFO front
-    emission) and needed at playback_start + k*T, where playback_start is
-    the first job's finish.  For a live stream whose first chunk is whole,
-    the needed time is computed as (k+1)*T + startup so that it is the same
-    float expression as an on-time job's finish — equality, not just
-    closeness, in the viable single-worker case.
+    The jobs ran one after another, so segment k is ready when its own job
+    finishes, and it is needed at playback_start + k*T, where
+    playback_start is the first job's finish.  For a live stream whose first
+    chunk is whole, the needed time is computed as (k+1)*T + startup so that
+    it is the same float expression as an on-time job's finish — equality,
+    not just closeness, in the viable case.
     """
     if live_full_first:
         needed_times = [
@@ -263,13 +247,12 @@ def _playback_report(
         ]
 
     per_segment: list[SegmentTiming] = []
-    emittable = jobs[0].finish_at
     worst_lag = 0.0
     stall_count = 0
     stall_total = 0.0
     for job, needed in zip(jobs, needed_times):
-        emittable = max(emittable, job.finish_at)
-        lag = emittable - needed
+        ready = job.finish_at
+        lag = ready - needed
         if lag < 0.0:
             lag = 0.0
         stall = lag - worst_lag
@@ -279,7 +262,7 @@ def _playback_report(
             stall_total += stall
         else:
             stall = 0.0
-        per_segment.append(SegmentTiming(ready=emittable, needed=needed, stall=stall))
+        per_segment.append(SegmentTiming(ready=ready, needed=needed, stall=stall))
 
     return PlaybackReport(
         startup_delay=startup_delay,

@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     CostModel,
@@ -78,18 +78,6 @@ __all__ = [
     "sweep_cost",
     "validate_scenario",
 ]
-
-#: Column order of the metrics CSV, whose rows are ``report_to_json``'s
-#: ``samples``.
-METRICS_CSV_HEADER = (
-    "time_s",
-    "k",
-    "token_cost",
-    "naive_cost",
-    "alloc_failures",
-    "stalls_cum",
-)
-
 
 class ScenarioError(ValidationError):
     """The scenario violates its structural invariants; the message lists
@@ -148,8 +136,7 @@ class Scenario:
     translate_same_language: bool = False
 
 
-@dataclass(frozen=True)
-class MetricsSample:
+class MetricsSample(NamedTuple):
     time_s: float
     k: int
     token_cost: float
@@ -158,8 +145,12 @@ class MetricsSample:
     stalls_cum: float
 
 
-@dataclass(frozen=True)
-class TurnStartup:
+#: Column order of the metrics CSV, whose rows are ``report_to_json``'s
+#: ``samples``.
+METRICS_CSV_HEADER = MetricsSample._fields
+
+
+class TurnStartup(NamedTuple):
     """One session's buffering cost: when it opened, for which language, how
     long its listeners waited, and whether the pipeline started cold."""
 
@@ -215,39 +206,63 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
-def _field(convert, value: object, name: str, expected: str = "a number"):
-    """``convert(value)``, or a ValidationError that names the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be {expected}, got {value!r}") from None
+def _number(value: object, name: str, expected: str = "a number") -> float:
+    """A JSON number (not a bool) as a float, or a ValidationError that names
+    the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValidationError(f"{name} must be {expected}, got {value!r}")
+
+
+def _integer(value: object, name: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    fractional = isinstance(value, float) and math.isfinite(value)
+    expected = "an integer" if fractional else "a number"
+    raise ValidationError(f"{name} must be {expected}, got {value!r}")
+
+
+_EXPECTED = {str: "a string", dict: "an object", bool: "true or false"}
+
+
+def _typed(value: object, kind: type, name: str):
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+    return value
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    """The scenario a JSON document describes.  A value of the wrong JSON
+    type is rejected with the field's name, never coerced."""
     try:
         participants = [
-            (str(p["id"]), str(p["language"])) for p in data["participants"]
+            (_typed(p["id"], str, f"participants[{i}].id"),
+             _typed(p["language"], str, f"participants[{i}].language"))
+            for i, p in enumerate(data["participants"])
         ]
         events = [
             ScenarioEvent(
-                time=_field(float, e["time"], f"events[{i}].time"),
+                time=_number(e["time"], f"events[{i}].time"),
                 kind=e["kind"],
-                participant=str(e["participant"]),
+                participant=_typed(e["participant"], str, f"events[{i}].participant"),
                 language=e.get("language"),
             )
             for i, e in enumerate(data.get("events", []))
         ]
         return Scenario(
             participants=participants,
-            pool_capacity=_field(int, data["pool_capacity"], "pool_capacity"),
-            model_spec=_field(
-                dict, data["latency_model"], "latency_model", "an object"
-            ),
+            pool_capacity=_integer(data["pool_capacity"], "pool_capacity"),
+            model_spec=_typed(data["latency_model"], dict, "latency_model"),
             segment_duration=data["segment_duration"],
-            run_duration=_field(float, data["run_duration"], "run_duration"),
+            run_duration=_number(data["run_duration"], "run_duration"),
             events=events,
-            unit_cost=_field(float, data.get("unit_cost", 1.0), "unit_cost"),
-            translate_same_language=bool(data.get("translate_same_language", False)),
+            unit_cost=_number(data.get("unit_cost", 1.0), "unit_cost"),
+            translate_same_language=_typed(
+                data.get("translate_same_language", False), bool,
+                "translate_same_language"),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scenario JSON: {exc}") from None
@@ -290,7 +305,7 @@ def resolve_model(spec: dict) -> LatencyModel:
                 f"unknown fixture label {label!r}; available: {sorted(sets)}"
             )
         form = spec.get("form", "auto")
-        cold = _field(float, spec.get("cold_start_extra", 0.0), "cold_start_extra")
+        cold = _number(spec.get("cold_start_extra", 0.0), "cold_start_extra")
         mset = sets[label]
         if form == "table":
             return table_model(mset, cold)
@@ -367,16 +382,17 @@ def _check_scenario(
         )
     if scenario.segment_duration != "auto":
         try:
-            if not 0 < float(scenario.segment_duration) < math.inf:
+            segment = _number(
+                scenario.segment_duration, "segment_duration", "a number or 'auto'"
+            )
+        except ValidationError as exc:
+            violations.append(str(exc))
+        else:
+            if not 0 < segment < math.inf:
                 violations.append(
                     "segment_duration must be finite and positive or 'auto', got "
                     f"{scenario.segment_duration!r}"
                 )
-        except (TypeError, ValueError, OverflowError):
-            violations.append(
-                f"segment_duration must be a number or 'auto', got "
-                f"{scenario.segment_duration!r}"
-            )
     try:
         model = resolve_model(scenario.model_spec)
     except ValidationError as exc:
@@ -398,7 +414,6 @@ def _check_scenario(
     if times != sorted(times):
         violations.append("events are not sorted by time")
 
-    speaker: Optional[str] = None
     for event in _ordered_events(scenario):
         where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
         if not 0 <= event.time <= scenario.run_duration:
@@ -426,8 +441,6 @@ def _check_scenario(
                 violations.append(f"{where}: participant not present")
             else:
                 del roster[event.participant]
-                if speaker == event.participant:
-                    speaker = None
         elif event.kind is ScenarioEventKind.LANGUAGE_CHANGE:
             if event.participant not in roster:
                 violations.append(f"{where}: participant not present")
@@ -436,8 +449,6 @@ def _check_scenario(
         elif event.kind is ScenarioEventKind.SPEAKER_CHANGE:
             if event.participant not in roster:
                 violations.append(f"{where}: participant not present")
-            else:
-                speaker = event.participant
     return violations, model
 
 
@@ -631,8 +642,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
 # Cost sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     mean_k: float
     token_cost: float
@@ -711,25 +721,7 @@ def report_to_json(report: RunReport) -> dict:
             "cost_ratio": report.cost_ratio,
         },
         "warnings": list(report.warnings),
-        "samples": [
-            {
-                "time_s": s.time_s,
-                "k": s.k,
-                "token_cost": s.token_cost,
-                "naive_cost": s.naive_cost,
-                "alloc_failures": s.alloc_failures,
-                "stalls_cum": s.stalls_cum,
-            }
-            for s in report.series.samples
-        ],
+        "samples": [s._asdict() for s in report.series.samples],
         "listener_stalls": dict(sorted(report.series.listener_stalls.items())),
-        "turn_startups": [
-            {
-                "time": t.time,
-                "language": t.language,
-                "startup_delay": t.startup_delay,
-                "cold": t.cold,
-            }
-            for t in report.series.turn_startups
-        ],
+        "turn_startups": [t._asdict() for t in report.series.turn_startups],
     }

@@ -214,6 +214,33 @@ class TestTopt:
         bad.write_text("not json at all")
         assert run_cli(["topt", "--model", str(bad)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "points, grid, crossing, warned",
+        [
+            # the solver's probes walk down from 600 s, far outside the
+            # table, but the crossing lies inside it
+            ([[1, 1.9], [2, 2.1], [3, 2.3], [5, 2.7], [8, 3.4]], "1,2,3,5,8",
+             2.125, []),
+            ([[1, 2], [2, 2.5]], "1,2", 3.0, ["outside measured range [1.0, 2.0]"]),
+        ],
+        ids=["inside", "outside"],
+    )
+    def test_table_crossing_warns_only_outside_the_table(
+        self, points, grid, crossing, warned, tmp_path, capsys
+    ):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"form": "table", "params": {"points": points}}))
+        code = run_cli(["topt", "--model", str(path), "--grid", grid,
+                        "--continuous", "--format", "json"])
+        assert code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert json.loads(out)["t_opt_continuous"] == pytest.approx(crossing)
+        lines = err.splitlines()
+        assert len(lines) == len(warned)
+        for line, text in zip(lines, warned):
+            assert line.startswith("streamring: warning: t=")
+            assert text in line
+
 
 class TestSimulate:
     def test_bilingual_report(self, capsys):
@@ -395,9 +422,36 @@ class TestSimulate:
              "segment_duration must be a number or 'auto'"),
             (lambda s: s.update(latency_model="x"),
              "latency_model must be an object, got 'x'"),
+            (lambda s: s.update(pool_capacity=2.9),
+             "pool_capacity must be an integer, got 2.9"),
+            (lambda s: s.update(pool_capacity=True),
+             "pool_capacity must be a number, got True"),
+            (lambda s: s.update(run_duration=True),
+             "run_duration must be a number, got True"),
+            (lambda s: s["events"][0].update(time=False),
+             "events[0].time must be a number, got False"),
+            (lambda s: s.update(unit_cost=True),
+             "unit_cost must be a number, got True"),
+            (lambda s: s.update(segment_duration=True),
+             "segment_duration must be a number or 'auto', got True"),
+            (lambda s: s.update(segment_duration="3"),
+             "segment_duration must be a number or 'auto', got '3'"),
+            (lambda s: s.update(translate_same_language="false"),
+             "translate_same_language must be true or false, got 'false'"),
+            (lambda s: (s["participants"][0].update(id=7),
+                        s["events"][0].update(participant=7)),
+             "participants[0].id must be a string, got 7"),
+            (lambda s: s["participants"][1].update(language=5),
+             "participants[1].language must be a string, got 5"),
+            (lambda s: s["events"].append(
+                {"time": 1.0, "kind": "leave", "participant": 7}),
+             "events[1].participant must be a string, got 7"),
         ],
         ids=["time", "pool-str", "pool-inf", "run-huge-int", "language-int",
-             "fixture-cold", "fixture-list", "segment-huge-int", "model-str"],
+             "fixture-cold", "fixture-list", "segment-huge-int", "model-str",
+             "pool-float", "pool-bool", "run-bool", "time-bool", "unit-bool",
+             "segment-bool", "segment-str", "translate-str", "id-int",
+             "participant-language-int", "event-participant-int"],
     )
     def test_malformed_values_rejected(self, edit, message, tmp_path, capsys):
         scenario = two_party_scenario(
@@ -408,6 +462,19 @@ class TestSimulate:
         path.write_text(json.dumps(scenario))
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    def test_extrapolation_warned_once_in_cli_format(self, tmp_path, capsys):
+        # p(9) is evaluated by the viability check and by the scheduler
+        model = {"form": "table", "params": {"points": [[1, 0.5], [4, 2.0]]}}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(two_party_scenario(model, 9)))
+        assert run_cli(["simulate", "--scenario", str(path), "--quiet"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "streamring: warning: t=9.0 outside measured range [1.0, 4.0]; "
+            "extrapolating with clamped end-segment slope\n"
+        )
 
     def test_allocation_failures_not_logged_to_stderr(self):
         # A fresh interpreter: in-process, pytest's log capture handler would

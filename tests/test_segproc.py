@@ -2,9 +2,10 @@
 
 Oracle policy: virtual schedules are replayed against an independent
 single-worker queue trace; the zero-stall and linear-lag claims are
-property-tested over randomized (a, b, T) triples with margins that keep
-them out of float knife-edge territory; the wall-clock adapter is exercised
-with stub commands of known sleep duration and generous jitter bounds.
+property-tested over randomized (a, b, T) triples and drawn affine, log and
+table models, with margins that keep them out of float knife-edge
+territory; the wall-clock adapter is exercised with stub commands of known
+sleep duration and generous jitter bounds.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ class TestSegmentation:
         with pytest.raises(ValidationError):
             schedule_stream(StreamSpec(10.0), a100_model(), -2.0)
 
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValidationError):
-            schedule_stream(StreamSpec(10.0), a100_model(), 3.0, workers=0)
-
 
 class TestCheckViability:
     def test_viable_point_on_table(self):
@@ -179,15 +176,11 @@ class TestLaggingLiveSchedule:
         assert final.ready - final.needed == pytest.approx(9 * per_step, abs=1e-9)
         assert report.stall_total == pytest.approx(9 * per_step, abs=1e-9)
 
-    def test_extra_worker_absorbs_the_backlog(self):
+    def test_every_later_segment_stalls_by_the_excess(self):
         model = LatencyModel(form="affine", a=0.0, b=1.5)  # p = 1.5 T
-        stream = StreamSpec(20.0)
-        _, lagging = schedule_stream(stream, model, 2.0, workers=1)
-        assert lagging.stall_count == 9
-        assert lagging.stall_total == pytest.approx(9.0, abs=1e-9)
-        _, smooth = schedule_stream(stream, model, 2.0, workers=2)
-        assert smooth.stall_count == 0
-        assert smooth.stall_total == 0.0
+        _, report = schedule_stream(StreamSpec(20.0), model, 2.0)
+        assert report.stall_count == 9
+        assert report.stall_total == pytest.approx(9.0, abs=1e-9)
 
 
 class TestBatchMode:
@@ -213,15 +206,6 @@ class TestColdStart:
         assert jobs[0].finish_at - jobs[0].start_at == pytest.approx(p + 2.0)
         assert jobs[1].finish_at - jobs[1].start_at == pytest.approx(p)
         assert report.stall_count == 0  # startup absorbs the extra
-
-    def test_each_worker_pays_once(self):
-        model = LatencyModel(form="affine", a=0.0, b=1.5, cold_start_extra=1.0)
-        jobs, _ = schedule_stream(StreamSpec(12.0), model, 2.0, workers=2)
-        costs = [j.finish_at - j.start_at for j in jobs]
-        warm = model.evaluate(2.0)
-        assert costs[0] == pytest.approx(warm + 1.0)
-        assert costs[1] == pytest.approx(warm + 1.0)
-        assert all(c == pytest.approx(warm) for c in costs[2:])
 
 
 class TestOracleReplay:
@@ -249,93 +233,6 @@ viable_triples = st.tuples(
     st.floats(min_value=0.0, max_value=0.99),
     st.floats(min_value=0.1, max_value=10.0),
 )
-
-
-class TestProperties:
-    @given(triple=viable_triples, n_segments=st.integers(min_value=1, max_value=300))
-    @settings(max_examples=150)
-    def test_zero_stall_when_viable(self, triple, n_segments):
-        a, b, t = triple
-        assume(a > 0.0 or b > 0.0)
-        model = LatencyModel(form="affine", a=a, b=b)
-        assume(model.evaluate(t) / t <= 0.999)
-        _, report = schedule_stream(StreamSpec(n_segments * t), model, t)
-        assert report.stall_count == 0
-        assert report.stall_total == 0.0
-        assert report.startup_delay == model.evaluate(t)
-
-    @given(
-        a=st.floats(min_value=0.0, max_value=5.0),
-        b=st.floats(min_value=1.001, max_value=3.0),
-        t=st.floats(min_value=0.1, max_value=5.0),
-        n_segments=st.integers(min_value=2, max_value=300),
-    )
-    @settings(max_examples=150)
-    def test_linear_lag_when_not_viable(self, a, b, t, n_segments):
-        model = LatencyModel(form="affine", a=a, b=b)
-        p = model.evaluate(t)
-        _, report = schedule_stream(StreamSpec(n_segments * t), model, t)
-        final = report.per_segment[-1]
-        expected = (n_segments - 1) * (p - t)
-        assert final.ready - final.needed == pytest.approx(expected, abs=1e-9)
-        assert report.stall_count == n_segments - 1
-
-    @given(
-        triple=viable_triples,
-        n_segments=st.integers(min_value=1, max_value=40),
-        workers=st.integers(min_value=1, max_value=3),
-        batch=st.booleans(),
-    )
-    @settings(max_examples=150)
-    def test_emission_order_and_determinism(self, triple, n_segments, workers, batch):
-        a, b, t = triple
-        assume(a > 0.0 or b > 0.0)
-        model = LatencyModel(form="affine", a=a, b=b)
-        spec = StreamSpec(n_segments * t, mode="batch" if batch else "live")
-        jobs, report = schedule_stream(spec, model, t, workers=workers)
-        assert [j.index for j in jobs] == list(range(len(jobs)))
-        ready = [timing.ready for timing in report.per_segment]
-        assert ready == sorted(ready)
-        for job in jobs:
-            assert job.available_at <= job.start_at <= job.finish_at
-        jobs2, report2 = schedule_stream(spec, model, t, workers=workers)
-        assert jobs2 == jobs
-        assert report2 == report
-
-
-def reference_schedule(stream, model, segment_duration, workers=1):
-    """A reference scheduler that calls ``model.evaluate`` for every segment
-    and again for the viability check.  Segmentation and the playback
-    timeline are the module's own helpers: they do not depend on how often
-    p is evaluated."""
-    segments = _segments(stream.total_duration, segment_duration)
-    live = stream.mode is StreamMode.LIVE
-    worker_free = [0.0] * workers
-    worker_started = [False] * workers
-    jobs = []
-    startup_delay = 0.0
-    for index, (duration, live_available) in enumerate(segments):
-        available = live_available if live else 0.0
-        w = min(range(workers), key=worker_free.__getitem__)
-        start = max(available, worker_free[w])
-        processing = model.evaluate(duration)
-        if not worker_started[w]:
-            processing += model.cold_start_extra
-            worker_started[w] = True
-        if index == 0:
-            startup_delay = processing
-        finish = start + processing
-        worker_free[w] = finish
-        jobs.append(SegmentJob(index, duration, available, start, finish))
-    tau = model.evaluate(segment_duration) / segment_duration
-    report = _playback_report(
-        jobs,
-        segment_duration,
-        startup_delay,
-        live_full_first=live and segments[0][0] == segment_duration,
-        viability=ViabilityCheck(viable=tau < 1.0, tau=tau),
-    )
-    return jobs, report
 
 
 @st.composite
@@ -366,18 +263,111 @@ def latency_models(draw):
     return LatencyModel(form="table", points=points, cold_start_extra=cold)
 
 
+class TestProperties:
+    """The real-time criterion on whole-segment live streams, for the drawn
+    affine model and, when it keeps the same margin at that T, for a model
+    from ``latency_models``."""
+
+    @pytest.mark.filterwarnings("ignore::streamring.latency.ExtrapolationWarning")
+    @given(
+        triple=viable_triples,
+        other=latency_models(),
+        n_segments=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_zero_stall_when_viable(self, triple, other, n_segments):
+        a, b, t = triple
+        assume(a > 0.0 or b > 0.0)
+        affine = LatencyModel(form="affine", a=a, b=b)
+        assume(affine.tau(t) <= 0.999)
+        for model in [affine] + ([other] if other.tau(t) <= 0.999 else []):
+            _, report = schedule_stream(StreamSpec(n_segments * t), model, t)
+            assert report.stall_count == 0
+            assert report.stall_total == 0.0
+            assert report.startup_delay == model.evaluate(t) + model.cold_start_extra
+
+    @pytest.mark.filterwarnings("ignore::streamring.latency.ExtrapolationWarning")
+    @given(
+        a=st.floats(min_value=0.0, max_value=5.0),
+        b=st.floats(min_value=1.001, max_value=3.0),
+        t=st.floats(min_value=0.1, max_value=5.0),
+        other=latency_models(),
+        n_segments=st.integers(min_value=2, max_value=300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_linear_lag_when_not_viable(self, a, b, t, other, n_segments):
+        affine = LatencyModel(form="affine", a=a, b=b)
+        for model in [affine] + ([other] if other.tau(t) >= 1.001 else []):
+            p = model.evaluate(t)
+            _, report = schedule_stream(StreamSpec(n_segments * t), model, t)
+            final = report.per_segment[-1]
+            expected = (n_segments - 1) * (p - t)
+            assert final.ready - final.needed == pytest.approx(expected, abs=1e-9)
+            assert report.stall_count == n_segments - 1
+
+    @given(
+        triple=viable_triples,
+        n_segments=st.integers(min_value=1, max_value=40),
+        batch=st.booleans(),
+    )
+    @settings(max_examples=150)
+    def test_emission_order_and_determinism(self, triple, n_segments, batch):
+        a, b, t = triple
+        assume(a > 0.0 or b > 0.0)
+        model = LatencyModel(form="affine", a=a, b=b)
+        spec = StreamSpec(n_segments * t, mode="batch" if batch else "live")
+        jobs, report = schedule_stream(spec, model, t)
+        assert [j.index for j in jobs] == list(range(len(jobs)))
+        ready = [timing.ready for timing in report.per_segment]
+        assert ready == sorted(ready)
+        for job in jobs:
+            assert job.available_at <= job.start_at <= job.finish_at
+        jobs2, report2 = schedule_stream(spec, model, t)
+        assert jobs2 == jobs
+        assert report2 == report
+
+
+def reference_schedule(stream, model, segment_duration):
+    """A single-worker reference scheduler that calls ``model.evaluate`` for
+    every segment and again for the viability check.  Segmentation and the
+    playback timeline are the module's own helpers: they do not depend on
+    how often p is evaluated."""
+    segments = _segments(stream.total_duration, segment_duration)
+    live = stream.mode is StreamMode.LIVE
+    free = 0.0
+    jobs = []
+    startup_delay = 0.0
+    for index, (duration, live_available) in enumerate(segments):
+        available = live_available if live else 0.0
+        start = max(available, free)
+        processing = model.evaluate(duration)
+        if index == 0:
+            processing += model.cold_start_extra
+            startup_delay = processing
+        free = start + processing
+        jobs.append(SegmentJob(index, duration, available, start, free))
+    tau = model.evaluate(segment_duration) / segment_duration
+    report = _playback_report(
+        jobs,
+        segment_duration,
+        startup_delay,
+        live_full_first=live and segments[0][0] == segment_duration,
+        viability=ViabilityCheck(viable=tau < 1.0, tau=tau),
+    )
+    return jobs, report
+
+
 class TestOneEvaluationPerDuration:
     @given(
         model=latency_models(),
         segment_duration=st.floats(min_value=0.1, max_value=10.0),
         n_full=st.integers(min_value=0, max_value=60),
         tail=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.77, 0.95]),
-        workers=st.integers(min_value=1, max_value=4),
         batch=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_per_segment_evaluation(
-        self, model, segment_duration, n_full, tail, workers, batch
+        self, model, segment_duration, n_full, tail, batch
     ):
         total = (n_full + tail) * segment_duration
         assume(total > 0.0)
@@ -385,9 +375,9 @@ class TestOneEvaluationPerDuration:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExtrapolationWarning)
             expected_jobs, expected = reference_schedule(
-                stream, model, segment_duration, workers
+                stream, model, segment_duration
             )
-            jobs, report = schedule_stream(stream, model, segment_duration, workers)
+            jobs, report = schedule_stream(stream, model, segment_duration)
         assert jobs == expected_jobs
         assert report.per_segment == expected.per_segment
         assert report.startup_delay == expected.startup_delay
