@@ -524,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return handler(args)
-    except (ValidationError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION
     except OSError as exc:

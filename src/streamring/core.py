@@ -9,6 +9,7 @@ the state the orchestrator transforms.
 
 from __future__ import annotations
 
+import json
 import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
@@ -32,6 +33,36 @@ class DegenerateMeetingWarning(UserWarning):
 
 
 SPEAKER_RAW = "speaker-raw"
+
+
+def read_json(path) -> object:
+    """The JSON document in the file at ``path``, or a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _number(value: object, name: str, expected: str = "a number") -> float:
+    """A JSON number (not a bool) as a float, or a ValidationError that names
+    the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValidationError(f"{name} must be {expected}, got {value!r}")
+
+
+_EXPECTED = {str: "a string", dict: "an object", list: "an array",
+             bool: "true or false"}
+
+
+def _typed(value: object, kind: type, name: str):
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -139,40 +170,26 @@ class Roster(MutableMapping[str, Participant]):
 
 
 @dataclass
-class RoutingTable:
-    """Language-to-pipeline mapping, each listener's pipeline and the bypass
-    set.  The stream routes are derived from ``delivery``, not stored."""
-
-    pipeline_map: dict[LanguageTag, str] = field(default_factory=dict)
-    delivery: dict[str, str] = field(default_factory=dict)  # listener -> pipeline
-    bypass: set[str] = field(default_factory=set)
-
-    @property
-    def routes(self) -> frozenset[Route]:
-        """``SPEAKER_RAW -> pipeline`` for each pipeline that feeds a
-        listener, and ``pipeline -> listener`` for each delivery."""
-        feeds = {Route(SPEAKER_RAW, p) for p in set(self.delivery.values())}
-        return frozenset(feeds).union(
-            Route(p, pid) for pid, p in self.delivery.items()
-        )
-
-
-@dataclass
 class Meeting:
     """Participants, the active speaker, the pool size, and current routing.
 
     ``participants`` is a ``Roster``: any mapping assigned to it is copied
     into one, so the per-language index always matches the members.
-    ``routing.pipeline_map`` is the only record of live pipelines: a pipeline
-    is live exactly while the map names it, and pool occupancy is derived
-    from the map's size.  Every live pipeline translates from
-    ``source_language``, the speaker's language at the last pass.
+    ``pipelines`` (language -> pipeline id) is the only record of live
+    pipelines: a pipeline is live exactly while the map names it, and pool
+    occupancy is derived from the map's size.  Every live pipeline translates
+    from ``source_language``, the speaker's language at the last pass.
+    ``delivery`` names each listener's pipeline and ``bypass`` the ids that
+    hear the raw stream; the stream routes are derived from ``delivery``,
+    not stored.
     """
 
     participants: Roster
     pool_capacity: int
     active_speaker: Optional[str] = None
-    routing: RoutingTable = field(default_factory=RoutingTable)
+    pipelines: dict[LanguageTag, str] = field(default_factory=dict)
+    delivery: dict[str, str] = field(default_factory=dict)  # listener -> pipeline
+    bypass: set[str] = field(default_factory=set)
     source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
 
@@ -201,13 +218,17 @@ class Meeting:
         return f"pl{self.pipeline_seq:04d}"
 
     @property
-    def pipelines(self) -> dict[LanguageTag, str]:
-        """The live pipelines, language -> id (the routing map itself)."""
-        return self.routing.pipeline_map
+    def routes(self) -> frozenset[Route]:
+        """``SPEAKER_RAW -> pipeline`` for each pipeline that feeds a
+        listener, and ``pipeline -> listener`` for each delivery."""
+        feeds = {Route(SPEAKER_RAW, p) for p in set(self.delivery.values())}
+        return frozenset(feeds).union(
+            Route(p, pid) for pid, p in self.delivery.items()
+        )
 
     @property
     def free_slots(self) -> int:
-        return self.pool_capacity - len(self.routing.pipeline_map)
+        return self.pool_capacity - len(self.pipelines)
 
     @property
     def size(self) -> int:

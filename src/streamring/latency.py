@@ -27,7 +27,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import ValidationError
+from .core import ValidationError, _number, _typed, read_json
 
 FORM_AFFINE = "affine"
 FORM_LOG = "log"
@@ -241,10 +241,19 @@ def fit(
     ts = [t for t, _ in means]
     ps = [p for _, p in means]
     xs = ts if form == FORM_AFFINE else [math.log(t) for t in ts]
+    # statistics.linear_regression as of 3.11: from 3.12 on it sums with
+    # math.sumprod, which changes the fit's last bits
     try:
-        b, a = statistics.linear_regression(xs, ps)  # returns (slope, intercept)
-    except (OverflowError, ValueError) as exc:  # huge or too close durations
+        x_mean = math.fsum(xs) / len(xs)
+        y_mean = math.fsum(ps) / len(ps)
+        sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ps))
+        sxx = math.fsum((x - x_mean) * (x - x_mean) for x in xs)
+    except (OverflowError, ValueError) as exc:  # huge durations
         raise ValidationError(f"cannot fit the {form} form: {exc}") from None
+    if sxx == 0:  # durations too close to tell apart
+        raise ValidationError(f"cannot fit the {form} form: x is constant")
+    b = sxy / sxx
+    a = y_mean - b * x_mean
     # Least squares on data whose true parameter is 0 can land at -1e-17;
     # snap those artifacts back instead of rejecting the fit.
     if -1e-9 < a < 0.0:
@@ -428,9 +437,11 @@ def model_to_json(model: LatencyModel) -> dict:
 
 
 def model_from_json(data: dict) -> LatencyModel:
+    """The model a JSON document describes.  A value of the wrong JSON type is
+    rejected with the field's name, never coerced."""
     try:
         form = data["form"]
-        params = data["params"]
+        params = _typed(data["params"], dict, "params")
     except (TypeError, KeyError) as exc:
         raise ValidationError(f"model JSON missing field: {exc}") from None
     if form not in _FORMS:
@@ -438,16 +449,25 @@ def model_from_json(data: dict) -> LatencyModel:
     valid_range = data.get("valid_range")
     kwargs: dict = {"form": form}
     try:
-        kwargs["valid_range"] = (
-            tuple(float(x) for x in valid_range) if valid_range else None
+        if valid_range is not None:
+            kwargs["valid_range"] = tuple(
+                _number(x, f"valid_range[{i}]")
+                for i, x in enumerate(_typed(valid_range, list, "valid_range"))
+            )
+        kwargs["cold_start_extra"] = _number(
+            data.get("cold_start_extra", 0.0), "cold_start_extra"
         )
-        kwargs["cold_start_extra"] = float(data.get("cold_start_extra", 0.0))
         if form == FORM_TABLE:
-            kwargs["points"] = tuple((float(t), float(p)) for t, p in params["points"])
+            points = _typed(params["points"], list, "params.points")
+            kwargs["points"] = tuple(
+                (_number(t, f"params.points[{i}][0]"),
+                 _number(p, f"params.points[{i}][1]"))
+                for i, (t, p) in enumerate(points)
+            )
         else:
-            kwargs["a"] = float(params["a"])
-            kwargs["b"] = float(params["b"])
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            kwargs["a"] = _number(params["a"], "params.a")
+            kwargs["b"] = _number(params["b"], "params.b")
+    except (TypeError, KeyError, ValueError) as exc:
         raise ValidationError(f"malformed model: {exc}") from None
     return LatencyModel(**kwargs)
 
@@ -459,9 +479,4 @@ def save_model(model: LatencyModel, path: "Path | str") -> None:
 
 
 def load_model(path: "Path | str") -> LatencyModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    return model_from_json(data)
+    return model_from_json(read_json(path))

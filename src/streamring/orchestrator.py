@@ -11,11 +11,11 @@ allocated (so scarce slots reach newly required languages), and a full pool
 produces an allocation-failed event for the affected language instead of
 aborting the pass.  Listeners who share the speaker's language receive the
 raw stream via bypass unless ``translate_same_language`` forces an identity
-pipeline for them.  Decommissioning a pipeline drops its entry from the
-routing table's language -> pipeline id map, the one record of live pipelines.
+pipeline for them.  Decommissioning a pipeline drops its entry from
+``Meeting.pipelines``, the one record of live pipelines.
 
 A pass reads the roster's language index rather than scanning the roster:
-the required languages cost O(L), and the routing table stores only each
+the required languages cost O(L), and the meeting stores only each
 listener's pipeline (``delivery``), built per mapped language.  The stream
 routes are derived from ``delivery`` on demand and are never stored.
 """
@@ -32,7 +32,6 @@ from .core import (
     LanguageTag,
     Meeting,
     Route,
-    RoutingTable,
     UnknownParticipantError,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "EventKind",
     "OrchestrationEvent",
     "Route",
-    "RoutingTable",
     "required_languages",
     "update_orchestration",
     "verify_invariants",
@@ -122,16 +120,16 @@ def update_orchestration(
     )
     meeting.active_speaker = new_speaker
     speaker_language = roster[new_speaker].language if new_speaker else None
-    pipeline_map = meeting.routing.pipeline_map
+    pipelines = meeting.pipelines
 
     # Stale first: released slots must be reusable within this same pass.
-    for language in sorted(set(pipeline_map) - required):
+    for language in sorted(set(pipelines) - required):
         events.append(
             OrchestrationEvent(
                 kind=EventKind.PIPELINE_DECOMMISSIONED,
                 time=time,
                 language=language,
-                pipeline_id=pipeline_map.pop(language),
+                pipeline_id=pipelines.pop(language),
             )
         )
 
@@ -139,13 +137,13 @@ def update_orchestration(
     meeting.source_language = speaker_language
     unserved: list[LanguageTag] = []
     for language in sorted(required):
-        if language in pipeline_map:
+        if language in pipelines:
             events.append(
                 OrchestrationEvent(
                     kind=EventKind.PIPELINE_REUSED,
                     time=time,
                     language=language,
-                    pipeline_id=pipeline_map[language],
+                    pipeline_id=pipelines[language],
                     reinitialized=reinitialized,
                 )
             )
@@ -158,13 +156,13 @@ def update_orchestration(
                 )
             )
             continue
-        pipeline_map[language] = meeting.new_pipeline_id()
+        pipelines[language] = meeting.new_pipeline_id()
         events.append(
             OrchestrationEvent(
                 kind=EventKind.PIPELINE_ALLOCATED,
                 time=time,
                 language=language,
-                pipeline_id=pipeline_map[language],
+                pipeline_id=pipelines[language],
             )
         )
 
@@ -194,10 +192,10 @@ def update_orchestration(
     # outside the bypass set; a listener whose language failed to allocate
     # stays undelivered.
     delivery: dict[str, str] = {}
-    for language, pipeline_id in pipeline_map.items():
+    for language, pipeline_id in pipelines.items():
         delivery.update(dict.fromkeys(roster.ids_of(language), pipeline_id))
     delivery.pop(new_speaker, None)  # an identity pipeline's own speaker
-    previous = meeting.routing.delivery
+    previous = meeting.delivery
     for participant_id in sorted(
         pid for pid, pipeline_id in delivery.items()
         if previous.get(pid) != pipeline_id
@@ -211,8 +209,8 @@ def update_orchestration(
                 participant=participant_id,
             )
         )
-    meeting.routing.delivery = delivery
-    meeting.routing.bypass = bypass
+    meeting.delivery = delivery
+    meeting.bypass = bypass
     return meeting, events
 
 
@@ -223,17 +221,16 @@ def verify_invariants(
 
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
-    raises on bad state.  Costs O(N + k): it reads ``routing.delivery`` and
+    raises on bad state.  Costs O(N + k): it reads ``meeting.delivery`` and
     the roster's language index, never the derived routes.
     """
     violations: list[str] = []
-    routing = meeting.routing
-    delivery = routing.delivery
+    delivery = meeting.delivery
     speaker = meeting.active_speaker
 
     # 1. Speaker bypass: the speaker is never a pipeline consumer.
     if speaker is not None:
-        if speaker not in routing.bypass:
+        if speaker not in meeting.bypass:
             violations.append(f"active speaker {speaker!r} not in bypass set")
         if speaker in delivery:
             violations.append(
@@ -246,7 +243,7 @@ def verify_invariants(
     required = required_languages(
         meeting, speaker, translate_same_language=translate_same_language
     )
-    mapped = set(routing.pipeline_map)
+    mapped = set(meeting.pipelines)
     if not mapped <= required:
         extra = ", ".join(sorted(str(lang) for lang in mapped - required))
         violations.append(f"pipelines kept for unrequired languages: {extra}")
@@ -260,8 +257,8 @@ def verify_invariants(
             f"{len(mapped)} live pipelines exceed pool capacity "
             f"{meeting.pool_capacity}"
         )
-    live = set(routing.pipeline_map.values())
-    if len(live) != len(routing.pipeline_map):
+    live = set(meeting.pipelines.values())
+    if len(live) != len(meeting.pipelines):
         violations.append("a pipeline id serves more than one language")
 
     # 3. Every pipeline a route names is live.  The routes are one
@@ -280,10 +277,10 @@ def verify_invariants(
     # fed by exactly one route from it.
     unfed = sorted(
         (participant_id, pipeline_id)
-        for language, pipeline_id in routing.pipeline_map.items()
+        for language, pipeline_id in meeting.pipelines.items()
         for participant_id in meeting.participants.ids_of(language)
         if participant_id != speaker
-        and participant_id not in routing.bypass
+        and participant_id not in meeting.bypass
         and delivery.get(participant_id) != pipeline_id
     )
     for participant_id, pipeline_id in unfed:

@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import MutableMapping, NamedTuple, Optional, Union
 
 from .core import (
     CostModel,
@@ -40,7 +40,10 @@ from .core import (
     Meeting,
     Participant,
     ValidationError,
+    _number,
+    _typed,
     cost_naive,
+    read_json,
 )
 from .latency import (
     FORM_TABLE,
@@ -206,32 +209,12 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
-def _number(value: object, name: str, expected: str = "a number") -> float:
-    """A JSON number (not a bool) as a float, or a ValidationError that names
-    the field."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an int past the float range
-            pass
-    raise ValidationError(f"{name} must be {expected}, got {value!r}")
-
-
 def _integer(value: object, name: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     fractional = isinstance(value, float) and math.isfinite(value)
     expected = "an integer" if fractional else "a number"
     raise ValidationError(f"{name} must be {expected}, got {value!r}")
-
-
-_EXPECTED = {str: "a string", dict: "an object", bool: "true or false"}
-
-
-def _typed(value: object, kind: type, name: str):
-    if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
-    return value
 
 
 def scenario_from_json(data: dict) -> Scenario:
@@ -269,12 +252,7 @@ def scenario_from_json(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    return scenario_from_json(data)
+    return scenario_from_json(read_json(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -398,17 +376,15 @@ def _check_scenario(
     except ValidationError as exc:
         violations.append(f"latency model: {exc}")
 
-    roster: dict[str, str] = {}
+    roster: dict[str, Participant] = {}
     for pid, lang in scenario.participants:
         if pid in roster:
             violations.append(f"duplicate participant id {pid!r}")
             continue
         try:
-            LanguageTag(lang)
+            roster[pid] = Participant(pid, LanguageTag(lang))
         except ValidationError as exc:
             violations.append(f"participant {pid!r}: {exc}")
-            continue
-        roster[pid] = lang
 
     times = [e.time for e in scenario.events]
     if times != sorted(times):
@@ -418,38 +394,29 @@ def _check_scenario(
         where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
         if not 0 <= event.time <= scenario.run_duration:
             violations.append(f"{where}: time outside [0, run_duration]")
-        needs_language = event.kind in (
-            ScenarioEventKind.JOIN,
-            ScenarioEventKind.LANGUAGE_CHANGE,
-        )
-        if needs_language:
-            if event.language is None:
-                violations.append(f"{where}: missing language")
-                continue
-            try:
-                LanguageTag(event.language)
-            except ValidationError as exc:
-                violations.append(f"{where}: {exc}")
-                continue
-        if event.kind is ScenarioEventKind.JOIN:
-            if event.participant in roster:
-                violations.append(f"{where}: participant already present")
-            else:
-                roster[event.participant] = event.language or ""
-        elif event.kind is ScenarioEventKind.LEAVE:
-            if event.participant not in roster:
-                violations.append(f"{where}: participant not present")
-            else:
-                del roster[event.participant]
-        elif event.kind is ScenarioEventKind.LANGUAGE_CHANGE:
-            if event.participant not in roster:
-                violations.append(f"{where}: participant not present")
-            else:
-                roster[event.participant] = event.language or ""
-        elif event.kind is ScenarioEventKind.SPEAKER_CHANGE:
-            if event.participant not in roster:
-                violations.append(f"{where}: participant not present")
+        try:
+            _apply(roster, event)
+        except ValidationError as exc:
+            violations.append(f"{where}: {exc}")
     return violations, model
+
+
+def _apply(roster: MutableMapping[str, Participant], event: ScenarioEvent) -> None:
+    """Apply ``event``'s roster edit; a speaker change edits nothing.  Raises
+    a ValidationError, before any edit, when the event breaks a roster rule."""
+    if event.kind in (ScenarioEventKind.JOIN, ScenarioEventKind.LANGUAGE_CHANGE):
+        if event.language is None:
+            raise ValidationError("missing language")
+        language = LanguageTag(event.language)
+    joining = event.kind is ScenarioEventKind.JOIN
+    if joining and event.participant in roster:
+        raise ValidationError("participant already present")
+    if not joining and event.participant not in roster:
+        raise ValidationError("participant not present")
+    if event.kind is ScenarioEventKind.LEAVE:
+        del roster[event.participant]
+    elif event.kind is not ScenarioEventKind.SPEAKER_CHANGE:
+        roster[event.participant] = Participant(event.participant, language)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +453,9 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     series = MetricsSeries()
     open_sessions: dict[LanguageTag, tuple[float, bool]] = {}  # started_at, cold
-    # summed with sum() in close order: on Python >= 3.12 sum() compensates,
-    # so a running += would change the total's last bits
-    session_stalls: list[float] = []
+    # a plain running total in close order, as sum() adds on 3.10 and 3.11:
+    # sum() compensates from 3.12 on, which would change the last bits
+    total_stall = 0.0
     # (time, 0, language, stall) per segment boundary; the state points join
     # as (time, 1, "", point) after the loop
     entries: list[tuple[float, int, str, object]] = []
@@ -502,6 +469,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     )
 
     def close_session(language: LanguageTag, when: float) -> None:
+        nonlocal total_stall
         opened = open_sessions.pop(language, None)
         if opened is None:
             return
@@ -520,7 +488,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 cold=cold,
             )
         )
-        session_stalls.append(play.stall_total)
+        total_stall += play.stall_total
         stalls = series.listener_stalls
         for pid in sorted(meeting.participants.ids_of(language)):
             if pid != meeting.active_speaker:
@@ -532,7 +500,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     def record_state(when: float) -> None:
         # a later pass at the same time supersedes the earlier state
-        point = (when, len(meeting.routing.pipeline_map), meeting.size, failures)
+        point = (when, len(meeting.pipelines), meeting.size, failures)
         if states and states[-1][0] == when:
             states[-1] = point
         else:
@@ -574,12 +542,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 continue  # repeated floor grant: nothing changes
             orchestration_pass(event.time, event.participant, turnover=True)
             continue
-        if event.kind is ScenarioEventKind.LEAVE:
-            del meeting.participants[event.participant]
-        else:  # join or language change
-            meeting.participants[event.participant] = Participant(
-                id=event.participant, language=LanguageTag(event.language)
-            )
+        _apply(meeting.participants, event)
         speaker = meeting.active_speaker
         if speaker not in meeting.participants:
             speaker = None  # no speaker yet, or the active speaker just left
@@ -632,7 +595,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         series=series,
         max_k=max_k,
         mean_k=k_integral / scenario.run_duration,
-        total_stall_seconds=sum(session_stalls),
+        total_stall_seconds=total_stall,
         cost_ratio=token_integral / naive_integral if naive_integral > 0 else 0.0,
         warnings=tuple(warnings),
     )

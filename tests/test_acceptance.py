@@ -131,7 +131,7 @@ def test_criterion_4_orchestrator_oracle_equivalence():
                     lang for pid, lang in zip(ids, assignment)
                     if pid != ids[speaker_index]
                 } - {assignment[speaker_index]}
-                assert len(meeting.routing.pipeline_map) == len(oracle)
+                assert len(meeting.pipelines) == len(oracle)
                 assert verify_invariants(meeting) == []
                 cases += 1
     assert cases == sum(n * 4**n for n in range(2, 7))  # 30,944 states

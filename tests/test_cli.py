@@ -65,6 +65,39 @@ def two_party_scenario(model: dict, segment_duration) -> dict:
     }
 
 
+#: Model JSON edits whose values are never coerced, and the message naming
+#: the field; each starts from ``{"form": "affine", "params": {"a": 0.2,
+#: "b": 0.5}}``.
+UNCOERCED_MODELS = pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(params={"a": "0.2", "b": True}, valid_range="14",
+                            cold_start_extra="0.5"),
+         "valid_range must be an array, got '14'"),
+        (lambda m: m["params"].update(a="0.2"), "params.a must be a number, got '0.2'"),
+        (lambda m: m["params"].update(b=True), "params.b must be a number, got True"),
+        (lambda m: m.update(valid_range=[1, "4"]),
+         "valid_range[1] must be a number, got '4'"),
+        (lambda m: m.update(cold_start_extra="0.5"),
+         "cold_start_extra must be a number, got '0.5'"),
+        (lambda m: m.update(form="table", params={"points": [[1, 0.5], [4, "2"]]}),
+         "params.points[1][1] must be a number, got '2'"),
+        (lambda m: m.update(form="table", params={"points": "14"}),
+         "params.points must be an array, got '14'"),
+        (lambda m: m.update(params=[0.2, 0.5]),
+         "params must be an object, got [0.2, 0.5]"),
+    ],
+    ids=["four-fields", "a-str", "b-bool", "range-str-item", "cold-str",
+         "point-str", "points-str", "params-list"],
+)
+
+
+def affine_model(edit) -> dict:
+    model = {"form": "affine", "params": {"a": 0.2, "b": 0.5}}
+    edit(model)
+    return model
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run_cli([]) == EXIT_USAGE
@@ -208,6 +241,13 @@ class TestTopt:
              "--format", "json"]
         )
         assert json.loads(capsys.readouterr().out)["t_opt_discrete"] == 4.0
+
+    @UNCOERCED_MODELS
+    def test_model_values_never_coerced(self, edit, message, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(affine_model(edit)))
+        assert run_cli(["topt", "--model", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_invalid_model_file(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
@@ -460,6 +500,13 @@ class TestSimulate:
         edit(scenario)
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(scenario))
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    @UNCOERCED_MODELS
+    def test_inline_model_values_never_coerced(self, edit, message, tmp_path, capsys):
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps(two_party_scenario(affine_model(edit), 3.0)))
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 

@@ -86,27 +86,27 @@ class TestUpdateOrchestration:
     def test_shared_language_pipelines(self):
         m = make_meeting({"A": "en", "B": "de", "C": "de", "D": "tr"}, 4)
         _, events = update_orchestration(m, "A")
-        assert set(m.routing.pipeline_map) == {LanguageTag("de"), LanguageTag("tr")}
+        assert set(m.pipelines) == {LanguageTag("de"), LanguageTag("tr")}
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 2
         assert count(events, EventKind.ROUTE_ADDED) == 3
         assert count(events, EventKind.SPEAKER_BYPASSED) == 1
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
         assert count(events, EventKind.ALLOCATION_FAILED) == 0
-        de_pipe = m.routing.pipeline_map[LanguageTag("de")]
-        assert Route(source=de_pipe, destination="B") in m.routing.routes
-        assert Route(source=de_pipe, destination="C") in m.routing.routes
-        assert Route(source=SPEAKER_RAW, destination=de_pipe) in m.routing.routes
-        assert m.routing.bypass == {"A"}
+        de_pipe = m.pipelines[LanguageTag("de")]
+        assert Route(source=de_pipe, destination="B") in m.routes
+        assert Route(source=de_pipe, destination="C") in m.routes
+        assert Route(source=SPEAKER_RAW, destination=de_pipe) in m.routes
+        assert m.bypass == {"A"}
         assert verify_invariants(m) == []
 
     def test_speaker_handoff(self):
         m = make_meeting({"A": "en", "B": "de", "C": "de", "D": "tr"}, 4)
         update_orchestration(m, "A")
-        tr_pipe_before = m.routing.pipeline_map[LanguageTag("tr")]
+        tr_pipe_before = m.pipelines[LanguageTag("tr")]
         _, events = update_orchestration(m, "B")
         # B speaks de: C joins bypass, de pipeline goes stale, en is new,
         # tr is kept but re-pointed at the new source language
-        assert set(m.routing.pipeline_map) == {LanguageTag("en"), LanguageTag("tr")}
+        assert set(m.pipelines) == {LanguageTag("en"), LanguageTag("tr")}
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 1
         assert langs_of(events, EventKind.PIPELINE_DECOMMISSIONED) == {
             LanguageTag("de")
@@ -114,34 +114,34 @@ class TestUpdateOrchestration:
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 1
         reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
         assert [e.reinitialized for e in reused] == [True]
-        assert m.routing.pipeline_map[LanguageTag("tr")] == tr_pipe_before
-        assert m.routing.bypass == {"B", "C"}
+        assert m.pipelines[LanguageTag("tr")] == tr_pipe_before
+        assert m.bypass == {"B", "C"}
         assert verify_invariants(m) == []
 
     def test_monolingual_meeting_all_bypass(self):
         m = make_meeting({"A": "en", "B": "en"}, 4)
         _, events = update_orchestration(m, "A")
-        assert m.routing.pipeline_map == {}
-        assert m.routing.routes == set()
-        assert m.routing.bypass == {"A", "B"}
+        assert m.pipelines == {}
+        assert m.routes == set()
+        assert m.bypass == {"A", "B"}
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert verify_invariants(m) == []
 
     def test_identity_translation_flag(self):
         m = make_meeting({"A": "en", "B": "en"}, 4)
         update_orchestration(m, "A", translate_same_language=True)
-        assert set(m.routing.pipeline_map) == {LanguageTag("en")}
-        assert m.routing.bypass == {"A"}
+        assert set(m.pipelines) == {LanguageTag("en")}
+        assert m.bypass == {"A"}
         assert verify_invariants(m, translate_same_language=True) == []
 
     def test_scarcity_fails_lexicographically_last(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr", "D": "fr"}, 2)
         _, events = update_orchestration(m, "A")
         # de < fr < tr: the two slots go to de and fr, tr reports failure
-        assert set(m.routing.pipeline_map) == {LanguageTag("de"), LanguageTag("fr")}
+        assert set(m.pipelines) == {LanguageTag("de"), LanguageTag("fr")}
         assert langs_of(events, EventKind.ALLOCATION_FAILED) == {LanguageTag("tr")}
-        assert not any(r.destination == "C" for r in m.routing.routes)
-        assert any(r.destination == "D" for r in m.routing.routes)
+        assert not any(r.destination == "C" for r in m.routes)
+        assert any(r.destination == "D" for r in m.routes)
         assert verify_invariants(m) == []
 
     def test_one_log_record_per_pass(self, caplog):
@@ -163,7 +163,7 @@ class TestUpdateOrchestration:
         update_orchestration(m, "A")
         _, events = update_orchestration(m, "D")
         # fr goes stale and frees a slot; en takes it; tr still over capacity
-        assert set(m.routing.pipeline_map) == {LanguageTag("de"), LanguageTag("en")}
+        assert set(m.pipelines) == {LanguageTag("de"), LanguageTag("en")}
         assert langs_of(events, EventKind.PIPELINE_DECOMMISSIONED) == {
             LanguageTag("fr")
         }
@@ -174,19 +174,19 @@ class TestUpdateOrchestration:
     def test_unknown_speaker_leaves_state_untouched(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
         update_orchestration(m, "A")
-        before_map = dict(m.routing.pipeline_map)
+        before_map = dict(m.pipelines)
         with pytest.raises(UnknownParticipantError):
             update_orchestration(m, "Z")
         assert m.active_speaker == "A"
-        assert m.routing.pipeline_map == before_map
+        assert m.pipelines == before_map
 
     def test_releasing_the_floor(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
         update_orchestration(m, "A")
         _, events = update_orchestration(m, None)
-        assert m.routing.pipeline_map == {}
-        assert m.routing.routes == set()
-        assert m.routing.bypass == set()
+        assert m.pipelines == {}
+        assert m.routes == set()
+        assert m.bypass == set()
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 1
         assert count(events, EventKind.SPEAKER_BYPASSED) == 0
         assert m.free_slots == 4
@@ -195,11 +195,11 @@ class TestUpdateOrchestration:
     def test_idempotent_second_pass(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
         update_orchestration(m, "A")
-        routes_before = set(m.routing.routes)
-        map_before = dict(m.routing.pipeline_map)
+        routes_before = set(m.routes)
+        map_before = dict(m.pipelines)
         _, events = update_orchestration(m, "A")
-        assert m.routing.routes == routes_before
-        assert m.routing.pipeline_map == map_before
+        assert m.routes == routes_before
+        assert m.pipelines == map_before
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
         assert count(events, EventKind.ROUTE_ADDED) == 0
@@ -213,7 +213,7 @@ class TestUpdateOrchestration:
         reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
         assert [e.reinitialized for e in reused] == [False]
         assert count(events, EventKind.ROUTE_ADDED) == 0  # C's route unchanged
-        assert m.routing.bypass == {"A", "B"}
+        assert m.bypass == {"A", "B"}
 
     def test_speaker_language_change_reinitializes(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
@@ -232,7 +232,7 @@ class TestUpdateOrchestration:
     def test_retired_pipelines_are_forgotten(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
         update_orchestration(m, "A")
-        pid = m.routing.pipeline_map[LanguageTag("de")]
+        pid = m.pipelines[LanguageTag("de")]
         update_orchestration(m, "B")
         assert pid not in m.pipelines.values()
         assert list(m.pipelines) == [LanguageTag("en")]
@@ -253,19 +253,19 @@ class TestVerifyInvariants:
 
     def test_speaker_consuming_a_pipeline(self):
         m = self._orchestrated()
-        pid = m.routing.pipeline_map[LanguageTag("de")]
-        m.routing.delivery["A"] = pid
-        assert Route(source=pid, destination="A") in m.routing.routes
+        pid = m.pipelines[LanguageTag("de")]
+        m.delivery["A"] = pid
+        assert Route(source=pid, destination="A") in m.routes
         assert any("speaker" in v for v in verify_invariants(m))
 
     def test_speaker_missing_from_bypass(self):
         m = self._orchestrated()
-        m.routing.bypass.discard("A")
+        m.bypass.discard("A")
         assert any("bypass" in v for v in verify_invariants(m))
 
     def test_duplicate_pipeline_for_language(self):
         m = self._orchestrated()
-        pipeline_map = m.routing.pipeline_map
+        pipeline_map = m.pipelines
         pipeline_map[LanguageTag("tr")] = pipeline_map[LanguageTag("de")]
         assert any("more than one language" in v for v in verify_invariants(m))
 
@@ -276,17 +276,17 @@ class TestVerifyInvariants:
 
     def test_route_to_decommissioned_pipeline(self):
         m = self._orchestrated()
-        pid = m.routing.pipeline_map.pop(LanguageTag("de"))
+        pid = m.pipelines.pop(LanguageTag("de"))
         dangling = [v for v in verify_invariants(m) if f"{pid!r}, which is not live" in v]
         assert len(dangling) == 2  # SPEAKER_RAW -> pid and pid -> B
 
     def test_under_allocation_with_free_slots(self):
         m = self._orchestrated()
-        pid = m.routing.pipeline_map.pop(LanguageTag("de"))
-        m.routing.delivery = {
-            listener: p for listener, p in m.routing.delivery.items() if p != pid
+        pid = m.pipelines.pop(LanguageTag("de"))
+        m.delivery = {
+            listener: p for listener, p in m.delivery.items() if p != pid
         }
-        assert not any(pid in (r.source, r.destination) for r in m.routing.routes)
+        assert not any(pid in (r.source, r.destination) for r in m.routes)
         assert any("free slots" in v for v in verify_invariants(m))
 
     def test_over_capacity(self):
@@ -313,11 +313,11 @@ class TestExhaustiveSmallMeetings:
                     m = make_meeting(members, capacity=n)
                     update_orchestration(m, speaker)
                     expected = oracle_required(members, speaker)
-                    assert set(m.routing.pipeline_map) == {
+                    assert set(m.pipelines) == {
                         LanguageTag(lang) for lang in expected
                     }
                     assert verify_invariants(m) == []
-                    assert m.free_slots + len(m.routing.pipeline_map) == n
+                    assert m.free_slots + len(m.pipelines) == n
                     checked += 1
         assert checked == sum(n * 4**n for n in range(2, 5))
 
@@ -343,9 +343,9 @@ class TestProperties:
             speaker = data.draw(st.sampled_from(ids))
             update_orchestration(m, speaker)
             expected = oracle_required(members, speaker)
-            assert len(m.routing.pipeline_map) == len(expected)
-            assert len(m.routing.pipeline_map) <= n - 1
-            assert m.free_slots + len(m.routing.pipeline_map) == n
+            assert len(m.pipelines) == len(expected)
+            assert len(m.pipelines) <= n - 1
+            assert m.free_slots + len(m.pipelines) == n
             assert verify_invariants(m) == []
 
     @given(members=participants_strategy, capacity=st.integers(min_value=0, max_value=3))
@@ -355,9 +355,9 @@ class TestProperties:
         speaker = sorted(members)[0]
         _, events = update_orchestration(m, speaker)
         expected = oracle_required(members, speaker)
-        assert len(m.routing.pipeline_map) == min(capacity, len(expected))
+        assert len(m.pipelines) == min(capacity, len(expected))
         failures = [e for e in events if e.kind is EventKind.ALLOCATION_FAILED]
-        assert len(failures) == len(expected) - len(m.routing.pipeline_map)
+        assert len(failures) == len(expected) - len(m.pipelines)
         assert verify_invariants(m) == []
 
     @given(members=participants_strategy)
@@ -367,15 +367,15 @@ class TestProperties:
         speaker = sorted(members)[-1]
         update_orchestration(m, speaker)
         snapshot = (
-            dict(m.routing.pipeline_map),
-            set(m.routing.routes),
-            set(m.routing.bypass),
+            dict(m.pipelines),
+            set(m.routes),
+            set(m.bypass),
         )
         _, events = update_orchestration(m, speaker)
         assert (
-            dict(m.routing.pipeline_map),
-            set(m.routing.routes),
-            set(m.routing.bypass),
+            dict(m.pipelines),
+            set(m.routes),
+            set(m.bypass),
         ) == snapshot
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
@@ -437,11 +437,11 @@ def scratch_delivery(
         return {}
     speaker_language = m.participants[speaker].language
     return {
-        pid: m.routing.pipeline_map[p.language]
+        pid: m.pipelines[p.language]
         for pid, p in m.participants.items()
         if pid != speaker
         and (translate_same_language or p.language != speaker_language)
-        and p.language in m.routing.pipeline_map
+        and p.language in m.pipelines
     }
 
 
@@ -459,9 +459,9 @@ def rebuilt_routes(
             continue
         if not translate_same_language and language == speaker_language:
             continue
-        if language not in m.routing.pipeline_map:
+        if language not in m.pipelines:
             continue
-        pipeline_id = m.routing.pipeline_map[language]
+        pipeline_id = m.pipelines[language]
         routes.add(Route(source=SPEAKER_RAW, destination=pipeline_id))
         routes.add(Route(source=pipeline_id, destination=pid))
     return routes
@@ -550,8 +550,8 @@ class TestRosterIndex:
             assert added == sorted(
                 pid for pid, p in expected.items() if previous.get(pid) != p
             )
-            assert m.routing.delivery == expected
-            assert m.routing.routes == rebuilt_routes(
+            assert m.delivery == expected
+            assert m.routes == rebuilt_routes(
                 m, speaker, translate_same_language
             )
             assert verify_invariants(

@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from streamring import simulator
 from streamring.cli import _render_csv
-from streamring.core import CostModel, ValidationError
+from streamring.core import CostModel, LanguageTag, ValidationError
 from streamring.latency import fit
 from streamring.simulator import (
     METRICS_CSV_HEADER,
     Scenario,
     ScenarioError,
     ScenarioEvent,
+    ScenarioEventKind,
     load_scenario,
     report_to_json,
     run_scenario,
@@ -117,6 +118,23 @@ class TestValidation:
             events=[ScenarioEvent(time=1.0, kind="join", participant="C")]
         )
         assert any("missing language" in v for v in validate_scenario(scenario))
+
+    @pytest.mark.parametrize("where", ["roster", "join"])
+    def test_empty_participant_id_listed(self, where):
+        if where == "roster":
+            scenario = two_party(participants=[("A", "en"), ("B", "de"), ("", "fr")])
+        else:
+            scenario = two_party(events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=1.0, kind="join", participant="", language="fr"),
+            ])
+        assert any(
+            "participant id must be non-empty" in v for v in validate_scenario(scenario)
+        )
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(scenario)
+        assert str(exc.value).startswith("invalid scenario:")
+        assert "participant id must be non-empty" in str(exc.value)
 
     def test_unknown_event_kind_rejected_at_construction(self):
         with pytest.raises(ValidationError):
@@ -424,7 +442,89 @@ class TestSweep:
             sweep_cost([2], 4, "round-robin")
 
 
+def replayed_violations(scenario: Scenario) -> list[str]:
+    """The roster and event checks of ``validate_scenario`` as an independent
+    replay over language strings, one branch per event kind."""
+    violations: list[str] = []
+    roster: dict[str, str] = {}
+    for pid, lang in scenario.participants:
+        if pid in roster:
+            violations.append(f"duplicate participant id {pid!r}")
+            continue
+        try:
+            LanguageTag(lang)
+        except ValidationError as exc:
+            violations.append(f"participant {pid!r}: {exc}")
+            continue
+        roster[pid] = lang
+
+    times = [e.time for e in scenario.events]
+    if times != sorted(times):
+        violations.append("events are not sorted by time")
+
+    for event in simulator._ordered_events(scenario):
+        where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
+        if not 0 <= event.time <= scenario.run_duration:
+            violations.append(f"{where}: time outside [0, run_duration]")
+        if event.kind in (ScenarioEventKind.JOIN, ScenarioEventKind.LANGUAGE_CHANGE):
+            if event.language is None:
+                violations.append(f"{where}: missing language")
+                continue
+            try:
+                LanguageTag(event.language)
+            except ValidationError as exc:
+                violations.append(f"{where}: {exc}")
+                continue
+        if event.kind is ScenarioEventKind.JOIN:
+            if event.participant in roster:
+                violations.append(f"{where}: participant already present")
+            else:
+                roster[event.participant] = event.language
+        elif event.kind is ScenarioEventKind.LEAVE:
+            if event.participant not in roster:
+                violations.append(f"{where}: participant not present")
+            else:
+                del roster[event.participant]
+        elif event.kind is ScenarioEventKind.LANGUAGE_CHANGE:
+            if event.participant not in roster:
+                violations.append(f"{where}: participant not present")
+            else:
+                roster[event.participant] = event.language
+        elif event.participant not in roster:
+            violations.append(f"{where}: participant not present")
+    return violations
+
+
+IDS = st.sampled_from(["A", "B", "C", "D"])
+TAGS = st.sampled_from(["en", "DE", " fr ", "", "  "])
+
+
 class TestProperties:
+    @given(
+        roster=st.lists(st.tuples(IDS, TAGS), max_size=5),
+        events=st.lists(
+            st.builds(
+                ScenarioEvent,
+                time=st.sampled_from([-1.0, 0.0, 2.5, 5.0, 11.0]),
+                kind=st.sampled_from(list(ScenarioEventKind)),
+                participant=IDS,
+                language=st.one_of(st.none(), TAGS),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_violations_match_an_independent_replay(self, roster, events):
+        scenario = Scenario(
+            participants=roster,
+            pool_capacity=2,
+            model_spec={"form": "affine", "params": {"a": 0.2, "b": 0.5}},
+            segment_duration=3.0,
+            run_duration=10.0,
+            events=events,
+        )
+        assert validate_scenario(scenario) == replayed_violations(scenario)
+
     @given(
         languages=st.lists(
             st.sampled_from(["de", "en", "fr", "tr"]), min_size=2, max_size=5
