@@ -34,14 +34,13 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .core import CostModel, ValidationError
+from .core import CostModel, ValidationError, dumps_json
 from .latency import (
     FORM_AFFINE,
     FORM_LOG,
@@ -158,7 +157,7 @@ def _render_csv(header: Sequence[str], records: list[dict]) -> str:
 def _render(fmt: str, payload: object, header: Sequence[str],
             records: list[dict]) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return dumps_json(payload) + "\n"
     return _render_csv(header, records)
 
 

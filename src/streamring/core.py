@@ -13,6 +13,7 @@ import json
 import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import AbstractSet, Iterable, Optional
 
 
@@ -42,6 +43,76 @@ def read_json(path) -> object:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # also non-UTF-8, deep nesting
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+class _Unfit(Exception):
+    """The payload holds a key or value that only ``json.dumps`` renders."""
+
+
+def dumps_json(payload: object) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, with
+    the per-value work left to the C encoder.
+
+    Any ``indent`` makes ``json.dumps`` use its pure-Python encoder, so this
+    encodes each container of scalars in one C call whose item separator is
+    the newline and indent, then pads the brackets.  The C encoder escapes
+    ``\\n`` inside strings, so a literal newline can only be a separator.  A
+    list of non-empty dicts of scalars, such as a report's ``samples``, is
+    one C call at the fields' depth; its row boundaries ``},<newline><field
+    indent>{`` occur nowhere else, and one ``str.replace`` re-indents them.
+    A key that is not a ``str``, or a value that is not exactly a JSON type
+    (a tuple, an ``int`` subclass), sends the whole payload to ``json.dumps``.
+    """
+    try:
+        return _indented(payload, "\n")
+    except _Unfit:
+        return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _flat(container: object, nl: str) -> str:
+    """``container`` in the C encoder, items separated by ``,`` + ``nl``."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=("," + nl, ": "))
+    return encoder.encode(container)
+
+
+def _types(values: Iterable[object]) -> set[type]:
+    return set(map(type, values))
+
+
+def _indented(value: object, nl: str) -> str:
+    """``value`` at the depth whose newline and indent are ``nl``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _flat(value, nl)
+    if kind is not dict and kind is not list:
+        raise _Unfit
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = nl + "  "
+    if kind is dict:
+        if _types(value) != {str}:
+            raise _Unfit
+        if _types(value.values()) <= _SCALARS:
+            return "{" + inner + _flat(value, inner)[1:-1] + nl + "}"
+        return "{" + inner + ("," + inner).join(
+            f"{_flat(key, inner)}: {_indented(v, inner)}"
+            for key, v in sorted(value.items())
+        ) + nl + "}"
+    items = _types(value)
+    if items <= _SCALARS:
+        return "[" + inner + _flat(value, inner)[1:-1] + nl + "]"
+    field = inner + "  "
+    if (items == {dict} and all(value)
+            and _types(chain.from_iterable(value)) == {str}
+            and _types(chain.from_iterable(map(dict.values, value))) <= _SCALARS):
+        rows = _flat(value, field)[2:-2].replace(
+            "}," + field + "{", inner + "}," + inner + "{" + field)
+        return "[" + inner + "{" + field + rows + inner + "}" + nl + "]"
+    return "[" + inner + ("," + inner).join(
+        _indented(v, inner) for v in value) + nl + "]"
 
 
 def _number(value: object, name: str, expected: str = "a number") -> float:

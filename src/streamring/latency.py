@@ -17,7 +17,6 @@ duration with tau < 1, either over a measured grid or continuously.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import statistics
 import warnings
@@ -27,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import ValidationError, _number, _typed, read_json
+from .core import ValidationError, _number, _typed, dumps_json, read_json
 
 FORM_AFFINE = "affine"
 FORM_LOG = "log"
@@ -474,8 +473,7 @@ def model_from_json(data: dict) -> LatencyModel:
 
 def save_model(model: LatencyModel, path: "Path | str") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_json(model_to_json(model)) + "\n")
 
 
 def load_model(path: "Path | str") -> LatencyModel:

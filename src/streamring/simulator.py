@@ -43,6 +43,7 @@ from .core import (
     _number,
     _typed,
     cost_naive,
+    dumps_json,
     read_json,
 )
 from .latency import (
@@ -257,8 +258,7 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_json(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_json(scenario_to_json(scenario)) + "\n")
 
 
 def scenario_digest(scenario: Scenario) -> str:

@@ -26,6 +26,7 @@ from streamring.cli import (
     main,
 )
 from streamring.latency import load_model
+from tests.test_golden import SCENARIOS as GOLDEN_SCENARIOS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -716,6 +717,30 @@ class TestTableSchema:
             assert sorted(header) == sorted(record)
             expected = [record[key] for key in header]
             assert row == [str(int(v) if isinstance(v, bool) else v) for v in expected]
+
+
+#: Each subcommand's argv, without ``--format json``, from the calibrated
+#: model files and a scratch directory.
+JSON_COMMANDS = {
+    "calibrate": lambda models, tmp: ["calibrate", "--label", "RTX4060"],
+    "topt": lambda models, tmp: ["topt", "--model", models["T4"], "--continuous"],
+    "sweep": lambda models, tmp: ["sweep", "--n", "2:6", "--trials", "5"],
+    "bench": lambda models, tmp: [
+        "bench", "--cmd", "cp {input} {output}", "--stream-seconds", "2.5",
+        "--segment", "1", "--workdir", str(tmp)],
+    **{f"simulate-{name}": (lambda models, tmp, path=path:
+                            ["simulate", "--scenario", str(path)])
+       for name, path in GOLDEN_SCENARIOS.items()},
+}
+
+
+class TestJsonBytes:
+    @pytest.mark.parametrize("command", list(JSON_COMMANDS))
+    def test_stdout_is_indent2_json(self, command, model_files, tmp_path, capsys):
+        argv = JSON_COMMANDS[command](model_files, tmp_path) + ["--format", "json"]
+        assert run_cli(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestUnreadableInput:

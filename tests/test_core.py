@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import enum
+import json
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamring.core import (
@@ -19,6 +22,7 @@ from streamring.core import (
     ValidationError,
     cost_naive,
     cost_token,
+    dumps_json,
 )
 
 
@@ -148,3 +152,56 @@ class TestMeeting:
     def test_unit_cost_must_be_positive(self):
         with pytest.raises(ValidationError):
             CostModel(0.0)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+class _Seconds(float):
+    pass
+
+
+#: Strings that look like the writer's own structure, or need escaping.
+_AWKWARD = ["", "},\n  {", "},\n      {", 'say "hi"', "back\\slash",
+            "line\nbreak", "na\u00efve \u2603 \U0001f600"]
+_keys = st.text(max_size=6) | st.sampled_from(_AWKWARD)
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8) | st.sampled_from(_AWKWARD))
+#: Lists of flat dicts, empty or not, with differing key sets.
+_rows = st.lists(st.dictionaries(_keys, _scalars, max_size=4), max_size=4)
+_exact_payloads = st.recursive(
+    _scalars | _rows,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=20,
+)
+_any_payloads = st.recursive(
+    _scalars | _rows | st.sampled_from([_Level.LOW, _Level.HIGH, _Seconds(0.5)]),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(_keys, inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.integers(), inner, max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumpsJson:
+    """``dumps_json`` against its oracle, ``json.dumps(sort_keys=True,
+    indent=2)``: exact JSON types take the C-encoder path, anything else
+    falls back to the oracle itself."""
+
+    @example({"samples": [{"t": 0.5, "s": "},\n      {"}, {"t": math.nan, "u": True}],
+              "deep": {"a": {"b": [[], {}, [{}, {}], [-math.inf, math.inf, None]]}}})
+    @given(_exact_payloads)
+    def test_exact_json_types(self, payload):
+        assert dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @example({10: 1, 9: 2})
+    @example({"rows": [{"level": _Level.HIGH}, {"level": 2}], "pair": (1, [2.5])})
+    @given(_any_payloads)
+    def test_any_json_types(self, payload):
+        assert dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)

@@ -400,6 +400,15 @@ class TestModelJson:
         save_model(m, path)
         assert load_model(path) == m
 
+    @pytest.mark.parametrize("form", ["affine", "log", "table"])
+    def test_file_is_indent2_json(self, form, tmp_path):
+        mset = fixture_set("T4")
+        m = table_model(mset) if form == "table" else fit(mset, form)[0]
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        expected = json.dumps(model_to_json(m), sort_keys=True, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

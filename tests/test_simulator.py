@@ -30,12 +30,14 @@ from streamring.simulator import (
     run_scenario,
     save_scenario,
     scenario_digest,
+    scenario_to_json,
     sweep_cost,
     validate_scenario,
 )
 from tests.test_latency import fixture_set
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 A100_SPEC = {"fixture": "A100", "form": "affine"}
 
@@ -374,6 +376,19 @@ class TestScenarioFiles:
         again = load_scenario(path)
         assert again == scenario
         assert scenario_digest(again) == scenario_digest(scenario)
+
+    @pytest.mark.parametrize(
+        "source",
+        [*sorted(SCENARIO_DIR.glob("*.json")),
+         *sorted(GOLDEN_DIR.glob("*.scenario.json"))],
+        ids=lambda path: path.name,
+    )
+    def test_file_is_indent2_json(self, source, tmp_path):
+        scenario = load_scenario(source)
+        path = tmp_path / "s.json"
+        save_scenario(scenario, path)
+        expected = json.dumps(scenario_to_json(scenario), sort_keys=True, indent=2)
+        assert path.read_bytes() == (expected + "\n").encode("utf-8")
 
     def test_digest_tracks_content(self):
         a = two_party()
