@@ -18,6 +18,9 @@ the moment the session closes.
 The report is written in one pass: a closing session adds its startup, its
 listeners' stalls and its segment samples to the report, and each pass adds a
 state point; after the loop come only two sorts and the aggregate integrals.
+The sessions of one turn open and close together, so they share one
+schedule: each distinct (open time, warmth) among the sessions closing at
+one instant is scheduled once.
 
 Same-timestamp events apply in a fixed order — leaves, joins, language
 changes, speaker changes, each by participant id — which makes reports
@@ -457,7 +460,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     # sum() compensates from 3.12 on, which would change the last bits
     total_stall = 0.0
     # (time, 0, language, stall) per segment boundary; the state points join
-    # as (time, 1, "", point) after the loop
+    # as (time, 1, "", sample columns) after the loop
     entries: list[tuple[float, int, str, object]] = []
     states: list[tuple[float, int, int, int]] = []  # (time, k, n, failures)
     failures = 0
@@ -468,8 +471,28 @@ def run_scenario(scenario: Scenario) -> RunReport:
         else replace(model, cold_start_extra=0.0)
     )
 
+    def session_schedule(
+        started_at: float, duration: float, cold: bool
+    ) -> tuple[float, float, list[tuple[float, float]]]:
+        """(startup_delay, stall_total, [(boundary time, stall)]) of one
+        session; its jobs and timings are freed on return."""
+        jobs, play = schedule_stream(
+            StreamSpec(duration), model if cold else warm_model, segment_duration
+        )
+        return play.startup_delay, play.stall_total, [
+            (started_at + job.available_at, timing.stall)
+            for job, timing in zip(jobs, play.per_segment)
+        ]
+
+    # The sessions of one turn open and close together and differ only in
+    # language, so each distinct (started_at, cold) among the sessions
+    # closing at ``closing_at`` is scheduled once.  Time only moves forward,
+    # so the cache is dropped when the close time moves on.
+    schedules: dict[tuple[float, bool], tuple[float, float, list]] = {}
+    closing_at: Optional[float] = None
+
     def close_session(language: LanguageTag, when: float) -> None:
-        nonlocal total_stall
+        nonlocal total_stall, closing_at
         opened = open_sessions.pop(language, None)
         if opened is None:
             return
@@ -477,26 +500,30 @@ def run_scenario(scenario: Scenario) -> RunReport:
         duration = when - started_at
         if duration <= 1e-9:
             return
-        jobs, play = schedule_stream(
-            StreamSpec(duration), model if cold else warm_model, segment_duration
-        )
+        if closing_at != when:
+            closing_at = when
+            schedules.clear()
+        schedule = schedules.get(opened)
+        if schedule is None:
+            schedule = schedules[opened] = session_schedule(
+                started_at, duration, cold
+            )
+        startup_delay, stall_total, boundaries = schedule
+        code = language.code
         series.turn_startups.append(
             TurnStartup(
                 time=started_at,
-                language=language.code,
-                startup_delay=play.startup_delay,
+                language=code,
+                startup_delay=startup_delay,
                 cold=cold,
             )
         )
-        total_stall += play.stall_total
+        total_stall += stall_total
         stalls = series.listener_stalls
-        for pid in sorted(meeting.participants.ids_of(language)):
+        for pid in meeting.participants.ids_of(language):
             if pid != meeting.active_speaker:
-                stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
-        entries.extend(
-            (started_at + job.available_at, 0, language.code, timing.stall)
-            for job, timing in zip(jobs, play.per_segment)
-        )
+                stalls[pid] = stalls.get(pid, 0.0) + stall_total
+        entries.extend((t, 0, code, stall) for t, stall in boundaries)
 
     def record_state(when: float) -> None:
         # a later pass at the same time supersedes the earlier state
@@ -550,32 +577,30 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     for language in sorted(open_sessions):
         close_session(language, scenario.run_duration)
+    schedules.clear()  # no close follows; free them before the samples
     record_state(scenario.run_duration)
 
     series.turn_startups.sort(key=lambda s: (s.time, s.language))
 
     # at equal times a boundary belongs to the interval that is ending, so it
-    # sorts before the state change
-    entries.extend((point[0], 1, "", point) for point in states)
+    # sorts before the state change; each state point carries its sample
+    # columns (k, token_cost, naive_cost, alloc_failures), computed once
+    points = [
+        (when, 1, "", (
+            k, cost.unit_cost * k, cost_naive(n, cost) if n >= 2 else 0.0, fails
+        ))
+        for when, k, n, fails in states
+    ]
+    entries.extend(points)
     entries.sort(key=lambda item: (item[0], item[1], item[2]))
-    current = states[0]
+    columns = points[0][3]
     stalls_cum = 0.0
     for when, priority, _, payload in entries:
         if priority == 1:
-            current = payload  # type: ignore[assignment]
+            columns = payload  # type: ignore[assignment]
         else:
             stalls_cum += payload  # type: ignore[operator]
-        _, k, n, failures_cum = current
-        series.samples.append(
-            MetricsSample(
-                time_s=when,
-                k=k,
-                token_cost=cost.unit_cost * k,
-                naive_cost=cost_naive(n, cost) if n >= 2 else 0.0,
-                alloc_failures=failures_cum,
-                stalls_cum=stalls_cum,
-            )
-        )
+        series.samples.append(MetricsSample(when, *columns, stalls_cum))
 
     max_k = states[-1][1]
     token_integral = 0.0

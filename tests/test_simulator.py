@@ -10,21 +10,35 @@ E[k] = (pool-1) * (1 - ((pool-1)/pool)^(N-1)).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from streamring import simulator
 from streamring.cli import _render_csv
-from streamring.core import CostModel, LanguageTag, ValidationError
-from streamring.latency import fit
+from streamring.core import (
+    CostModel,
+    LanguageTag,
+    Meeting,
+    Participant,
+    ValidationError,
+    cost_naive,
+)
+from streamring.latency import fit, model_from_json
+from streamring.orchestrator import EventKind, update_orchestration
+from streamring.segproc import StreamSpec, check_viability, schedule_stream
 from streamring.simulator import (
     METRICS_CSV_HEADER,
+    MetricsSample,
+    MetricsSeries,
+    RunReport,
     Scenario,
     ScenarioError,
     ScenarioEvent,
     ScenarioEventKind,
+    TurnStartup,
     load_scenario,
     report_to_json,
     run_scenario,
@@ -457,6 +471,103 @@ class TestSweep:
             sweep_cost([2], 4, "round-robin")
 
 
+class TestSharedSchedules:
+    """Sessions that open and close at the same times with the same warmth
+    share one ``schedule_stream`` result; each still gets its own startup,
+    listener charges and segment boundaries."""
+
+    MODEL = {"form": "affine", "params": {"a": 0.8, "b": 0.5},
+             "cold_start_extra": 1.25}
+
+    def scenario(self) -> Scenario:
+        return Scenario(
+            participants=[
+                ("A", "en"), ("B", "en"), ("C", "de"), ("D", "fr"), ("G", "es"),
+            ],
+            pool_capacity=8,
+            model_spec=dict(self.MODEL),
+            segment_duration=1.0,  # tau = 1.3: every session stalls
+            run_duration=30.0,
+            events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                # es closes alone, before the sessions it opened with
+                ScenarioEvent(time=5.0, kind="leave", participant="G"),
+                # same-language hand-off: de and fr close together, reopen warm
+                ScenarioEvent(time=10.0, kind="speaker-change", participant="B"),
+                # mid-turn joins open it and es, cold, each at its own time
+                ScenarioEvent(time=14.0, kind="join", participant="E", language="it"),
+                ScenarioEvent(time=17.0, kind="join", participant="F", language="es"),
+                # hand-off to de: the warm pair, it and es close together
+                ScenarioEvent(time=20.0, kind="speaker-change", participant="C"),
+            ],
+        )
+
+    # (opened, closed, language, cold, charged listeners) of every session,
+    # in the order they close; the last four close at the end of the run
+    SESSIONS = [
+        (0.0, 5.0, "es", True, []),  # G has left when es closes
+        (0.0, 10.0, "de", True, ["C"]),
+        (0.0, 10.0, "fr", True, ["D"]),
+        (10.0, 20.0, "de", False, []),  # C holds the floor when it closes
+        (17.0, 20.0, "es", True, ["F"]),
+        (10.0, 20.0, "fr", False, ["D"]),
+        (14.0, 20.0, "it", True, ["E"]),
+        (20.0, 30.0, "en", True, ["A", "B"]),
+        (20.0, 30.0, "es", True, ["F"]),
+        (20.0, 30.0, "fr", True, ["D"]),
+        (20.0, 30.0, "it", True, ["E"]),
+    ]
+
+    def direct(self, opened: float, closed: float, cold: bool):
+        model = model_from_json(self.MODEL)
+        if not cold:
+            model = replace(model, cold_start_extra=0.0)
+        return schedule_stream(StreamSpec(closed - opened), model, 1.0)
+
+    def test_one_schedule_per_distinct_session(self, monkeypatch):
+        calls = []
+        original = simulator.schedule_stream
+
+        def counted(stream, model, segment_duration):
+            calls.append((stream.total_duration, model.cold_start_extra))
+            return original(stream, model, segment_duration)
+
+        monkeypatch.setattr(simulator, "schedule_stream", counted)
+        report = run_scenario(self.scenario())
+        distinct = {(o, c, cold) for o, c, _, cold, _ in self.SESSIONS}
+        assert len(report.series.turn_startups) == len(self.SESSIONS) == 11
+        assert len(calls) == len(distinct) == 6
+
+    def test_every_session_matches_its_own_schedule(self):
+        report = run_scenario(self.scenario())
+        startups, stalls, boundaries = [], {}, []
+        for opened, closed, language, cold, listeners in self.SESSIONS:
+            jobs, play = self.direct(opened, closed, cold)
+            assert play.stall_total > 0.0
+            startups.append(
+                TurnStartup(opened, language, play.startup_delay, cold)
+            )
+            for pid in listeners:
+                stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
+            boundaries += [
+                (opened + job.available_at, 0, language, timing.stall)
+                for job, timing in zip(jobs, play.per_segment)
+            ]
+        startups.sort(key=lambda s: (s.time, s.language))
+        assert report.series.turn_startups == startups
+        assert report.series.listener_stalls == stalls
+
+        # every boundary's stall, in report order, is the next sample's step
+        times = (0.0, 5.0, 10.0, 14.0, 17.0, 20.0, 30.0)
+        states = [(t, 1, "", 0.0) for t in times]
+        rows = sorted(boundaries + states, key=lambda row: row[:3])
+        stalls_cum, expected = 0.0, []
+        for when, _, _, stall in rows:
+            stalls_cum += stall
+            expected.append((when, stalls_cum))
+        assert [(s.time_s, s.stalls_cum) for s in report.series.samples] == expected
+
+
 def replayed_violations(scenario: Scenario) -> list[str]:
     """The roster and event checks of ``validate_scenario`` as an independent
     replay over language strings, one branch per event kind."""
@@ -508,6 +619,186 @@ def replayed_violations(scenario: Scenario) -> list[str]:
         elif event.participant not in roster:
             violations.append(f"{where}: participant not present")
     return violations
+
+
+def per_session_report(scenario: Scenario) -> dict:
+    """``report_to_json(run_scenario(scenario))`` computed the way the
+    simulator did before sessions shared schedules: every session calls
+    ``schedule_stream`` itself, its listeners are charged in sorted order,
+    and every sample row computes its own cost columns."""
+    _, model = simulator._check_scenario(scenario)
+    segment, warnings = simulator.resolve_segment_duration(
+        model, scenario.segment_duration
+    )
+    viability = check_viability(model, segment)
+    if not viability.viable:
+        warnings.append(
+            f"segment duration {segment:g} s is not real-time viable "
+            f"(tau={viability.tau:.3f}); playback will lag behind the stream"
+        )
+    cost = CostModel(unit_cost=scenario.unit_cost)
+    meeting = Meeting.create(
+        [Participant(pid, LanguageTag(lang)) for pid, lang in scenario.participants],
+        pool_capacity=scenario.pool_capacity,
+    )
+    warm = replace(model, cold_start_extra=0.0)
+    series = MetricsSeries()
+    sessions: dict = {}
+    entries: list = []
+    states: list = []
+    totals = {"stall": 0.0, "failures": 0}
+
+    def close(language, when):
+        started_at, cold = sessions.pop(language, (when, False))
+        if when - started_at <= 1e-9:
+            return
+        jobs, play = schedule_stream(
+            StreamSpec(when - started_at), model if cold else warm, segment
+        )
+        series.turn_startups.append(
+            TurnStartup(started_at, language.code, play.startup_delay, cold)
+        )
+        totals["stall"] += play.stall_total
+        for pid in sorted(meeting.participants.ids_of(language)):
+            if pid != meeting.active_speaker:
+                stalls = series.listener_stalls
+                stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
+        entries.extend(
+            (started_at + job.available_at, 0, language.code, timing.stall)
+            for job, timing in zip(jobs, play.per_segment)
+        )
+
+    def record(when):
+        point = (when, len(meeting.pipelines), meeting.size, totals["failures"])
+        if states and states[-1][0] == when:
+            states[-1] = point
+        else:
+            states.append(point)
+
+    def orchestrate(when, speaker, turnover):
+        _, events = update_orchestration(
+            meeting, speaker, time=when,
+            translate_same_language=scenario.translate_same_language,
+        )
+        for event in events:
+            if event.kind is EventKind.PIPELINE_DECOMMISSIONED:
+                close(event.language, when)
+            elif event.kind is EventKind.PIPELINE_ALLOCATED or (
+                event.kind is EventKind.PIPELINE_REUSED
+                and (event.reinitialized or turnover)
+            ):
+                close(event.language, when)
+                sessions[event.language] = (
+                    when,
+                    event.kind is EventKind.PIPELINE_ALLOCATED
+                    or event.reinitialized,
+                )
+            elif event.kind is EventKind.ALLOCATION_FAILED:
+                totals["failures"] += 1
+                warnings.append(
+                    f"allocation failed for language {event.language} at "
+                    f"t={when:g} s (pool capacity {meeting.pool_capacity})"
+                )
+        record(when)
+
+    record(0.0)
+    for event in simulator._ordered_events(scenario):
+        if event.kind is ScenarioEventKind.SPEAKER_CHANGE:
+            if event.participant != meeting.active_speaker:
+                orchestrate(event.time, event.participant, True)
+            continue
+        simulator._apply(meeting.participants, event)
+        speaker = meeting.active_speaker
+        orchestrate(
+            event.time, speaker if speaker in meeting.participants else None, False
+        )
+    for language in sorted(sessions):
+        close(language, scenario.run_duration)
+    record(scenario.run_duration)
+    series.turn_startups.sort(key=lambda s: (s.time, s.language))
+
+    entries.extend((point[0], 1, "", point) for point in states)
+    entries.sort(key=lambda item: item[:3])
+    current, stalls_cum = states[0], 0.0
+    for when, priority, _, payload in entries:
+        if priority == 1:
+            current = payload
+        else:
+            stalls_cum += payload
+        _, k, n, failures = current
+        series.samples.append(MetricsSample(
+            time_s=when,
+            k=k,
+            token_cost=cost.unit_cost * k,
+            naive_cost=cost_naive(n, cost) if n >= 2 else 0.0,
+            alloc_failures=failures,
+            stalls_cum=stalls_cum,
+        ))
+
+    max_k = states[-1][1]
+    token = naive = k_time = 0.0
+    for (when, k, n, _), nxt in zip(states, states[1:]):
+        max_k = max(max_k, k)
+        dt = nxt[0] - when
+        k_time += k * dt
+        token += cost.unit_cost * k * dt
+        if n >= 2:
+            naive += cost_naive(n, cost) * dt
+    return report_to_json(RunReport(
+        scenario_digest=scenario_digest(scenario),
+        resolved_segment_duration=segment,
+        series=series,
+        max_k=max_k,
+        mean_k=k_time / scenario.run_duration,
+        total_stall_seconds=totals["stall"],
+        cost_ratio=token / naive if naive > 0 else 0.0,
+        warnings=tuple(warnings),
+    ))
+
+
+@st.composite
+def meetings(draw) -> Scenario:
+    """Small meetings whose events mix hand-offs, some to a speaker of the
+    same language, with joins, leaves and language changes, several at one
+    instant; T = 1 s runs at tau = 1.3 and T = 3 s at tau ~ 0.77."""
+    languages = ["en", "de", "fr", "it"]
+    roster = {
+        f"p{i}": lang
+        for i, lang in enumerate(
+            draw(st.lists(st.sampled_from(languages), min_size=2, max_size=5))
+        )
+    }
+    participants = list(roster.items())
+    events, time = [], 0.0
+    for step in range(draw(st.integers(min_value=1, max_value=9))):
+        time += draw(st.sampled_from([0.0, 1.5, 4.0, 7.0]))
+        kind = draw(st.sampled_from(
+            ["speaker-change"] * 3 + ["join", "leave", "language-change"]
+        ))
+        if kind == "join":
+            pid, language = f"q{step}", draw(st.sampled_from(languages))
+            roster[pid] = language
+        elif not roster:
+            continue
+        else:
+            pid = draw(st.sampled_from(sorted(roster)))
+            language = None
+            if kind == "leave":
+                del roster[pid]
+            elif kind == "language-change":
+                language = roster[pid] = draw(st.sampled_from(languages))
+        events.append(ScenarioEvent(time, kind, pid, language))
+    model = {"form": "affine", "params": {"a": 0.8, "b": 0.5},
+             "cold_start_extra": draw(st.sampled_from([0.0, 1.25]))}
+    return Scenario(
+        participants=participants,
+        pool_capacity=draw(st.integers(min_value=0, max_value=4)),
+        model_spec=model,
+        segment_duration=draw(st.sampled_from([1.0, 3.0])),
+        run_duration=max(time, 1.0) + draw(st.sampled_from([0.0, 2.5, 9.0])),
+        events=events,
+        translate_same_language=draw(st.booleans()),
+    )
 
 
 IDS = st.sampled_from(["A", "B", "C", "D"])
@@ -578,3 +869,12 @@ class TestProperties:
             if sample.k >= 1:
                 assert sample.naive_cost >= n * sample.token_cost
         assert report.cost_ratio <= 1.0
+
+    @given(scenario=meetings())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_schedules_match_per_session_scheduling(self, scenario):
+        assume(not validate_scenario(scenario))
+        # json text, so that 0.0 and -0.0 or a reordered key would differ too
+        assert json.dumps(report_to_json(run_scenario(scenario))) == json.dumps(
+            per_session_report(scenario)
+        )
