@@ -363,13 +363,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     stream = StreamSpec(total_duration=args.stream_seconds, mode=args.mode)
-    if args.workdir is not None:
-        result = run_external(args.cmd, stream, args.segment, args.workdir,
-                              label=args.label)
-    else:
-        with tempfile.TemporaryDirectory(prefix="streamring-bench-") as tmp:
-            result = run_external(args.cmd, stream, args.segment, tmp,
-                                  label=args.label)
+    workdir = (contextlib.nullcontext(args.workdir) if args.workdir is not None
+               else tempfile.TemporaryDirectory(prefix="streamring-bench-"))
+    with workdir as path:
+        result = run_external(args.cmd, stream, args.segment, path,
+                              label=args.label, timeout=args.segment_timeout)
 
     mset = result.measurements
     payload: dict = {
@@ -509,6 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="live paces chunk availability on the wall clock")
     p.add_argument("--workdir", type=Path, default=None,
                    help="keep chunk files here instead of a temp dir")
+    p.add_argument("--segment-timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="kill a segment's command after this long and stop "
+                        "(default: no limit)")
     p.set_defaults(handler=cmd_bench)
 
     return parser

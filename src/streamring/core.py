@@ -13,7 +13,7 @@ import json
 import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Optional
 
 
@@ -48,6 +48,12 @@ def read_json(path) -> object:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+#: Rows of a table encoded together.  A block's per-value strings (a few
+#: hundred bytes a row) are freed before the next block is encoded, so a
+#: long table is rendered in about twice the memory of its text.
+_BLOCK_ROWS = 4096
+
+
 class _Unfit(Exception):
     """The payload holds a key or value that only ``json.dumps`` renders."""
 
@@ -60,11 +66,12 @@ def dumps_json(payload: object) -> str:
     encodes each container of scalars in one C call whose item separator is
     the newline and indent, then pads the brackets.  The C encoder escapes
     ``\\n`` inside strings, so a literal newline can only be a separator.  A
-    list of non-empty dicts of scalars, such as a report's ``samples``, is
-    one C call at the fields' depth; its row boundaries ``},<newline><field
-    indent>{`` occur nowhere else, and one ``str.replace`` re-indents them.
-    A key that is not a ``str``, or a value that is not exactly a JSON type
-    (a tuple, an ``int`` subclass), sends the whole payload to ``json.dumps``.
+    table (a list of dicts that share one non-empty set of ``str`` keys and
+    hold only scalars, such as a report's ``samples``) is encoded one column
+    per C call, in blocks of ``_BLOCK_ROWS`` rows, and each row is one ``%``
+    fill of a template that holds the keys and the indents.  A key that is
+    not a ``str``, or a value that is not exactly a JSON type (a tuple, an
+    ``int`` subclass), sends the whole payload to ``json.dumps``.
     """
     try:
         return _indented(payload, "\n")
@@ -104,15 +111,41 @@ def _indented(value: object, nl: str) -> str:
     items = _types(value)
     if items <= _SCALARS:
         return "[" + inner + _flat(value, inner)[1:-1] + nl + "]"
-    field = inner + "  "
-    if (items == {dict} and all(value)
-            and _types(chain.from_iterable(value)) == {str}
-            and _types(chain.from_iterable(map(dict.values, value))) <= _SCALARS):
-        rows = _flat(value, field)[2:-2].replace(
-            "}," + field + "{", inner + "}," + inner + "{" + field)
-        return "[" + inner + "{" + field + rows + inner + "}" + nl + "]"
+    blocks = _table(value, inner) if items == {dict} else None
+    if blocks is not None:  # bracketing the end blocks saves a copy of the text
+        blocks[0] = "[" + inner + blocks[0]
+        blocks[-1] += nl + "]"
+        return ("," + inner).join(blocks)
     return "[" + inner + ("," + inner).join(
         _indented(v, inner) for v in value) + nl + "]"
+
+
+def _table(rows: list, nl: str) -> Optional[list[str]]:
+    """The dicts ``rows`` at the depth whose newline and indent are ``nl``,
+    as the texts of consecutive blocks of rows, or None unless they share
+    the first row's non-empty set of ``str`` keys and hold only scalars."""
+    keys = rows[0].keys()
+    if _types(keys) != {str} or set(map(len, rows)) != {len(keys)}:
+        return None
+    names = sorted(keys)
+    field = nl + "  "
+    template = "{" + field + ("," + field).join(
+        _flat(name, field).replace("%", "%%") + ": %s" for name in names
+    ) + nl + "}"
+    blocks = []
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        texts = []
+        for name in names:
+            try:  # rows of one size that hold every key share the key set
+                column = list(map(itemgetter(name), block))
+            except KeyError:
+                return None
+            if not _types(column) <= _SCALARS:
+                return None
+            texts.append(_flat(column, "\n")[1:-1].split(",\n"))
+        blocks.append(("," + nl).join(map(template.__mod__, zip(*texts))))
+    return blocks
 
 
 def _number(value: object, name: str, expected: str = "a number") -> float:

@@ -24,6 +24,7 @@ real measured latencies in the measurement-CSV schema of the latency module.
 from __future__ import annotations
 
 import logging
+import math
 import shlex
 import subprocess
 import time
@@ -295,6 +296,7 @@ def run_external(
     segment_duration: float,
     workdir: "Path | str",
     label: str = "external",
+    timeout: Optional[float] = None,
 ) -> ExternalRunResult:
     """Benchmark a real per-segment command against the chunked schedule.
 
@@ -302,11 +304,16 @@ def run_external(
     just before its run; the template's ``{input}``/``{output}`` tokens are
     substituted per segment and the command runs once per chunk, serialized
     FIFO.  In live mode the runner sleeps until each chunk would have
-    finished arriving.  A non-zero exit, or a command that cannot start,
-    aborts the run at that segment, keeping the rows measured so far.
+    finished arriving.  A non-zero exit, a command that cannot start, or
+    one still running after ``timeout`` seconds (killed then) aborts the
+    run at that segment, keeping the rows measured so far.
     """
     if not command_template.strip():
         raise ValidationError("command template must be non-empty")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValidationError(
+            f"segment timeout must be a positive number of seconds, got {timeout}"
+        )
     segments = _segments(stream.total_duration, segment_duration)
     live = stream.mode is StreamMode.LIVE
     workdir = Path(workdir)
@@ -331,9 +338,12 @@ def run_external(
         ]
         started = time.monotonic() - origin
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            proc = subprocess.run(argv, capture_output=True, text=True,
+                                  timeout=timeout)
         except OSError as exc:  # the command could not start
             error: Optional[str] = str(exc)
+        except subprocess.TimeoutExpired:
+            error = f"timed out after {timeout:g} s"
         else:
             error = None
             if proc.returncode != 0:

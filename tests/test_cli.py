@@ -13,6 +13,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -661,6 +662,30 @@ class TestBench:
         assert code == EXIT_RUNTIME
         assert (work / "seg_00002").exists()
         assert not (work / "seg_00003").exists()
+
+    def test_segment_timeout_is_a_failed_segment(self, capsys):
+        # Segment 1's command sleeps 5 s, well past the 0.2 s limit.
+        cmd = ("python3 -c 'import sys, time; "
+               "time.sleep(5 if sys.argv[1].endswith(\"1\") else 0)' {input}")
+        started = time.monotonic()
+        code = run_cli(
+            ["bench", "--cmd", cmd, "--stream-seconds", "3", "--segment", "1",
+             "--segment-timeout", "0.2", "--format", "csv"]
+        )
+        assert time.monotonic() - started < 2.5
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert len(parse_csv(captured.out)) == 2  # header + segment 0
+        assert "segment 1 command failed: timed out after 0.2 s" in captured.err
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan", "inf"])
+    def test_segment_timeout_must_be_positive_and_finite(self, limit, capsys):
+        code = run_cli(
+            ["bench", "--cmd", "cp {input} {output}", "--stream-seconds", "1",
+             "--segment", "1", f"--segment-timeout={limit}"]
+        )
+        assert code == EXIT_VALIDATION
+        assert "segment timeout" in capsys.readouterr().err
 
     def test_stdout_is_a_summary_by_default(self, capsys):
         code = run_cli(

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamring.core import (
+    _BLOCK_ROWS,
     CostModel,
     DegenerateMeetingWarning,
     LanguageTag,
@@ -163,22 +164,37 @@ class _Seconds(float):
     pass
 
 
-#: Strings that look like the writer's own structure, or need escaping.
-_AWKWARD = ["", "},\n  {", "},\n      {", 'say "hi"', "back\\slash",
-            "line\nbreak", "na\u00efve \u2603 \U0001f600"]
+#: Strings that look like the writer's own structure or templates, or need
+#: escaping.
+_AWKWARD = ["", "},\n  {", "},\n      {", ",\n", "%", "%s", 'say "hi"',
+            "back\\slash", "line\nbreak", "na\u00efve \u2603 \U0001f600"]
 _keys = st.text(max_size=6) | st.sampled_from(_AWKWARD)
 _scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
             | st.text(max_size=8) | st.sampled_from(_AWKWARD))
 #: Lists of flat dicts, empty or not, with differing key sets.
 _rows = st.lists(st.dictionaries(_keys, _scalars, max_size=4), max_size=4)
+
+
+@st.composite
+def _tables(draw, cells=_scalars):
+    """Tables: up to 40 dicts on one key set (a single key included), each
+    column mixing value types, and cells that often share one object."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
+    shared = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=4)))
+    row = st.fixed_dictionaries({key: shared | cells for key in keys})
+    return draw(st.lists(row, min_size=1, max_size=40))
+
+
 _exact_payloads = st.recursive(
-    _scalars | _rows,
+    _scalars | _rows | _tables(),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(_keys, inner, max_size=4)),
     max_leaves=20,
 )
+_not_json = st.sampled_from([_Level.LOW, _Level.HIGH, _Seconds(0.5)])
 _any_payloads = st.recursive(
-    _scalars | _rows | st.sampled_from([_Level.LOW, _Level.HIGH, _Seconds(0.5)]),
+    _scalars | _rows | _tables(_scalars | _not_json) | _not_json,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.dictionaries(_keys, inner, max_size=4)
@@ -196,9 +212,20 @@ class TestDumpsJson:
 
     @example({"samples": [{"t": 0.5, "s": "},\n      {"}, {"t": math.nan, "u": True}],
               "deep": {"a": {"b": [[], {}, [{}, {}], [-math.inf, math.inf, None]]}}})
+    @example([{"a": 1}, {"b": 2}])
+    @example([{"a": 1}, {"a": 2, "b": 3}, {"a": 4}])
+    @example({"t": [{"a": 1.5, "b": "%s"}, {"a": -0.0, "b": [{"%": math.nan}]}]})
     @given(_exact_payloads)
     def test_exact_json_types(self, payload):
         assert dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    def test_tables_of_several_blocks(self):
+        rows = [{"t": i / 7, "s": "%s" * (i % 3), "n": None}
+                for i in range(2 * _BLOCK_ROWS + 5)]
+        for table in (rows, rows + [{"t": 1, "s": [], "n": None}],
+                      rows + [{"t": 1, "x": 2, "n": None}]):
+            payload = {"samples": table}
+            assert dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
     @example({10: 1, 9: 2})
     @example({"rows": [{"level": _Level.HIGH}, {"level": 2}], "pair": (1, [2.5])})
