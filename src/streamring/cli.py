@@ -34,6 +34,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
 import tempfile
 import warnings
@@ -79,6 +80,10 @@ _SWEEP_ASSIGNMENTS = {
     "same": "all-same",
 }
 
+#: Most meeting sizes one ``sweep`` tabulates; a longer ``--n`` is a usage
+#: error, found before any size is listed.
+MAX_SWEEP_ROWS = 10_000
+
 _TAU_HEADER = ("t_seconds", "p_seconds", "tau", "real_time")
 _SWEEP_HEADER = (*SweepRow._fields, "cost_ratio")
 
@@ -102,8 +107,9 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
     return value
 
 
@@ -130,11 +136,14 @@ def _n_range_arg(text: str) -> list[int]:
             if ":" in token:
                 lo_s, hi_s = token.split(":")
                 lo, hi = int(lo_s), int(hi_s)
-                if hi < lo:
-                    raise argparse.ArgumentTypeError(f"empty range: {token!r}")
-                out.extend(range(lo, hi + 1))
             else:
-                out.append(int(token))
+                lo = hi = int(token)
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"empty range: {token!r}")
+            if len(out) + hi - lo + 1 > MAX_SWEEP_ROWS:
+                raise argparse.ArgumentTypeError(
+                    f"more than the limit of {MAX_SWEEP_ROWS} meeting sizes")
+            out.extend(range(lo, hi + 1))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size spec: {text!r}") from None
     if not out:

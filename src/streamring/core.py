@@ -10,6 +10,7 @@ the state the orchestrator transforms.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
@@ -208,14 +209,12 @@ class Participant:
 @dataclass(frozen=True)
 class Route:
     """A media route: ``source`` is SPEAKER_RAW or a pipeline id (its output);
-    ``destination`` is a participant id or a pipeline id (its input)."""
+    ``destination`` is a participant id or a pipeline id (its input).  The
+    two kinds of id are separate namespaces, so a participant may share a
+    pipeline's id and ``Route(p, p)`` can be a pipeline's output to them."""
 
     source: str
     destination: str
-
-    def __post_init__(self) -> None:
-        if self.source == self.destination:
-            raise ValidationError("route may not loop back to its own endpoint")
 
 
 class Roster(MutableMapping[str, Participant]):
@@ -277,8 +276,8 @@ class Roster(MutableMapping[str, Participant]):
 class Meeting:
     """Participants, the active speaker, the pool size, and current routing.
 
-    ``participants`` is a ``Roster``: any mapping assigned to it is copied
-    into one, so the per-language index always matches the members.
+    ``participants`` is a ``Roster``: a plain mapping passed at construction
+    is copied into one, so the per-language index always matches the members.
     ``pipelines`` (language -> pipeline id) is the only record of live
     pipelines: a pipeline is live exactly while the map names it, and pool
     occupancy is derived from the map's size.  Every live pipeline translates
@@ -300,11 +299,8 @@ class Meeting:
     def __post_init__(self) -> None:
         if self.pool_capacity < 0:
             raise ValidationError("pool capacity must be non-negative")
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name == "participants" and not isinstance(value, Roster):
-            value = Roster(value)  # type: ignore[arg-type]
-        object.__setattr__(self, name, value)
+        if not isinstance(self.participants, Roster):
+            self.participants = Roster(self.participants)
 
     @classmethod
     def create(
@@ -347,8 +343,9 @@ class CostModel:
     unit_cost: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.unit_cost > 0:
-            raise ValidationError("unit_cost must be positive")
+        if not 0 < self.unit_cost < math.inf:  # also rejects NaN
+            raise ValidationError(
+                f"unit_cost must be finite and > 0, got {self.unit_cost}")
 
 
 def cost_naive(n: int, cost: CostModel = CostModel()) -> float:

@@ -110,9 +110,6 @@ def update_orchestration(
     and all deliveries dropped.  An unknown speaker id raises before any
     state is touched.
     """
-    if new_speaker is not None and new_speaker not in meeting.participants:
-        raise UnknownParticipantError(f"unknown participant id {new_speaker!r}")
-
     events: list[OrchestrationEvent] = []
     roster = meeting.participants
     required = required_languages(

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import shlex
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -118,7 +120,6 @@ class PlaybackReport:
     stall_count: int
     stall_total: float
     per_segment: tuple[SegmentTiming, ...]
-    viability: Optional[ViabilityCheck] = None
 
 
 def check_viability(model: LatencyModel, segment_duration: float) -> ViabilityCheck:
@@ -129,12 +130,7 @@ def check_viability(model: LatencyModel, segment_duration: float) -> ViabilityCh
         raise ValidationError(
             f"segment duration must be positive, got {segment_duration}"
         )
-    return _viability(model.evaluate(segment_duration), segment_duration)
-
-
-def _viability(p: float, segment_duration: float) -> ViabilityCheck:
-    """The check from an already evaluated p(T)."""
-    tau = p / segment_duration
+    tau = model.evaluate(segment_duration) / segment_duration
     return ViabilityCheck(viable=tau < 1.0, tau=tau)
 
 
@@ -178,14 +174,14 @@ def schedule_stream(
     One worker takes the jobs FIFO, each as soon as it is available and the
     previous job has finished; the first job pays ``model.cold_start_extra``
     on top of p(duration).  A non-viable (p(T) >= T) configuration is not
-    rejected — the lag shows up in the report, and ``report.viability``
+    rejected — the lag shows up in the report, and ``check_viability``
     flags it.
 
     Every full segment costs the same p(T), so the model is evaluated once
     per distinct duration (T and at most one shorter tail), in the order the
-    segments first need it, and the viability check reuses p(T).  As
-    ``evaluate`` is a pure function of the duration, every job time is the
-    one a per-segment evaluation would give, to the bit.
+    segments first need it.  As ``evaluate`` is a pure function of the
+    duration, every job time is the one a per-segment evaluation would give,
+    to the bit.
     """
     segments = _segments(stream.total_duration, segment_duration)
     live = stream.mode is StreamMode.LIVE
@@ -207,15 +203,11 @@ def schedule_stream(
         free = start + processing
         jobs.append(SegmentJob(index, duration, available, start, free))
 
-    p_full = costs.get(segment_duration)
-    if p_full is None:  # the whole stream is one short segment
-        p_full = model.evaluate(segment_duration)
     report = _playback_report(
         jobs,
         segment_duration,
         startup_delay,
         live_full_first=live and segments[0][0] == segment_duration,
-        viability=_viability(p_full, segment_duration),
     )
     return jobs, report
 
@@ -225,7 +217,6 @@ def _playback_report(
     segment_duration: float,
     startup_delay: float,
     live_full_first: bool,
-    viability: Optional[ViabilityCheck],
 ) -> PlaybackReport:
     """Derive the playback timeline from scheduled jobs.
 
@@ -271,7 +262,6 @@ def _playback_report(
         stall_count=stall_count,
         stall_total=stall_total,
         per_segment=tuple(per_segment),
-        viability=viability,
     )
 
 
@@ -305,8 +295,9 @@ def run_external(
     substituted per segment and the command runs once per chunk, serialized
     FIFO.  In live mode the runner sleeps until each chunk would have
     finished arriving.  A non-zero exit, a command that cannot start, or
-    one still running after ``timeout`` seconds (killed then) aborts the
-    run at that segment, keeping the rows measured so far.
+    one still running after ``timeout`` seconds (killed then, with every
+    process it started) aborts the run at that segment, keeping the rows
+    measured so far.
     """
     if not command_template.strip():
         raise ValidationError("command template must be non-empty")
@@ -337,17 +328,7 @@ def run_external(
             for token in argv_template
         ]
         started = time.monotonic() - origin
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=timeout)
-        except OSError as exc:  # the command could not start
-            error: Optional[str] = str(exc)
-        except subprocess.TimeoutExpired:
-            error = f"timed out after {timeout:g} s"
-        else:
-            error = None
-            if proc.returncode != 0:
-                error = proc.stderr.strip() or f"exit status {proc.returncode}"
+        error = _run_command(argv, timeout)
         finished = time.monotonic() - origin
         if error is not None:
             logger.error("segment %d command failed: %s", index, error)
@@ -372,12 +353,33 @@ def run_external(
     )
 
 
+def _run_command(argv: list[str], timeout: Optional[float]) -> Optional[str]:
+    """Run one segment's command: None when it exits 0, else why it failed.
+    The command leads a new session, so a timeout kills its whole process
+    group, children it forked included."""
+    try:
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+    except OSError as exc:  # the command could not start
+        return str(exc)
+    with proc:
+        try:
+            _, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            # the leader is not yet reaped, so its group still exists
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return f"timed out after {timeout:g} s"
+    if proc.returncode != 0:
+        return stderr.strip() or f"exit status {proc.returncode}"
+    return None
+
+
 def _external_report(
     jobs: list[SegmentJob], segment_duration: float
 ) -> Optional[PlaybackReport]:
     if not jobs:
         return None
     startup = jobs[0].finish_at - jobs[0].available_at
-    return _playback_report(
-        jobs, segment_duration, startup, live_full_first=False, viability=None
-    )
+    return _playback_report(jobs, segment_duration, startup, live_full_first=False)

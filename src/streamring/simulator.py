@@ -344,9 +344,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
 def _check_scenario(
     scenario: Scenario,
-) -> tuple[list[str], Optional[LatencyModel]]:
-    """The violations, and the latency model resolved while checking it (None
-    when it did not resolve), so a run resolves the model only once."""
+) -> tuple[
+    list[str], Optional[LatencyModel], list[Participant], list[ScenarioEvent]
+]:
+    """The violations, plus what checking built for a run to use: the
+    latency model (None when it did not resolve), the starting members and
+    the events in application order."""
     violations: list[str] = []
     model: Optional[LatencyModel] = None
     if not 0 < scenario.run_duration < math.inf:
@@ -389,11 +392,13 @@ def _check_scenario(
         except ValidationError as exc:
             violations.append(f"participant {pid!r}: {exc}")
 
+    members = list(roster.values())
     times = [e.time for e in scenario.events]
     if times != sorted(times):
         violations.append("events are not sorted by time")
 
-    for event in _ordered_events(scenario):
+    events = _ordered_events(scenario)
+    for event in events:
         where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
         if not 0 <= event.time <= scenario.run_duration:
             violations.append(f"{where}: time outside [0, run_duration]")
@@ -401,7 +406,7 @@ def _check_scenario(
             _apply(roster, event)
         except ValidationError as exc:
             violations.append(f"{where}: {exc}")
-    return violations, model
+    return violations, model, members, events
 
 
 def _apply(roster: MutableMapping[str, Participant], event: ScenarioEvent) -> None:
@@ -430,7 +435,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the scenario deterministically and report the metrics series
     plus aggregates.  Raises ScenarioError listing all structural violations
     when the scenario is malformed."""
-    violations, model = _check_scenario(scenario)
+    violations, model, members, events = _check_scenario(scenario)
     if violations:
         raise ScenarioError(
             "invalid scenario:\n" + "\n".join(f"  - {v}" for v in violations)
@@ -446,23 +451,17 @@ def run_scenario(scenario: Scenario) -> RunReport:
         )
 
     cost = CostModel(unit_cost=scenario.unit_cost)
-    meeting = Meeting.create(
-        [
-            Participant(id=pid, language=LanguageTag(lang))
-            for pid, lang in scenario.participants
-        ],
-        pool_capacity=scenario.pool_capacity,
-    )
+    meeting = Meeting.create(members, pool_capacity=scenario.pool_capacity)
 
     series = MetricsSeries()
     open_sessions: dict[LanguageTag, tuple[float, bool]] = {}  # started_at, cold
     # a plain running total in close order, as sum() adds on 3.10 and 3.11:
     # sum() compensates from 3.12 on, which would change the last bits
     total_stall = 0.0
-    # (time, 0, language, stall) per segment boundary; the state points join
-    # as (time, 1, "", sample columns) after the loop
+    # (time, 0, language, stall) per segment boundary; the state points,
+    # (time, 1, "", sample columns), join them after the loop
     entries: list[tuple[float, int, str, object]] = []
-    states: list[tuple[float, int, int, int]] = []  # (time, k, n, failures)
+    points: list[tuple[float, int, str, tuple[int, float, float, int]]] = []
     failures = 0
 
     warm_model = (
@@ -526,12 +525,15 @@ def run_scenario(scenario: Scenario) -> RunReport:
         entries.extend((t, 0, code, stall) for t, stall in boundaries)
 
     def record_state(when: float) -> None:
-        # a later pass at the same time supersedes the earlier state
-        point = (when, len(meeting.pipelines), meeting.size, failures)
-        if states and states[-1][0] == when:
-            states[-1] = point
+        # the sample columns (k, token_cost, naive_cost, alloc_failures); a
+        # later pass at the same time supersedes the earlier state
+        k, n = len(meeting.pipelines), meeting.size
+        naive = cost_naive(n, cost) if n >= 2 else 0.0
+        point = (when, 1, "", (k, cost.unit_cost * k, naive, failures))
+        if points and points[-1][0] == when:
+            points[-1] = point
         else:
-            states.append(point)
+            points.append(point)
 
     def orchestration_pass(
         when: float, speaker: Optional[str], turnover: bool
@@ -563,7 +565,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         record_state(when)
 
     record_state(0.0)
-    for event in _ordered_events(scenario):
+    for event in events:
         if event.kind is ScenarioEventKind.SPEAKER_CHANGE:
             if event.participant == meeting.active_speaker:
                 continue  # repeated floor grant: nothing changes
@@ -583,14 +585,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     series.turn_startups.sort(key=lambda s: (s.time, s.language))
 
     # at equal times a boundary belongs to the interval that is ending, so it
-    # sorts before the state change; each state point carries its sample
-    # columns (k, token_cost, naive_cost, alloc_failures), computed once
-    points = [
-        (when, 1, "", (
-            k, cost.unit_cost * k, cost_naive(n, cost) if n >= 2 else 0.0, fails
-        ))
-        for when, k, n, fails in states
-    ]
+    # sorts before the state change
     entries.extend(points)
     entries.sort(key=lambda item: (item[0], item[1], item[2]))
     columns = points[0][3]
@@ -602,23 +597,18 @@ def run_scenario(scenario: Scenario) -> RunReport:
             stalls_cum += payload  # type: ignore[operator]
         series.samples.append(MetricsSample(when, *columns, stalls_cum))
 
-    max_k = states[-1][1]
-    token_integral = 0.0
-    naive_integral = 0.0
-    k_integral = 0.0
-    for (when, k, n, _), nxt in zip(states, states[1:]):
-        max_k = max(max_k, k)
+    k_integral = token_integral = naive_integral = 0.0
+    for (when, _, _, (k, token, naive, _)), nxt in zip(points, points[1:]):
         dt = nxt[0] - when
         k_integral += k * dt
-        token_integral += cost.unit_cost * k * dt
-        if n >= 2:
-            naive_integral += cost_naive(n, cost) * dt
+        token_integral += token * dt
+        naive_integral += naive * dt
 
     return RunReport(
         scenario_digest=scenario_digest(scenario),
         resolved_segment_duration=segment_duration,
         series=series,
-        max_k=max_k,
+        max_k=max(point[3][0] for point in points),
         mean_k=k_integral / scenario.run_duration,
         total_stall_seconds=total_stall,
         cost_ratio=token_integral / naive_integral if naive_integral > 0 else 0.0,
@@ -638,6 +628,10 @@ class SweepRow(NamedTuple):
 
 
 ASSIGNMENTS = ("uniform", "all-distinct", "all-same")
+
+#: Most language draws (the sizes' sum times the trials) one uniform sweep
+#: makes; a larger request is rejected before any draw.
+MAX_SWEEP_DRAWS = 10**7
 
 
 def sweep_cost(
@@ -665,6 +659,12 @@ def sweep_cost(
     for n in n_range:
         if n < 2:
             raise ValidationError(f"meeting sizes must be >= 2, got {n}")
+    draws = sum(n_range) * trials
+    if assignment == "uniform" and draws > MAX_SWEEP_DRAWS:
+        raise ValidationError(
+            f"a uniform sweep of {draws} language draws (sizes x trials) "
+            f"exceeds the limit of {MAX_SWEEP_DRAWS}"
+        )
 
     rng = random.Random(seed)
     rows = []

@@ -7,10 +7,13 @@ test runs the module as a subprocess to cover the entry-point wiring.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -51,6 +54,15 @@ def run_cli(argv: list[str]) -> int:
 
 def parse_csv(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def two_party_scenario(model: dict, segment_duration) -> dict:
@@ -401,6 +413,28 @@ class TestSimulate:
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
+    def test_never_viable_auto_falls_back_to_calibrated_range(
+        self, tmp_path, capsys
+    ):
+        model = {"form": "affine", "params": {"a": 0.5, "b": 1.2},
+                 "valid_range": [1.0, 6.0]}
+        path = tmp_path / "lagging.json"
+        path.write_text(json.dumps(two_party_scenario(model, "auto")))
+        code = run_cli(["simulate", "--scenario", str(path), "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["resolved_segment_duration"] == 6.0
+        assert ("model never reaches real time; falling back to the largest "
+                "calibrated duration, 6.0 s") in payload["warnings"]
+
+    def test_never_viable_auto_without_range_is_rejected(self, tmp_path, capsys):
+        model = {"form": "affine", "params": {"a": 0.5, "b": 1.2}}
+        path = tmp_path / "lagging.json"
+        path.write_text(json.dumps(two_party_scenario(model, "auto")))
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert ("cannot auto-resolve segment duration: model never reaches "
+                "real time") in capsys.readouterr().err
+
     def test_segment_count_bounded(self, tmp_path, capsys):
         model = {"form": "affine", "params": {"a": 0.2, "b": 0.5}}
         path = tmp_path / "tiny.json"
@@ -585,6 +619,33 @@ class TestSweep:
                  "--out", str(out), "--quiet"])
         assert parse_csv(out.read_text())[0][0] == "n"
 
+    @pytest.mark.parametrize("unit_cost", ["inf", "nan", "-inf"])
+    def test_unit_cost_must_be_finite(self, unit_cost, capsys):
+        code = run_cli(["sweep", "--n", "2:3", f"--unit-cost={unit_cost}",
+                        "--format", "json"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "positive finite number" in captured.err
+        assert "Infinity" not in captured.out and "NaN" not in captured.out
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--n", "2:1000000000000"], EXIT_USAGE,
+         "more than the limit of 10000 meeting sizes"),
+        (["--n", "8", "--trials", "1000000000000"], EXIT_VALIDATION,
+         "exceeds the limit of 10000000"),
+    ])
+    def test_oversized_request_fails_before_any_work(self, argv, code, message,
+                                                     capsys):
+        started = time.monotonic()
+        assert run_cli(["sweep", *argv]) == code
+        assert time.monotonic() - started < 1.0
+        assert message in capsys.readouterr().err
+
+    def test_row_limit_counts_every_token(self):
+        assert len(cli._n_range_arg("2:5001,2:5001")) == cli.MAX_SWEEP_ROWS
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._n_range_arg("2:5001,2:5001,7")
+
     def test_validation_failures(self, capsys):
         assert run_cli(["sweep", "--n", "1"]) == EXIT_VALIDATION
         assert run_cli(["sweep", "--n", "2", "--langs", "0"]) == EXIT_VALIDATION
@@ -678,6 +739,27 @@ class TestBench:
         assert len(parse_csv(captured.out)) == 2  # header + segment 0
         assert "segment 1 command failed: timed out after 0.2 s" in captured.err
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_segment_timeout_kills_forked_children(self, tmp_path, capsys):
+        work = tmp_path / "chunks"
+        cmd = "sh -c 'sleep 30 & echo $! > {output}; wait'"
+        code = run_cli(
+            ["bench", "--cmd", cmd, "--stream-seconds", "1", "--segment", "1",
+             "--segment-timeout", "0.5", "--workdir", str(work), "--quiet"]
+        )
+        assert code == EXIT_RUNTIME
+        assert "timed out after 0.5 s" in capsys.readouterr().err
+        child = int((work / "seg_00000.out").read_text())
+        deadline = time.monotonic() + 2.0
+        try:
+            while running(child) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(child)
+        finally:
+            if running(child):
+                os.kill(child, signal.SIGKILL)
+
     @pytest.mark.parametrize("limit", ["0", "-1", "nan", "inf"])
     def test_segment_timeout_must_be_positive_and_finite(self, limit, capsys):
         code = run_cli(
@@ -686,6 +768,18 @@ class TestBench:
         )
         assert code == EXIT_VALIDATION
         assert "segment timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("durations", [("nan", "1"), ("2", "nan"), ("inf", "1")])
+    def test_durations_must_be_finite(self, durations, capsys):
+        stream_seconds, segment = durations
+        code = run_cli(
+            ["bench", "--cmd", "cp {input} {output}",
+             "--stream-seconds", stream_seconds, "--segment", segment]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "positive finite number" in err
+        assert "segment limit" not in err
 
     def test_stdout_is_a_summary_by_default(self, capsys):
         code = run_cli(

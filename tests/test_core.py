@@ -13,18 +13,21 @@ from hypothesis import strategies as st
 
 from streamring.core import (
     _BLOCK_ROWS,
+    SPEAKER_RAW,
     CostModel,
     DegenerateMeetingWarning,
     LanguageTag,
     Meeting,
     MeetingSizeError,
     Participant,
+    Roster,
     Route,
     ValidationError,
     cost_naive,
     cost_token,
     dumps_json,
 )
+from streamring.orchestrator import update_orchestration, verify_invariants
 
 
 def brute_force_pair_count(n: int) -> int:
@@ -129,9 +132,16 @@ class TestPoolAndPipelines:
         with pytest.raises(ValidationError):
             Meeting.create([Participant("a", LanguageTag("en"))], pool_capacity=-1)
 
-    def test_route_may_not_loop(self):
-        with pytest.raises(ValidationError):
-            Route("p1", "p1")
+    def test_routes_total_when_a_listener_id_is_a_pipeline_id(self):
+        m = Meeting.create(
+            [Participant("A", LanguageTag("en")),
+             Participant("pl0001", LanguageTag("de"))],
+            pool_capacity=2,
+        )
+        update_orchestration(m, "A")
+        assert m.pipelines == {LanguageTag("de"): "pl0001"}
+        assert verify_invariants(m) == []
+        assert m.routes == {Route(SPEAKER_RAW, "pl0001"), Route("pl0001", "pl0001")}
 
 
 class TestMeeting:
@@ -145,6 +155,12 @@ class TestMeeting:
                 pool_capacity=2,
             )
 
+    def test_plain_mapping_becomes_a_roster(self):
+        m = Meeting(participants={"a": Participant("a", LanguageTag("en"))},
+                    pool_capacity=1)
+        assert isinstance(m.participants, Roster)
+        assert m.participants.ids_of(LanguageTag("en")) == {"a"}
+
     def test_pipeline_ids_are_sequential(self):
         m = Meeting.create([Participant("a", LanguageTag("en"))], pool_capacity=1)
         assert m.new_pipeline_id() == "pl0001"
@@ -153,6 +169,11 @@ class TestMeeting:
     def test_unit_cost_must_be_positive(self):
         with pytest.raises(ValidationError):
             CostModel(0.0)
+
+    @pytest.mark.parametrize("unit_cost", [math.inf, math.nan])
+    def test_unit_cost_must_be_finite(self, unit_cost):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            CostModel(unit_cost)
 
 
 class _Level(enum.IntEnum):

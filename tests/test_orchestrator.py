@@ -19,6 +19,7 @@ from streamring.core import (
     LanguageTag,
     Meeting,
     Participant,
+    Roster,
     Route,
     UnknownParticipantError,
 )
@@ -415,10 +416,10 @@ class TestProperties:
                 roster[pid] = data.draw(st.sampled_from(LANGUAGES))
             elif op == "speaker-language" and speaker is not None:
                 roster[speaker] = data.draw(st.sampled_from(LANGUAGES))
-            m.participants = {
+            m.participants = Roster({
                 pid: Participant(id=pid, language=LanguageTag(lang))
                 for pid, lang in roster.items()
-            }
+            })
             _, events = update_orchestration(m, speaker)
             language = roster[speaker] if speaker is not None else None
             for event in events:
@@ -491,10 +492,10 @@ class TestRosterIndex:
                         st.sampled_from(ids), st.sampled_from(CASED_LANGUAGES)
                     )
                 )
-                m.participants = {
+                m.participants = Roster({
                     pid: Participant(id=pid, language=LanguageTag(lang))
                     for pid, lang in members.items()
-                }
+                })
             grouping: dict[LanguageTag, set[str]] = {}
             for pid, p in m.participants.items():
                 grouping.setdefault(p.language, set()).add(pid)

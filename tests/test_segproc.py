@@ -22,7 +22,6 @@ from streamring.segproc import (
     SegmentJob,
     StreamMode,
     StreamSpec,
-    ViabilityCheck,
     _playback_report,
     _segments,
     check_viability,
@@ -146,7 +145,7 @@ class TestViableLiveSchedule:
         assert report.glass_latency == pytest.approx(5.29, abs=1e-9)
         assert report.stall_count == 0
         assert report.stall_total == 0.0
-        assert report.viability is not None and report.viability.viable
+        assert check_viability(model, 3.0).viable
         # on-time everywhere, to the bit: each segment is emittable at the
         # exact instant the player needs it
         for timing in report.per_segment:
@@ -167,7 +166,7 @@ class TestLaggingLiveSchedule:
         assert len(jobs) == 10
         assert report.startup_delay == p8
         assert report.startup_delay == pytest.approx(12.75, abs=0.01)
-        assert report.viability is not None and not report.viability.viable
+        assert not check_viability(model, 8.0).viable
         assert report.stall_count == 9  # every segment after the first pauses
         per_step = p8 - 8.0
         for timing in report.per_segment[1:]:
@@ -329,9 +328,8 @@ class TestProperties:
 
 def reference_schedule(stream, model, segment_duration):
     """A single-worker reference scheduler that calls ``model.evaluate`` for
-    every segment and again for the viability check.  Segmentation and the
-    playback timeline are the module's own helpers: they do not depend on
-    how often p is evaluated."""
+    every segment.  Segmentation and the playback timeline are the module's
+    own helpers: they do not depend on how often p is evaluated."""
     segments = _segments(stream.total_duration, segment_duration)
     live = stream.mode is StreamMode.LIVE
     free = 0.0
@@ -346,13 +344,11 @@ def reference_schedule(stream, model, segment_duration):
             startup_delay = processing
         free = start + processing
         jobs.append(SegmentJob(index, duration, available, start, free))
-    tau = model.evaluate(segment_duration) / segment_duration
     report = _playback_report(
         jobs,
         segment_duration,
         startup_delay,
         live_full_first=live and segments[0][0] == segment_duration,
-        viability=ViabilityCheck(viable=tau < 1.0, tau=tau),
     )
     return jobs, report
 
@@ -384,8 +380,21 @@ class TestOneEvaluationPerDuration:
         assert report.glass_latency == expected.glass_latency
         assert report.stall_count == expected.stall_count
         assert report.stall_total == expected.stall_total
-        assert report.viability == expected.viability
         assert report == expected
+
+    def test_one_short_segment_evaluates_once(self, monkeypatch):
+        model = a100_model()
+        durations: list[float] = []
+        evaluate = LatencyModel.evaluate
+
+        def counting(model, t):
+            durations.append(t)
+            return evaluate(model, t)
+
+        monkeypatch.setattr(LatencyModel, "evaluate", counting)
+        jobs, _ = schedule_stream(StreamSpec(1.5), model, 3.0)
+        assert [j.duration for j in jobs] == [1.5]
+        assert durations == [1.5]
 
     def test_table_tail_outside_range_still_warns(self):
         model = LatencyModel(form="table", points=((1.0, 0.5), (2.0, 1.0), (4.0, 2.5)))

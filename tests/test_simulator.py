@@ -358,6 +358,37 @@ class TestLaggingModel:
         assert stalls == sorted(stalls)
 
 
+class TestCheckedOnce:
+    """A run starts from what checking the scenario built."""
+
+    def test_members_and_event_order_are_built_once(self, monkeypatch):
+        built: list[str] = []
+        init = LanguageTag.__post_init__
+
+        def counting_init(tag):
+            init(tag)
+            built.append(tag.code)
+
+        sorts: list[Scenario] = []
+        order = simulator._ordered_events
+
+        def counting_order(scenario):
+            sorts.append(scenario)
+            return order(scenario)
+
+        monkeypatch.setattr(LanguageTag, "__post_init__", counting_init)
+        monkeypatch.setattr(simulator, "_ordered_events", counting_order)
+        run_scenario(two_party(
+            participants=[("A", "en"), ("B", "de"), ("C", "fr")],
+            events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=9.0, kind="speaker-change", participant="B"),
+            ],
+        ))
+        assert sorted(built) == ["de", "en", "fr"]
+        assert len(sorts) == 1
+
+
 class TestAutoSegmentDuration:
     def test_table_resolves_to_grid_point(self):
         report = run_scenario(
@@ -626,7 +657,7 @@ def per_session_report(scenario: Scenario) -> dict:
     simulator did before sessions shared schedules: every session calls
     ``schedule_stream`` itself, its listeners are charged in sorted order,
     and every sample row computes its own cost columns."""
-    _, model = simulator._check_scenario(scenario)
+    model = simulator.resolve_model(scenario.model_spec)
     segment, warnings = simulator.resolve_segment_duration(
         model, scenario.segment_duration
     )
