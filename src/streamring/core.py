@@ -218,21 +218,28 @@ class Route:
 
 
 class Roster(MutableMapping[str, Participant]):
-    """Participants by id, plus the ids of each language's members.
+    """Participants by id, plus the ids of each language's members, plus the
+    ids edited since the last ``take_edits``.
 
-    Every set and delete updates both, so the language index cannot drift
-    from the members.  Only members are indexed: a language whose last
+    Every set and delete updates all three, so the language index cannot
+    drift from the members.  Only members are indexed: a language whose last
     member leaves or changes language is dropped from the index.
     """
 
     def __init__(self, members: Optional[Mapping[str, Participant]] = None) -> None:
         self._members: dict[str, Participant] = {}
         self._index: dict[LanguageTag, set[str]] = {}
+        self._edited: set[str] = set()
         if members:
             self.update(members)
 
     def __getitem__(self, pid: str) -> Participant:
         return self._members[pid]
+
+    def get(
+        self, pid: str, default: Optional[Participant] = None
+    ) -> Optional[Participant]:
+        return self._members.get(pid, default)  # no KeyError on a miss
 
     def __contains__(self, pid: object) -> bool:
         return pid in self._members
@@ -248,10 +255,12 @@ class Roster(MutableMapping[str, Participant]):
             self._unindex(pid)
         self._members[pid] = participant
         self._index.setdefault(participant.language, set()).add(pid)
+        self._edited.add(pid)
 
     def __delitem__(self, pid: str) -> None:
         self._unindex(pid)
         del self._members[pid]
+        self._edited.add(pid)
 
     def _unindex(self, pid: str) -> None:
         language = self._members[pid].language
@@ -267,9 +276,15 @@ class Roster(MutableMapping[str, Participant]):
         """The ids of the members who speak ``language`` (do not mutate)."""
         return self._index.get(language, frozenset())
 
-    def languages(self) -> AbstractSet[LanguageTag]:
-        """The distinct languages of the members, a live view."""
-        return self._index.keys()
+    def languages(self) -> set[LanguageTag]:
+        """The distinct languages of the members, as a new set."""
+        return set(self._index)  # reuses the index's hashes
+
+    def take_edits(self) -> set[str]:
+        """The ids set or deleted since the last call (all of them, for a
+        new roster), and a fresh start."""
+        edited, self._edited = self._edited, set()
+        return edited
 
 
 @dataclass
@@ -284,7 +299,9 @@ class Meeting:
     from ``source_language``, the speaker's language at the last pass.
     ``delivery`` names each listener's pipeline and ``bypass`` the ids that
     hear the raw stream; the stream routes are derived from ``delivery``,
-    not stored.
+    not stored.  A pass updates ``delivery`` from the roster's edits, so it
+    also notes which roster it last read: assigning another one makes the
+    next pass re-resolve every id.
     """
 
     participants: Roster
@@ -295,6 +312,8 @@ class Meeting:
     bypass: set[str] = field(default_factory=set)
     source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
+    _delivered: Optional[Roster] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pool_capacity < 0:
@@ -350,10 +369,19 @@ class CostModel:
 
 def cost_naive(n: int, cost: CostModel = CostModel()) -> float:
     """Total cost of the brute-force design where each of ``n`` participants
-    processes every other participant's stream: C * n * (n - 1)."""
+    processes every other participant's stream: C * n * (n - 1).  A total
+    past the float range is a ValidationError that names ``n`` and C."""
     if n < 2:
         raise MeetingSizeError(f"meeting size must be >= 2, got {n}")
-    return cost.unit_cost * n * (n - 1)
+    try:
+        total = cost.unit_cost * n * (n - 1)
+    except OverflowError:  # an n past the float range
+        total = math.inf
+    if total == math.inf:
+        raise ValidationError(
+            f"the naive cost of a meeting of {n} at unit cost "
+            f"{cost.unit_cost:g} overflows a float")
+    return total
 
 
 def cost_token(

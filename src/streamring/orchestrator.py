@@ -14,18 +14,22 @@ raw stream via bypass unless ``translate_same_language`` forces an identity
 pipeline for them.  Decommissioning a pipeline drops its entry from
 ``Meeting.pipelines``, the one record of live pipelines.
 
-A pass reads the roster's language index rather than scanning the roster:
-the required languages cost O(L), and the meeting stores only each
-listener's pipeline (``delivery``), built per mapped language.  The stream
+A pass costs O(k + L + edits since the last pass), never a scan of the
+roster: the required languages come from the roster's language index in
+O(L), and the meeting stores only each listener's pipeline (``delivery``),
+which the pass updates in place.  The members of a language it decommissions
+or allocates are updated by language; the ids the roster edited since the
+last pass and both speakers are re-resolved one by one.  A roster assigned
+in place of another makes the next pass re-resolve every id.  The stream
 routes are derived from ``delivery`` on demand and are never stored.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .core import (
     SPEAKER_RAW,
@@ -46,6 +50,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: Languages sort by their code, the order ``LanguageTag`` compares in,
+#: without a Python-level ``__lt__`` call per comparison.
+_CODE = attrgetter("code")
+
 
 class EventKind(str, Enum):
     PIPELINE_ALLOCATED = "pipeline-allocated"
@@ -56,8 +64,7 @@ class EventKind(str, Enum):
     SPEAKER_BYPASSED = "speaker-bypassed"
 
 
-@dataclass(frozen=True)
-class OrchestrationEvent:
+class OrchestrationEvent(NamedTuple):
     """One observable effect of an orchestration pass.
 
     ``time`` is the caller's virtual timestamp (the simulator clock).
@@ -89,7 +96,7 @@ def required_languages(
     roster = meeting.participants
     if speaker not in roster:
         raise UnknownParticipantError(f"unknown participant id {speaker!r}")
-    langs = set(roster.languages())
+    langs = roster.languages()
     language = roster[speaker].language
     if not translate_same_language or len(roster.ids_of(language)) == 1:
         langs.discard(language)
@@ -115,53 +122,51 @@ def update_orchestration(
     required = required_languages(
         meeting, new_speaker, translate_same_language=translate_same_language
     )
+    # ``delivery`` changes only for the members of a language decommissioned
+    # or allocated here, updated by language, and for the roster's edits and
+    # both speakers, re-resolved one by one.
+    delivery = meeting.delivery
+    added: set[str] = set()
+    resolve = roster.take_edits()
+    if meeting._delivered is not roster:
+        resolve.update(delivery, roster)
+        meeting._delivered = roster
+    speakers = {meeting.active_speaker, new_speaker} - {None}
     meeting.active_speaker = new_speaker
-    speaker_language = roster[new_speaker].language if new_speaker else None
+    speaker_language = (
+        roster[new_speaker].language if new_speaker is not None else None
+    )
     pipelines = meeting.pipelines
 
     # Stale first: released slots must be reusable within this same pass.
-    for language in sorted(set(pipelines) - required):
-        events.append(
-            OrchestrationEvent(
-                kind=EventKind.PIPELINE_DECOMMISSIONED,
-                time=time,
-                language=language,
-                pipeline_id=pipelines.pop(language),
-            )
-        )
+    for language in sorted(set(pipelines) - required, key=_CODE):
+        events.append(OrchestrationEvent(
+            EventKind.PIPELINE_DECOMMISSIONED, time, language,
+            pipelines.pop(language)))
+        for participant_id in roster.ids_of(language):
+            delivery.pop(participant_id, None)
 
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
     unserved: list[LanguageTag] = []
-    for language in sorted(required):
-        if language in pipelines:
-            events.append(
-                OrchestrationEvent(
-                    kind=EventKind.PIPELINE_REUSED,
-                    time=time,
-                    language=language,
-                    pipeline_id=pipelines[language],
-                    reinitialized=reinitialized,
-                )
-            )
-            continue
-        if meeting.free_slots <= 0:
+    for language in sorted(required, key=_CODE):
+        pipeline_id = pipelines.get(language)
+        if pipeline_id is not None:
+            events.append(OrchestrationEvent(
+                EventKind.PIPELINE_REUSED, time, language, pipeline_id, None,
+                reinitialized))
+        elif meeting.free_slots <= 0:
             unserved.append(language)
-            events.append(
-                OrchestrationEvent(
-                    kind=EventKind.ALLOCATION_FAILED, time=time, language=language
-                )
-            )
-            continue
-        pipelines[language] = meeting.new_pipeline_id()
-        events.append(
-            OrchestrationEvent(
-                kind=EventKind.PIPELINE_ALLOCATED,
-                time=time,
-                language=language,
-                pipeline_id=pipelines[language],
-            )
-        )
+            events.append(OrchestrationEvent(
+                EventKind.ALLOCATION_FAILED, time, language))
+        else:
+            pipelines[language] = meeting.new_pipeline_id()
+            events.append(OrchestrationEvent(
+                EventKind.PIPELINE_ALLOCATED, time, language,
+                pipelines[language]))
+            listeners = roster.ids_of(language)
+            delivery.update(dict.fromkeys(listeners, pipelines[language]))
+            added.update(listeners)
 
     if unserved:
         # one record per pass, not per language: a LogRecord is built for
@@ -177,36 +182,30 @@ def update_orchestration(
         bypass.add(new_speaker)
         if not translate_same_language:
             bypass.update(roster.ids_of(speaker_language))
-        events.append(
-            OrchestrationEvent(
-                kind=EventKind.SPEAKER_BYPASSED,
-                time=time,
-                participant=new_speaker,
-                language=speaker_language,
-            )
-        )
+        events.append(OrchestrationEvent(
+            EventKind.SPEAKER_BYPASSED, time, speaker_language, None,
+            new_speaker))
     # Every mapped language is required, so every listener of one is
     # outside the bypass set; a listener whose language failed to allocate
-    # stays undelivered.
-    delivery: dict[str, str] = {}
-    for language, pipeline_id in pipelines.items():
-        delivery.update(dict.fromkeys(roster.ids_of(language), pipeline_id))
-    delivery.pop(new_speaker, None)  # an identity pipeline's own speaker
-    previous = meeting.delivery
-    for participant_id in sorted(
-        pid for pid, pipeline_id in delivery.items()
-        if previous.get(pid) != pipeline_id
-    ):
-        events.append(
-            OrchestrationEvent(
-                kind=EventKind.ROUTE_ADDED,
-                time=time,
-                language=roster[participant_id].language,
-                pipeline_id=delivery[participant_id],
-                participant=participant_id,
-            )
+    # stays undelivered, and so does an identity pipeline's own speaker.
+    resolve -= added  # they hold their language's new pipeline
+    for participant_id in resolve | speakers:
+        member = roster.get(participant_id)
+        pipeline_id = (
+            pipelines.get(member.language)
+            if member is not None and participant_id != new_speaker
+            else None
         )
-    meeting.delivery = delivery
+        if pipeline_id is None:
+            delivery.pop(participant_id, None)
+            added.discard(participant_id)
+        elif delivery.get(participant_id) != pipeline_id:
+            delivery[participant_id] = pipeline_id
+            added.add(participant_id)
+    for participant_id in sorted(added):
+        events.append(OrchestrationEvent(
+            EventKind.ROUTE_ADDED, time, roster[participant_id].language,
+            delivery[participant_id], participant_id))
     meeting.bypass = bypass
     return meeting, events
 

@@ -295,9 +295,9 @@ def run_external(
     substituted per segment and the command runs once per chunk, serialized
     FIFO.  In live mode the runner sleeps until each chunk would have
     finished arriving.  A non-zero exit, a command that cannot start, or
-    one still running after ``timeout`` seconds (killed then, with every
-    process it started) aborts the run at that segment, keeping the rows
-    measured so far.
+    one still running after ``timeout`` seconds aborts the run at that
+    segment, keeping the rows measured so far.  Every process a segment's
+    command started is killed when that segment ends.
     """
     if not command_template.strip():
         raise ValidationError("command template must be non-empty")
@@ -355,8 +355,8 @@ def run_external(
 
 def _run_command(argv: list[str], timeout: Optional[float]) -> Optional[str]:
     """Run one segment's command: None when it exits 0, else why it failed.
-    The command leads a new session, so a timeout kills its whole process
-    group, children it forked included."""
+    The command leads a new session, and its whole process group is killed
+    when the segment ends, so no child it forked outlives the segment."""
     try:
         proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.PIPE, text=True,
@@ -371,6 +371,10 @@ def _run_command(argv: list[str], timeout: Optional[float]) -> Optional[str]:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             return f"timed out after {timeout:g} s"
+        try:  # the group outlives its reaped leader while a child is left
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # no child was left
+            pass
     if proc.returncode != 0:
         return stderr.strip() or f"exit status {proc.returncode}"
     return None

@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import MutableMapping, NamedTuple, Optional, Union
 
 from .core import (
@@ -398,6 +399,7 @@ def _check_scenario(
         violations.append("events are not sorted by time")
 
     events = _ordered_events(scenario)
+    largest = len(roster)
     for event in events:
         where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
         if not 0 <= event.time <= scenario.run_duration:
@@ -406,6 +408,21 @@ def _check_scenario(
             _apply(roster, event)
         except ValidationError as exc:
             violations.append(f"{where}: {exc}")
+        largest = max(largest, len(roster))
+
+    # A run samples the naive cost at each roster size and integrates it
+    # over the run; both are largest at the largest roster.
+    run, unit = scenario.run_duration, scenario.unit_cost
+    if largest >= 2 and 0 < unit < math.inf and 0 < run < math.inf:
+        try:
+            naive = cost_naive(largest, CostModel(unit))
+        except ValidationError as exc:
+            violations.append(str(exc))
+        else:
+            if naive * run == math.inf:
+                violations.append(
+                    f"the naive cost of a meeting of {largest} at unit cost "
+                    f"{unit:g} over run_duration {run:g} s overflows a float")
     return violations, model, members, events
 
 
@@ -577,7 +594,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
             speaker = None  # no speaker yet, or the active speaker just left
         orchestration_pass(event.time, speaker, turnover=False)
 
-    for language in sorted(open_sessions):
+    for language in sorted(open_sessions, key=attrgetter("code")):
         close_session(language, scenario.run_duration)
     schedules.clear()  # no close follows; free them before the samples
     record_state(scenario.run_duration)
@@ -669,6 +686,7 @@ def sweep_cost(
     rng = random.Random(seed)
     rows = []
     for n in n_range:
+        naive = cost_naive(n, cost)  # first: it names an overflowing n
         if assignment == "all-distinct":
             mean_k = float(n - 1)
         elif assignment == "all-same":
@@ -688,7 +706,7 @@ def sweep_cost(
                 n=n,
                 mean_k=mean_k,
                 token_cost=cost.unit_cost * mean_k,
-                naive_cost=cost_naive(n, cost),
+                naive_cost=naive,
             )
         )
     return rows

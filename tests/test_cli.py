@@ -307,6 +307,27 @@ class TestSimulate:
         assert payload["aggregates"]["max_k"] == 1
         assert payload["aggregates"]["cost_ratio"] == pytest.approx(1 / 90)
 
+    @pytest.mark.parametrize("unit_cost, message", [
+        (1e306, "a meeting of 30 at unit cost 1e+306"),
+        (1e305, "a meeting of 30 at unit cost 1e+305 over run_duration 30 s"),
+    ], ids=["sample", "integral"])
+    def test_cost_overflow_is_a_validation_error(self, tmp_path, unit_cost,
+                                                 message, capsys):
+        scenario = two_party_scenario({"fixture": "A100", "form": "affine"}, 3.0)
+        scenario["participants"] = [
+            {"id": f"p{i:02d}", "language": "en" if i % 2 else "de"}
+            for i in range(30)
+        ]
+        scenario["events"][0]["participant"] = "p00"
+        scenario["unit_cost"] = unit_cost
+        path = tmp_path / "costly.json"
+        path.write_text(json.dumps(scenario))
+        code = run_cli(["simulate", "--scenario", str(path), "--format", "json"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"the naive cost of {message} overflows a float" in captured.err
+        assert "Infinity" not in captured.out
+
     def test_worst_case_k_is_n_minus_1(self, capsys):
         run_cli(
             ["simulate", "--scenario", str(SCENARIO_DIR / "worst_case_6.json"),
@@ -641,6 +662,17 @@ class TestSweep:
         assert time.monotonic() - started < 1.0
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, n", [
+        ("distinct", 10**400), ("same", 10**400), ("same", 10**200),
+    ], ids=["distinct-1e400", "same-1e400", "same-1e200"])
+    def test_cost_overflow_is_a_validation_error(self, assignment, n, capsys):
+        code = run_cli(["sweep", "--n", str(n), "--assignment", assignment,
+                        "--format", "json"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"meeting of {n} at unit cost 1 overflows" in captured.err
+        assert "Infinity" not in captured.out
+
     def test_row_limit_counts_every_token(self):
         assert len(cli._n_range_arg("2:5001,2:5001")) == cli.MAX_SWEEP_ROWS
         with pytest.raises(argparse.ArgumentTypeError):
@@ -750,6 +782,24 @@ class TestBench:
         )
         assert code == EXIT_RUNTIME
         assert "timed out after 0.5 s" in capsys.readouterr().err
+        child = int((work / "seg_00000.out").read_text())
+        deadline = time.monotonic() + 2.0
+        try:
+            while running(child) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(child)
+        finally:
+            if running(child):
+                os.kill(child, signal.SIGKILL)
+
+    def test_segment_that_succeeds_kills_its_background_children(self, tmp_path):
+        work = tmp_path / "chunks"
+        cmd = "sh -c 'sleep 30 >/dev/null 2>&1 & echo $! > {output}'"
+        code = run_cli(
+            ["bench", "--cmd", cmd, "--stream-seconds", "1", "--segment", "1",
+             "--workdir", str(work), "--quiet"]
+        )
+        assert code == EXIT_OK
         child = int((work / "seg_00000.out").read_text())
         deadline = time.monotonic() + 2.0
         try:

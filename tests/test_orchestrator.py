@@ -25,6 +25,7 @@ from streamring.core import (
 )
 from streamring.orchestrator import (
     EventKind,
+    OrchestrationEvent,
     required_languages,
     update_orchestration,
     verify_invariants,
@@ -207,6 +208,15 @@ class TestUpdateOrchestration:
         reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
         assert len(reused) == 2 and not any(e.reinitialized for e in reused)
 
+    def test_outgoing_speaker_gets_the_reused_identity_pipeline(self):
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
+        update_orchestration(m, "A", translate_same_language=True)
+        en_pipe = m.pipelines[LanguageTag("en")]
+        _, events = update_orchestration(m, "C", translate_same_language=True)
+        assert m.delivery == {"A": en_pipe, "B": en_pipe}
+        added = [e for e in events if e.kind is EventKind.ROUTE_ADDED]
+        assert [(e.participant, e.pipeline_id) for e in added] == [("A", en_pipe)]
+
     def test_warm_reuse_when_source_language_unchanged(self):
         m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
         update_orchestration(m, "A")
@@ -229,6 +239,21 @@ class TestUpdateOrchestration:
         m = make_meeting({"A": "en", "B": "de"}, 4)
         _, events = update_orchestration(m, "A", time=12.5)
         assert events and all(e.time == 12.5 for e in events)
+
+    def test_events_are_immutable_with_their_fields_and_defaults(self):
+        event = OrchestrationEvent(EventKind.ROUTE_ADDED)
+        assert OrchestrationEvent._fields == (
+            "kind", "time", "language", "pipeline_id", "participant",
+            "reinitialized",
+        )
+        assert event == OrchestrationEvent(
+            kind=EventKind.ROUTE_ADDED, time=0.0, language=None,
+            pipeline_id=None, participant=None, reinitialized=False,
+        )
+        for name in OrchestrationEvent._fields:
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
+        assert event.time == 0.0 and event.kind is EventKind.ROUTE_ADDED
 
     def test_retired_pipelines_are_forgotten(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
@@ -559,3 +584,131 @@ class TestRosterIndex:
                 m, translate_same_language=translate_same_language
             ) == []
             previous = expected
+
+
+def reference_pass(
+    meeting: Meeting, new_speaker, *, time: float, translate_same_language: bool
+) -> list[OrchestrationEvent]:
+    """The O(N) pass: the required languages counted over the whole roster,
+    and every listener's delivery rebuilt, then diffed against the last."""
+    events: list[OrchestrationEvent] = []
+    roster = meeting.participants
+    required: set[LanguageTag] = set()
+    speaker_language = None
+    if new_speaker is not None:
+        speaker_language = roster[new_speaker].language
+        required = {p.language for pid, p in roster.items() if pid != new_speaker}
+        if not translate_same_language or speaker_language not in required:
+            required.discard(speaker_language)
+    meeting.active_speaker = new_speaker
+    pipelines = meeting.pipelines
+    for language in sorted(set(pipelines) - required):
+        events.append(OrchestrationEvent(
+            kind=EventKind.PIPELINE_DECOMMISSIONED, time=time,
+            language=language, pipeline_id=pipelines.pop(language)))
+    reinitialized = meeting.source_language != speaker_language
+    meeting.source_language = speaker_language
+    for language in sorted(required):
+        if language in pipelines:
+            events.append(OrchestrationEvent(
+                kind=EventKind.PIPELINE_REUSED, time=time, language=language,
+                pipeline_id=pipelines[language], reinitialized=reinitialized))
+        elif meeting.free_slots <= 0:
+            events.append(OrchestrationEvent(
+                kind=EventKind.ALLOCATION_FAILED, time=time, language=language))
+        else:
+            pipelines[language] = meeting.new_pipeline_id()
+            events.append(OrchestrationEvent(
+                kind=EventKind.PIPELINE_ALLOCATED, time=time,
+                language=language, pipeline_id=pipelines[language]))
+    bypass: set[str] = set()
+    if new_speaker is not None:
+        bypass.add(new_speaker)
+        if not translate_same_language:
+            bypass.update(
+                pid for pid, p in roster.items() if p.language == speaker_language
+            )
+        events.append(OrchestrationEvent(
+            kind=EventKind.SPEAKER_BYPASSED, time=time,
+            participant=new_speaker, language=speaker_language))
+    delivery = {
+        pid: pipelines[p.language]
+        for pid, p in roster.items()
+        if pid != new_speaker and p.language in pipelines
+    }
+    previous = meeting.delivery
+    for pid in sorted(p for p, pipe in delivery.items() if previous.get(p) != pipe):
+        events.append(OrchestrationEvent(
+            kind=EventKind.ROUTE_ADDED, time=time,
+            language=roster[pid].language, pipeline_id=delivery[pid],
+            participant=pid))
+    meeting.delivery = delivery
+    meeting.bypass = bypass
+    return events
+
+
+def state_of(m: Meeting) -> tuple:
+    return (m.active_speaker, m.delivery, m.bypass, m.pipelines,
+            m.source_language, m.pipeline_seq)
+
+
+class TestAgainstTheFullPass:
+    @given(
+        members=participants_strategy,
+        capacity=st.integers(min_value=0, max_value=4),
+        translate_same_language=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=400)
+    def test_events_and_state_match_the_full_pass(
+        self, members, capacity, translate_same_language, data
+    ):
+        # Both meetings read one roster; only the incremental pass takes its
+        # edits.
+        m = make_meeting(members, capacity)
+        reference = Meeting(participants=m.participants, pool_capacity=capacity)
+        ids = [f"p{i}" for i in range(10)]
+        speaker = None
+        for step in range(data.draw(st.integers(min_value=1, max_value=16))):
+            op = data.draw(st.sampled_from(
+                ["pass", "join", "leave", "language", "speaker-language",
+                 "replace"]
+            ))
+            roster = m.participants
+            if op == "join":
+                pid = data.draw(st.sampled_from(ids))
+                language = LanguageTag(data.draw(st.sampled_from(CASED_LANGUAGES)))
+                roster[pid] = Participant(id=pid, language=language)
+            elif op in ("language", "speaker-language", "leave") and roster:
+                pid = (speaker if op == "speaker-language" and speaker is not None
+                       else data.draw(st.sampled_from(sorted(roster))))
+                if op == "leave":
+                    del roster[pid]
+                    if pid == speaker:
+                        speaker = None
+                else:
+                    language = LanguageTag(
+                        data.draw(st.sampled_from(CASED_LANGUAGES)))
+                    roster[pid] = Participant(id=pid, language=language)
+            elif op == "replace":
+                kept = data.draw(st.dictionaries(
+                    st.sampled_from(ids), st.sampled_from(CASED_LANGUAGES)))
+                m.participants = reference.participants = Roster({
+                    pid: Participant(id=pid, language=LanguageTag(lang))
+                    for pid, lang in kept.items()
+                })
+                if speaker not in kept:
+                    speaker = None
+            # then the floor: kept, released or handed to anyone present
+            speaker = data.draw(st.sampled_from(
+                [speaker, None, *sorted(m.participants)]))
+            _, events = update_orchestration(
+                m, speaker, time=float(step),
+                translate_same_language=translate_same_language,
+            )
+            expected = reference_pass(
+                reference, speaker, time=float(step),
+                translate_same_language=translate_same_language,
+            )
+            assert events == expected
+            assert state_of(m) == state_of(reference)
