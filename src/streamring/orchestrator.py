@@ -133,9 +133,7 @@ def update_orchestration(
         meeting._delivered = roster
     speakers = {meeting.active_speaker, new_speaker} - {None}
     meeting.active_speaker = new_speaker
-    speaker_language = (
-        roster[new_speaker].language if new_speaker is not None else None
-    )
+    speaker_language = roster[new_speaker].language if new_speaker else None
     pipelines = meeting.pipelines
 
     # Stale first: released slots must be reusable within this same pass.
