@@ -14,7 +14,6 @@ from .core import (
     CostModel,
     LanguageTag,
     Meeting,
-    Participant,
     ValidationError,
     cost_naive,
     cost_token,
@@ -64,7 +63,6 @@ __all__ = [
     "LatencyModel",
     "MeasurementSet",
     "Meeting",
-    "Participant",
     "Scenario",
     "ScenarioEvent",
     "StreamSpec",

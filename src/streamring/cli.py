@@ -118,8 +118,9 @@ def _grid_arg(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid: {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("grid durations must be positive")
+    if not values or not all(0 < v < math.inf for v in values):  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            "grid durations must be positive and finite")
     if len(set(values)) != len(values):
         raise argparse.ArgumentTypeError("grid durations must be distinct")
     return values

@@ -37,6 +37,27 @@ class DegenerateMeetingWarning(UserWarning):
 SPEAKER_RAW = "speaker-raw"
 
 
+class LanguageTag(str):
+    """Case-insensitive language identifier such as "en", "de", "tr".
+
+    A tag is its code: a ``str`` stripped and lowercased on construction,
+    so two tags with the same letters in different case compare, hash and
+    sort as one string.  ``__eq__`` and ``__hash__`` are ``str``'s own C
+    slots, named here so that code patching them on the class (such as the
+    benchmark's equality counter) finds an original to restore.
+    """
+
+    __slots__ = ()
+    __eq__ = str.__eq__
+    __hash__ = str.__hash__
+
+    def __new__(cls, code: str) -> "LanguageTag":
+        normalized = code.strip().lower()
+        if not normalized:
+            raise ValidationError("language tag must be non-empty")
+        return super().__new__(cls, normalized)
+
+
 def read_json(path) -> object:
     """The JSON document in the file at ``path``, or a ValidationError."""
     with open(path, encoding="utf-8") as fh:
@@ -46,7 +67,7 @@ def read_json(path) -> object:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
+_SCALARS = frozenset({str, LanguageTag, int, float, bool, type(None)})
 
 
 #: Rows of a table encoded together.  A block's per-value strings (a few
@@ -70,9 +91,10 @@ def dumps_json(payload: object) -> str:
     table (a list of dicts that share one non-empty set of ``str`` keys and
     hold only scalars, such as a report's ``samples``) is encoded one column
     per C call, in blocks of ``_BLOCK_ROWS`` rows, and each row is one ``%``
-    fill of a template that holds the keys and the indents.  A key that is
-    not a ``str``, or a value that is not exactly a JSON type (a tuple, an
-    ``int`` subclass), sends the whole payload to ``json.dumps``.
+    fill of a template that holds the keys and the indents.  Both encoders
+    write a ``LanguageTag`` value as its string.  A key that is not a
+    ``str``, or a value that is not exactly a JSON type or a tag (a tuple,
+    an ``int`` subclass), sends the whole payload to ``json.dumps``.
     """
     try:
         return _indented(payload, "\n")
@@ -170,42 +192,6 @@ def _typed(value: object, kind: type, name: str):
     return value
 
 
-@dataclass(frozen=True, order=True)
-class LanguageTag:
-    """Case-insensitive language identifier such as "en", "de", "tr".
-
-    The code is normalized to lowercase on construction, so two tags with the
-    same letters in different case compare (and hash) equal.
-    """
-
-    code: str
-
-    def __post_init__(self) -> None:
-        normalized = self.code.strip().lower()
-        if not normalized:
-            raise ValidationError("language tag must be non-empty")
-        object.__setattr__(self, "code", normalized)
-
-    def __str__(self) -> str:
-        return self.code
-
-
-def as_language(value: "LanguageTag | str") -> LanguageTag:
-    return value if isinstance(value, LanguageTag) else LanguageTag(value)
-
-
-@dataclass(frozen=True)
-class Participant:
-    """A meeting member; ``language`` is both their spoken and target language."""
-
-    id: str
-    language: LanguageTag
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("participant id must be non-empty")
-
-
 @dataclass(frozen=True)
 class Route:
     """A media route: ``source`` is SPEAKER_RAW or a pipeline id (its output);
@@ -217,28 +203,30 @@ class Route:
     destination: str
 
 
-class Roster(MutableMapping[str, Participant]):
-    """Participants by id, plus the ids of each language's members, plus the
-    ids edited since the last ``take_edits``.
+class Roster(MutableMapping[str, LanguageTag]):
+    """Each member's language by id, plus the ids of each language's
+    members, plus the ids edited since the last ``take_edits``.
 
-    Every set and delete updates all three, so the language index cannot
-    drift from the members.  Only members are indexed: a language whose last
-    member leaves or changes language is dropped from the index.
+    Setting a member's language normalizes a plain ``str`` to a
+    ``LanguageTag`` and rejects an empty id.  Every set and delete updates
+    all three, so the language index cannot drift from the members.  Only
+    members are indexed: a language whose last member leaves or changes
+    language is dropped from the index.
     """
 
-    def __init__(self, members: Optional[Mapping[str, Participant]] = None) -> None:
-        self._members: dict[str, Participant] = {}
+    def __init__(self, members: Optional[Mapping[str, str]] = None) -> None:
+        self._members: dict[str, LanguageTag] = {}
         self._index: dict[LanguageTag, set[str]] = {}
         self._edited: set[str] = set()
         if members:
             self.update(members)
 
-    def __getitem__(self, pid: str) -> Participant:
+    def __getitem__(self, pid: str) -> LanguageTag:
         return self._members[pid]
 
     def get(
-        self, pid: str, default: Optional[Participant] = None
-    ) -> Optional[Participant]:
+        self, pid: str, default: Optional[LanguageTag] = None
+    ) -> Optional[LanguageTag]:
         return self._members.get(pid, default)  # no KeyError on a miss
 
     def __contains__(self, pid: object) -> bool:
@@ -250,11 +238,15 @@ class Roster(MutableMapping[str, Participant]):
     def __len__(self) -> int:
         return len(self._members)
 
-    def __setitem__(self, pid: str, participant: Participant) -> None:
+    def __setitem__(self, pid: str, language: str) -> None:
+        if type(language) is not LanguageTag:
+            language = LanguageTag(language)
+        if not pid:
+            raise ValidationError("participant id must be non-empty")
         if pid in self._members:
             self._unindex(pid)
-        self._members[pid] = participant
-        self._index.setdefault(participant.language, set()).add(pid)
+        self._members[pid] = language
+        self._index.setdefault(language, set()).add(pid)
         self._edited.add(pid)
 
     def __delitem__(self, pid: str) -> None:
@@ -263,7 +255,7 @@ class Roster(MutableMapping[str, Participant]):
         self._edited.add(pid)
 
     def _unindex(self, pid: str) -> None:
-        language = self._members[pid].language
+        language = self._members[pid]
         ids = self._index[language]
         ids.discard(pid)
         if not ids:
@@ -291,8 +283,9 @@ class Roster(MutableMapping[str, Participant]):
 class Meeting:
     """Participants, the active speaker, the pool size, and current routing.
 
-    ``participants`` is a ``Roster``: a plain mapping passed at construction
-    is copied into one, so the per-language index always matches the members.
+    ``participants`` is a ``Roster`` of each member's language by id: a plain
+    mapping passed at construction (``{"A": "en", "B": "de"}``) is copied
+    into one, so the per-language index always matches the members.
     ``pipelines`` (language -> pipeline id) is the only record of live
     pipelines: a pipeline is live exactly while the map names it, and pool
     occupancy is derived from the map's size.  Every live pipeline translates
@@ -320,17 +313,6 @@ class Meeting:
             raise ValidationError("pool capacity must be non-negative")
         if not isinstance(self.participants, Roster):
             self.participants = Roster(self.participants)
-
-    @classmethod
-    def create(
-        cls, participants: Iterable[Participant], pool_capacity: int
-    ) -> "Meeting":
-        members = Roster()
-        for p in participants:
-            if p.id in members:
-                raise ValidationError(f"duplicate participant id {p.id!r}")
-            members[p.id] = p
-        return cls(participants=members, pool_capacity=pool_capacity)
 
     def new_pipeline_id(self) -> str:
         self.pipeline_seq += 1
@@ -385,7 +367,7 @@ def cost_naive(n: int, cost: CostModel = CostModel()) -> float:
 
 
 def cost_token(
-    listener_languages: Iterable["LanguageTag | str"],
+    listener_languages: Iterable[str],
     cost: CostModel = CostModel(),
 ) -> tuple[int, float]:
     """Cost under shared per-language pipelines: (k, C * k) with k the number
@@ -395,7 +377,7 @@ def cost_token(
     and emits a DegenerateMeetingWarning rather than failing, so simulations
     can pass through single-participant states.
     """
-    unique = {as_language(lang) for lang in listener_languages}
+    unique = set(map(LanguageTag, listener_languages))
     k = len(unique)
     if k == 0:
         warnings.warn(

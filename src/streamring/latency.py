@@ -105,20 +105,25 @@ class LatencyModel:
                 raise ValidationError("model is identically zero")
 
     def evaluate(self, t: float) -> float:
-        """Processing time p(t) for a segment of duration ``t`` seconds."""
+        """Processing time p(t) for a segment of duration ``t`` seconds; a
+        p(t) past the float range is a ValidationError."""
         if t <= 0:
             raise ValidationError(f"segment duration must be positive, got {t}")
         if self.form == FORM_AFFINE:
-            return self.a + self.b * t
-        if self.form == FORM_LOG:
+            p = self.a + self.b * t
+        elif self.form == FORM_LOG:
             p = self.a + self.b * math.log(t)
             if p <= 0:
                 raise ValidationError(
                     f"log model is non-positive at t={t} (outside meaningful range)"
                 )
-            return p
-        self._warn_outside(t)
-        return self._interpolate(t)
+        else:
+            self._warn_outside(t)
+            p = self._interpolate(t)
+        if not math.isfinite(p):
+            raise ValidationError(
+                f"the {self.form} model's p(t) at t={t:g} s is not finite")
+        return p
 
     def tau(self, t: float) -> float:
         """Reciprocal throughput p(t)/t; < 1 means ahead of real time."""
@@ -168,7 +173,11 @@ class ThroughputPoint:
     def __post_init__(self) -> None:
         if self.t <= 0:
             raise ValidationError("duration must be positive")
-        object.__setattr__(self, "tau", self.p / self.t)
+        tau = self.p / self.t
+        if not math.isfinite(tau):
+            raise ValidationError(
+                f"tau = p/t at t={self.t:g} s is not finite (p={self.p:g} s)")
+        object.__setattr__(self, "tau", tau)
 
 
 @dataclass(frozen=True)
@@ -268,6 +277,9 @@ def fit(
     )
     residuals = tuple((t, p - model.evaluate(t)) for t, p in means)
     rmse = math.sqrt(statistics.fmean([r * r for _, r in residuals]))
+    if rmse == math.inf:  # squares of residuals past 1e154
+        raise ValidationError(f"cannot fit the {form} form: its residuals "
+                              "are too large to square")
     return model, FitDiagnostics(
         form=form, rmse=rmse, residuals=residuals, n_durations=len(means)
     )

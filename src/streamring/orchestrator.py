@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
-from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -49,11 +48,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Languages sort by their code, the order ``LanguageTag`` compares in,
-#: without a Python-level ``__lt__`` call per comparison.
-_CODE = attrgetter("code")
-
 
 class EventKind(str, Enum):
     PIPELINE_ALLOCATED = "pipeline-allocated"
@@ -97,7 +91,7 @@ def required_languages(
     if speaker not in roster:
         raise UnknownParticipantError(f"unknown participant id {speaker!r}")
     langs = roster.languages()
-    language = roster[speaker].language
+    language = roster[speaker]
     if not translate_same_language or len(roster.ids_of(language)) == 1:
         langs.discard(language)
     return langs
@@ -133,11 +127,11 @@ def update_orchestration(
         meeting._delivered = roster
     speakers = {meeting.active_speaker, new_speaker} - {None}
     meeting.active_speaker = new_speaker
-    speaker_language = roster[new_speaker].language if new_speaker else None
+    speaker_language = roster[new_speaker] if new_speaker else None
     pipelines = meeting.pipelines
 
     # Stale first: released slots must be reusable within this same pass.
-    for language in sorted(set(pipelines) - required, key=_CODE):
+    for language in sorted(set(pipelines) - required):
         events.append(OrchestrationEvent(
             EventKind.PIPELINE_DECOMMISSIONED, time, language,
             pipelines.pop(language)))
@@ -147,7 +141,7 @@ def update_orchestration(
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
     unserved: list[LanguageTag] = []
-    for language in sorted(required, key=_CODE):
+    for language in sorted(required):
         pipeline_id = pipelines.get(language)
         if pipeline_id is not None:
             events.append(OrchestrationEvent(
@@ -171,7 +165,7 @@ def update_orchestration(
         # each call even when no handler will emit it
         logger.error(
             "no free pipeline slot for languages %s (capacity %d)",
-            ", ".join(map(str, unserved)),
+            ", ".join(unserved),
             meeting.pool_capacity,
         )
 
@@ -188,10 +182,9 @@ def update_orchestration(
     # stays undelivered, and so does an identity pipeline's own speaker.
     resolve -= added  # they hold their language's new pipeline
     for participant_id in resolve | speakers:
-        member = roster.get(participant_id)
         pipeline_id = (
-            pipelines.get(member.language)
-            if member is not None and participant_id != new_speaker
+            pipelines.get(roster.get(participant_id))  # None for a non-member
+            if participant_id != new_speaker
             else None
         )
         if pipeline_id is None:
@@ -202,7 +195,7 @@ def update_orchestration(
             added.add(participant_id)
     for participant_id in sorted(added):
         events.append(OrchestrationEvent(
-            EventKind.ROUTE_ADDED, time, roster[participant_id].language,
+            EventKind.ROUTE_ADDED, time, roster[participant_id],
             delivery[participant_id], participant_id))
     meeting.bypass = bypass
     return meeting, events
@@ -211,18 +204,24 @@ def update_orchestration(
 def verify_invariants(
     meeting: Meeting, *, translate_same_language: bool = False
 ) -> list[str]:
-    """Check the three structural guarantees of an orchestrated meeting.
+    """Check the structural guarantees of an orchestrated meeting.
 
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
-    raises on bad state.  Costs O(N + k): it reads ``meeting.delivery`` and
-    the roster's language index, never the derived routes.
+    raises on bad state.  Costs O(N + k): it reads ``meeting.delivery``,
+    ``meeting.bypass`` and the roster's language index, never the derived
+    routes.
     """
     violations: list[str] = []
+    roster = meeting.participants
     delivery = meeting.delivery
+    pipelines = meeting.pipelines
     speaker = meeting.active_speaker
 
-    # 1. Speaker bypass: the speaker is never a pipeline consumer.
+    # 1. Speaker bypass: the speaker is never a pipeline consumer, and the
+    #    raw stream reaches only the speaker and, unless identity
+    #    translation is on, the members of the speaker's language.
+    hears_raw: set[str] = set()
     if speaker is not None:
         if speaker not in meeting.bypass:
             violations.append(f"active speaker {speaker!r} not in bypass set")
@@ -231,15 +230,29 @@ def verify_invariants(
                 f"active speaker {speaker!r} consumes route from "
                 f"{delivery[speaker]!r}"
             )
+        hears_raw.add(speaker)
+        if not translate_same_language:
+            hears_raw.update(roster.ids_of(roster.get(speaker)))
+    for participant_id in sorted(meeting.bypass - hears_raw):
+        violations.append(
+            f"{participant_id!r} hears the raw stream but is not the speaker"
+            + ("" if translate_same_language
+               else " or of the speaker's language")
+        )
+    for participant_id in sorted(hears_raw - meeting.bypass - {speaker}):
+        violations.append(
+            f"{participant_id!r} shares the speaker's language but is not "
+            "in the bypass set"
+        )
 
     # 2. Minimal allocation: one pipeline per required language, short only
     #    when the pool ran dry.
     required = required_languages(
         meeting, speaker, translate_same_language=translate_same_language
     )
-    mapped = set(meeting.pipelines)
+    mapped = set(pipelines)
     if not mapped <= required:
-        extra = ", ".join(sorted(str(lang) for lang in mapped - required))
+        extra = ", ".join(sorted(mapped - required))
         violations.append(f"pipelines kept for unrequired languages: {extra}")
     if len(mapped) < len(required) and meeting.free_slots > 0:
         violations.append(
@@ -251,8 +264,8 @@ def verify_invariants(
             f"{len(mapped)} live pipelines exceed pool capacity "
             f"{meeting.pool_capacity}"
         )
-    live = set(meeting.pipelines.values())
-    if len(live) != len(meeting.pipelines):
+    live = set(pipelines.values())
+    if len(live) != len(pipelines):
         violations.append("a pipeline id serves more than one language")
 
     # 3. Every pipeline a route names is live.  The routes are one
@@ -267,14 +280,27 @@ def verify_invariants(
                 f"pipeline {pipeline_id!r}, which is not live"
             )
 
+    # 4. Each delivery feeds a member the pipeline of their own language.
+    for participant_id, pipeline_id in delivery.items():
+        language = roster.get(participant_id)
+        if language is None:
+            violations.append(
+                f"pipeline {pipeline_id!r} feeds {participant_id!r}, "
+                "who is not a member"
+            )
+        elif pipelines.get(language) != pipeline_id:
+            violations.append(
+                f"listener {participant_id!r} is fed pipeline {pipeline_id!r}, "
+                f"which does not translate into their language {language}"
+            )
+
     # Routing completeness: every listener whose language has a pipeline is
     # fed by exactly one route from it.
     unfed = sorted(
         (participant_id, pipeline_id)
-        for language, pipeline_id in meeting.pipelines.items()
-        for participant_id in meeting.participants.ids_of(language)
+        for language, pipeline_id in pipelines.items()
+        for participant_id in roster.ids_of(language)
         if participant_id != speaker
-        and participant_id not in meeting.bypass
         and delivery.get(participant_id) != pipeline_id
     )
     for participant_id, pipeline_id in unfed:

@@ -175,7 +175,7 @@ def schedule_stream(
     previous job has finished; the first job pays ``model.cold_start_extra``
     on top of p(duration).  A non-viable (p(T) >= T) configuration is not
     rejected — the lag shows up in the report, and ``check_viability``
-    flags it.
+    flags it.  A finish time past the float range is a ValidationError.
 
     Every full segment costs the same p(T), so the model is evaluated once
     per distinct duration (T and at most one shorter tail), in the order the
@@ -202,6 +202,11 @@ def schedule_stream(
             startup_delay = processing
         free = start + processing
         jobs.append(SegmentJob(index, duration, available, start, free))
+    if free == math.inf:  # finish times only grow: the last is the largest
+        raise ValidationError(
+            f"a {stream.total_duration:g} s stream in {segment_duration:g} s "
+            f"segments under the {model.form} model finishes past the float "
+            "range")
 
     report = _playback_report(
         jobs,

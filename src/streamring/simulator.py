@@ -35,14 +35,13 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import attrgetter
-from typing import MutableMapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     CostModel,
     LanguageTag,
     Meeting,
-    Participant,
+    Roster,
     ValidationError,
     _number,
     _typed,
@@ -346,7 +345,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 def _check_scenario(
     scenario: Scenario,
 ) -> tuple[
-    list[str], Optional[LatencyModel], list[Participant], list[ScenarioEvent]
+    list[str], Optional[LatencyModel], dict[str, LanguageTag],
+    list[ScenarioEvent],
 ]:
     """The violations, plus what checking built for a run to use: the
     latency model (None when it did not resolve), the starting members and
@@ -383,17 +383,17 @@ def _check_scenario(
     except ValidationError as exc:
         violations.append(f"latency model: {exc}")
 
-    roster: dict[str, Participant] = {}
+    roster = Roster()
     for pid, lang in scenario.participants:
         if pid in roster:
             violations.append(f"duplicate participant id {pid!r}")
             continue
         try:
-            roster[pid] = Participant(pid, LanguageTag(lang))
+            roster[pid] = lang
         except ValidationError as exc:
             violations.append(f"participant {pid!r}: {exc}")
 
-    members = list(roster.values())
+    members = dict(roster)
     times = [e.time for e in scenario.events]
     if times != sorted(times):
         violations.append("events are not sorted by time")
@@ -426,7 +426,7 @@ def _check_scenario(
     return violations, model, members, events
 
 
-def _apply(roster: MutableMapping[str, Participant], event: ScenarioEvent) -> None:
+def _apply(roster: Roster, event: ScenarioEvent) -> None:
     """Apply ``event``'s roster edit; a speaker change edits nothing.  Raises
     a ValidationError, before any edit, when the event breaks a roster rule."""
     if event.kind in (ScenarioEventKind.JOIN, ScenarioEventKind.LANGUAGE_CHANGE):
@@ -441,7 +441,7 @@ def _apply(roster: MutableMapping[str, Participant], event: ScenarioEvent) -> No
     if event.kind is ScenarioEventKind.LEAVE:
         del roster[event.participant]
     elif event.kind is not ScenarioEventKind.SPEAKER_CHANGE:
-        roster[event.participant] = Participant(event.participant, language)
+        roster[event.participant] = language
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         )
 
     cost = CostModel(unit_cost=scenario.unit_cost)
-    meeting = Meeting.create(members, pool_capacity=scenario.pool_capacity)
+    meeting = Meeting(participants=members, pool_capacity=scenario.pool_capacity)
 
     series = MetricsSeries()
     open_sessions: dict[LanguageTag, tuple[float, bool]] = {}  # started_at, cold
@@ -525,11 +525,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 started_at, duration, cold
             )
         startup_delay, stall_total, boundaries = schedule
-        code = language.code
         series.turn_startups.append(
             TurnStartup(
                 time=started_at,
-                language=code,
+                language=language,
                 startup_delay=startup_delay,
                 cold=cold,
             )
@@ -539,7 +538,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         for pid in meeting.participants.ids_of(language):
             if pid != meeting.active_speaker:
                 stalls[pid] = stalls.get(pid, 0.0) + stall_total
-        entries.extend((t, 0, code, stall) for t, stall in boundaries)
+        entries.extend((t, 0, language, stall) for t, stall in boundaries)
 
     def record_state(when: float) -> None:
         # the sample columns (k, token_cost, naive_cost, alloc_failures); a
@@ -594,10 +593,14 @@ def run_scenario(scenario: Scenario) -> RunReport:
             speaker = None  # no speaker yet, or the active speaker just left
         orchestration_pass(event.time, speaker, turnover=False)
 
-    for language in sorted(open_sessions, key=attrgetter("code")):
+    for language in sorted(open_sessions):
         close_session(language, scenario.run_duration)
     schedules.clear()  # no close follows; free them before the samples
     record_state(scenario.run_duration)
+    if total_stall == math.inf:  # each listener's share is at most this
+        raise ValidationError(
+            f"the stalls of {segment_duration:g} s segments under the "
+            f"{model.form} model sum past the float range")
 
     series.turn_startups.sort(key=lambda s: (s.time, s.language))
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from streamring.cli import main as cli_main
-from streamring.core import CostModel, LanguageTag, Meeting, Participant
+from streamring.core import CostModel, Meeting
 from streamring.latency import (
     LatencyModel,
     fit,
@@ -104,9 +104,8 @@ def test_criterion_3_cost_collapse():
         n = rng.randint(2, 50)
         pool = rng.randint(1, 6)
         langs = [LANGS[rng.randrange(min(pool, len(LANGS)))] for _ in range(n)]
-        meeting = Meeting.create(
-            [Participant(id=f"p{i}", language=LanguageTag(lang))
-             for i, lang in enumerate(langs)],
+        meeting = Meeting(
+            participants={f"p{i}": lang for i, lang in enumerate(langs)},
             pool_capacity=n,
         )
         k = len(required_languages(meeting, "p0"))
@@ -120,12 +119,9 @@ def test_criterion_4_orchestrator_oracle_equivalence():
     for n in range(2, 7):
         ids = [f"p{i}" for i in range(n)]
         for assignment in itertools.product(LANGS, repeat=n):
-            roster = [
-                Participant(id=pid, language=LanguageTag(lang))
-                for pid, lang in zip(ids, assignment)
-            ]
+            roster = dict(zip(ids, assignment))
             for speaker_index in range(n):
-                meeting = Meeting.create(roster, pool_capacity=n)
+                meeting = Meeting(participants=roster, pool_capacity=n)
                 update_orchestration(meeting, ids[speaker_index])
                 oracle = {
                     lang for pid, lang in zip(ids, assignment)

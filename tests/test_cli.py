@@ -947,6 +947,83 @@ class TestUnreadableInput:
         assert message in capsys.readouterr().err
 
 
+def _write_model(params: dict, tmp: Path) -> list[str]:
+    path = tmp / "model.json"
+    path.write_text(json.dumps({"form": "affine", "params": params}))
+    return ["--model", str(path)]
+
+
+def _write_rows(rows: str, tmp: Path) -> list[str]:
+    path = tmp / "m.csv"
+    path.write_text("label,t_seconds,run,p_seconds\n" + rows)
+    return ["--input", str(path)]
+
+
+def _write_scenario(params: dict, segment: float, speakers: list[str],
+                    tmp: Path) -> list[str]:
+    scenario = two_party_scenario({"form": "affine", "params": params}, segment)
+    scenario["participants"].append({"id": "C", "language": "fr"})
+    scenario["run_duration"] = 20.0
+    scenario["events"] = [
+        {"time": 10.0 * i, "kind": "speaker-change", "participant": who}
+        for i, who in enumerate(speakers)
+    ]
+    path = tmp / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return ["--scenario", str(path)]
+
+
+#: Inputs whose results pass the float range, and the message naming the
+#: duration or the model that overflowed.
+OVERFLOWS = {
+    "topt-tiny-grid": (
+        lambda tmp: ["topt", *_write_model({"a": 0.2, "b": 0.5}, tmp),
+                     "--grid", "1e-320"],
+        "tau = p/t at t=9.99989e-321 s is not finite (p=0.2 s)"),
+    "calibrate-tiny-duration": (
+        lambda tmp: ["calibrate", *_write_rows("x,1e-320,0,1.0\nx,1,0,1\n", tmp)],
+        "tau = p/t at t=9.99989e-321 s is not finite (p=1 s)"),
+    "calibrate-huge-residuals": (
+        lambda tmp: ["calibrate", "--form", "log", *_write_rows(
+            "x,0.5,0,0.1\nx,2,0,1e308\nx,8,0,0.1\n", tmp)],
+        "cannot fit the log form: its residuals are too large to square"),
+    "topt-huge-model": (
+        lambda tmp: ["topt", *_write_model({"a": 1e308, "b": 1e308}, tmp),
+                     "--continuous"],
+        "the affine model's p(t) at t=1 s is not finite"),
+    "simulate-huge-model": (
+        lambda tmp: ["simulate", *_write_scenario(
+            {"a": 1e308, "b": 1e308}, 8.0, ["A"], tmp)],
+        "the affine model's p(t) at t=8 s is not finite"),
+    "simulate-finish-times": (
+        lambda tmp: ["simulate", *_write_scenario(
+            {"a": 3e307, "b": 0}, 1.0, ["A"], tmp)],
+        "a 20 s stream in 1 s segments under the affine model finishes past "
+        "the float range"),
+    "simulate-stall-total": (
+        lambda tmp: ["simulate", *_write_scenario(
+            {"a": 1e307, "b": 0}, 1.0, ["A", "B"], tmp)],
+        "the stalls of 1 s segments under the affine model sum past the "
+        "float range"),
+}
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1,-inf", "2,nan"])
+    def test_non_finite_grid_is_a_usage_error(self, grid, model_files, capsys):
+        argv = ["topt", "--model", str(model_files["A100"]), "--grid", grid]
+        assert run_cli(argv + ["--format", "json"]) == EXIT_USAGE
+        assert "grid durations must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_overflow_is_a_validation_error(self, case, tmp_path, capsys):
+        make_argv, message = OVERFLOWS[case]
+        assert run_cli(make_argv(tmp_path) + ["--format", "json"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"streamring: error: {message}\n" == captured.err
+        assert captured.out == ""
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

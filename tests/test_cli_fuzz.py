@@ -2,9 +2,10 @@
 measurement CSV go through ``cli.main``.
 
 Each input starts from a small valid document, then some of its fields get
-wrong types, non-finite or huge numbers, or go missing, and some files get
-bytes that are not UTF-8.  Whatever the input, ``main`` must return 0, or
-1, 2 or 3 with a ``streamring: error:`` message; it must never raise.  Valid
+wrong types, non-finite, huge or tiny numbers, or go missing, and some files
+get bytes that are not UTF-8.  Whatever the input, ``main`` must return 0,
+with strict JSON (no ``NaN`` or ``Infinity``) on stdout, or 1, 2 or 3 with a
+``streamring: error:`` message; it must never raise.  Valid
 draws stay small (runs of at most 60 s cut into segments of at least about
 0.5 s), so each call is fast.
 """
@@ -18,7 +19,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from streamring.cli import main
 
@@ -146,7 +147,7 @@ def documents(draw, base: st.SearchStrategy, paths: list[tuple]) -> bytes:
 #: removes) one cell of a valid table.
 ODD_CELLS = st.sampled_from(
     ["nan", "inf", "-inf", "1e308", "1.7e308", "1e999", "9" * 400, "-1", "0",
-     "abc", "", "M", DELETE]
+     "1e-320", "5e-324", "abc", "", "M", DELETE]
 )
 
 
@@ -181,16 +182,44 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _no_constant(name: str) -> None:
+    raise AssertionError(f"machine JSON holds {name}")
+
+
 def assert_clean_exit(argv: list[str]) -> None:
+    """``main(argv)`` exits 0, 1, 2 or 3, with a message unless 0; a JSON
+    result is strict JSON, without ``NaN`` or ``Infinity``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     if code != 0:
         assert "streamring: error:" in err.getvalue()
+    elif "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+def _json(doc: dict) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+#: Valid inputs whose results pass the float range: p(T) of the first, and
+#: the finish times of the second.
+HUGE_MODEL = {"form": "affine", "params": {"a": 1e308, "b": 1e308}}
+OVERFLOWING_RUN = {
+    "participants": [{"id": "A", "language": "en"}, {"id": "B", "language": "de"}],
+    "pool_capacity": 2,
+    "latency_model": {"form": "affine", "params": {"a": 3e307, "b": 0}},
+    "segment_duration": 1.0,
+    "run_duration": 20.0,
+    "events": [{"time": 0.0, "kind": "speaker-change", "participant": "A"}],
+}
 
 
 @FUZZ
+@example(data=_json({**OVERFLOWING_RUN, "latency_model": HUGE_MODEL,
+                     "segment_duration": 8.0}))
+@example(data=_json(OVERFLOWING_RUN))
 @given(data=documents(scenarios(), SCENARIO_PATHS))
 def test_scenario_json(work, data):
     path = work / "scenario.json"
@@ -199,6 +228,7 @@ def test_scenario_json(work, data):
 
 
 @FUZZ
+@example(data=_json(HUGE_MODEL))
 @given(data=documents(models().filter(lambda m: "form" in m and "params" in m),
                       MODEL_PATHS))
 def test_model_json(work, data):
@@ -209,6 +239,8 @@ def test_model_json(work, data):
 
 
 @FUZZ
+@example(data=b"label,t_seconds,run,p_seconds\nx,1e-320,0,1.0\nx,1,0,1.0\n",
+         form="affine")
 @given(data=measurement_csvs(), form=st.sampled_from(["auto", "affine", "log"]))
 def test_measurement_csv(work, data, form):
     path = work / "measurements.csv"

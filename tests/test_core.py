@@ -19,7 +19,6 @@ from streamring.core import (
     LanguageTag,
     Meeting,
     MeetingSizeError,
-    Participant,
     Roster,
     Route,
     ValidationError,
@@ -55,7 +54,21 @@ class TestLanguageTag:
 
     def test_orders_lexicographically(self):
         tags = [LanguageTag(c) for c in ("tr", "DE", "en")]
-        assert [t.code for t in sorted(tags)] == ["de", "en", "tr"]
+        assert sorted(tags) == ["de", "en", "tr"]
+
+    def test_is_its_normalized_code(self):
+        tag = LanguageTag(" ZH-Hant ")
+        assert isinstance(tag, str)
+        assert tag == "zh-hant" and str(tag) == "zh-hant"
+        assert hash(tag) == hash("zh-hant")
+        assert {tag: 1}["zh-hant"] == 1
+        assert LanguageTag(tag) == tag
+        assert json.dumps([tag]) == '["zh-hant"]'
+
+    def test_compares_and_hashes_in_str_own_slots(self):
+        assert vars(LanguageTag)["__eq__"] is str.__eq__
+        assert vars(LanguageTag)["__hash__"] is str.__hash__
+        assert not hasattr(LanguageTag("en"), "__dict__")
 
 
 class TestCostNaive:
@@ -130,14 +143,10 @@ class TestCostToken:
 class TestPoolAndPipelines:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValidationError):
-            Meeting.create([Participant("a", LanguageTag("en"))], pool_capacity=-1)
+            Meeting(participants={"a": "en"}, pool_capacity=-1)
 
     def test_routes_total_when_a_listener_id_is_a_pipeline_id(self):
-        m = Meeting.create(
-            [Participant("A", LanguageTag("en")),
-             Participant("pl0001", LanguageTag("de"))],
-            pool_capacity=2,
-        )
+        m = Meeting(participants={"A": "en", "pl0001": "de"}, pool_capacity=2)
         update_orchestration(m, "A")
         assert m.pipelines == {LanguageTag("de"): "pl0001"}
         assert verify_invariants(m) == []
@@ -145,24 +154,26 @@ class TestPoolAndPipelines:
 
 
 class TestMeeting:
-    def test_create_rejects_duplicate_ids(self):
-        with pytest.raises(ValidationError):
-            Meeting.create(
-                [
-                    Participant("a", LanguageTag("en")),
-                    Participant("a", LanguageTag("de")),
-                ],
-                pool_capacity=2,
-            )
-
     def test_plain_mapping_becomes_a_roster(self):
-        m = Meeting(participants={"a": Participant("a", LanguageTag("en"))},
-                    pool_capacity=1)
+        m = Meeting(participants={"a": " EN"}, pool_capacity=1)
         assert isinstance(m.participants, Roster)
+        assert type(m.participants["a"]) is LanguageTag
         assert m.participants.ids_of(LanguageTag("en")) == {"a"}
 
+    def test_roster_keeps_a_tag_and_rejects_an_empty_id_or_language(self):
+        roster = Roster()
+        tag = LanguageTag("de")
+        roster["a"] = tag
+        assert roster["a"] is tag
+        with pytest.raises(ValidationError, match="participant id must be non-empty"):
+            roster[""] = "en"
+        with pytest.raises(ValidationError, match="language tag must be non-empty"):
+            roster["b"] = " "
+        assert dict(roster) == {"a": "de"}
+        assert roster.languages() == {"de"}
+
     def test_pipeline_ids_are_sequential(self):
-        m = Meeting.create([Participant("a", LanguageTag("en"))], pool_capacity=1)
+        m = Meeting(participants={"a": "en"}, pool_capacity=1)
         assert m.new_pipeline_id() == "pl0001"
         assert m.new_pipeline_id() == "pl0002"
 
@@ -192,6 +203,7 @@ _AWKWARD = ["", "},\n  {", "},\n      {", ",\n", "%", "%s", 'say "hi"',
 _keys = st.text(max_size=6) | st.sampled_from(_AWKWARD)
 _scalars = (st.none() | st.booleans() | st.integers() | st.floats()
             | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+            | st.sampled_from([LanguageTag("en"), LanguageTag("zh-hant")])
             | st.text(max_size=8) | st.sampled_from(_AWKWARD))
 #: Lists of flat dicts, empty or not, with differing key sets.
 _rows = st.lists(st.dictionaries(_keys, _scalars, max_size=4), max_size=4)

@@ -18,7 +18,6 @@ from streamring.core import (
     SPEAKER_RAW,
     LanguageTag,
     Meeting,
-    Participant,
     Roster,
     Route,
     UnknownParticipantError,
@@ -44,10 +43,7 @@ def oracle_required(
 
 
 def make_meeting(members: dict[str, str], capacity: int) -> Meeting:
-    return Meeting.create(
-        [Participant(id=pid, language=LanguageTag(lang)) for pid, lang in members.items()],
-        pool_capacity=capacity,
-    )
+    return Meeting(participants=members, pool_capacity=capacity)
 
 
 def count(events, kind: EventKind) -> int:
@@ -229,7 +225,7 @@ class TestUpdateOrchestration:
     def test_speaker_language_change_reinitializes(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
         update_orchestration(m, "A")
-        m.participants["A"] = Participant(id="A", language=LanguageTag("fr"))
+        m.participants["A"] = "fr"
         _, events = update_orchestration(m, "A")
         reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
         assert [e.reinitialized for e in reused] == [True, True]
@@ -297,7 +293,7 @@ class TestVerifyInvariants:
 
     def test_stale_pipeline_after_language_change(self):
         m = self._orchestrated()
-        m.participants["B"] = Participant(id="B", language=LanguageTag("fr"))
+        m.participants["B"] = "fr"
         assert any("unrequired" in v for v in verify_invariants(m))
 
     def test_route_to_decommissioned_pipeline(self):
@@ -314,6 +310,36 @@ class TestVerifyInvariants:
         }
         assert not any(pid in (r.source, r.destination) for r in m.routes)
         assert any("free slots" in v for v in verify_invariants(m))
+
+    def test_listener_fed_another_language(self):
+        m = make_meeting({"A": "en", "B": "de", "C": "fr"}, 1)
+        update_orchestration(m, "A")
+        assert verify_invariants(m) == []
+        m.delivery["C"] = m.pipelines[LanguageTag("de")]
+        assert any("'C' is fed pipeline 'pl0001', which does not translate "
+                   "into their language fr" in v for v in verify_invariants(m))
+
+    def test_delivery_to_a_non_member(self):
+        m = self._orchestrated()
+        m.delivery["Z"] = m.pipelines[LanguageTag("de")]
+        assert any("'Z', who is not a member" in v for v in verify_invariants(m))
+
+    def test_listener_moved_onto_the_raw_stream(self):
+        m = make_meeting({"A": "en", "B": "de", "C": "de"}, 2)
+        update_orchestration(m, "A")
+        assert verify_invariants(m) == []
+        m.bypass.add("C")
+        m.delivery.pop("C")
+        violations = verify_invariants(m)
+        assert any("'C' hears the raw stream" in v for v in violations)
+        assert any("listener 'C' has 0 routes" in v for v in violations)
+
+    def test_same_language_listener_missing_from_bypass(self):
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 2)
+        update_orchestration(m, "A")
+        m.bypass.discard("B")
+        assert any("'B' shares the speaker's language" in v
+                   for v in verify_invariants(m))
 
     def test_over_capacity(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 2)
@@ -441,10 +467,7 @@ class TestProperties:
                 roster[pid] = data.draw(st.sampled_from(LANGUAGES))
             elif op == "speaker-language" and speaker is not None:
                 roster[speaker] = data.draw(st.sampled_from(LANGUAGES))
-            m.participants = Roster({
-                pid: Participant(id=pid, language=LanguageTag(lang))
-                for pid, lang in roster.items()
-            })
+            m.participants = Roster(roster)
             _, events = update_orchestration(m, speaker)
             language = roster[speaker] if speaker is not None else None
             for event in events:
@@ -461,13 +484,13 @@ def scratch_delivery(
     """Each listener's pipeline, recomputed from the whole roster."""
     if speaker is None:
         return {}
-    speaker_language = m.participants[speaker].language
+    speaker_language = m.participants[speaker]
     return {
-        pid: m.pipelines[p.language]
-        for pid, p in m.participants.items()
+        pid: m.pipelines[language]
+        for pid, language in m.participants.items()
         if pid != speaker
-        and (translate_same_language or p.language != speaker_language)
-        and p.language in m.pipelines
+        and (translate_same_language or language != speaker_language)
+        and language in m.pipelines
     }
 
 
@@ -478,9 +501,9 @@ def rebuilt_routes(
     routes: set[Route] = set()
     if speaker is None:
         return routes
-    speaker_language = m.participants[speaker].language
+    speaker_language = m.participants[speaker]
     for pid in sorted(m.participants):
-        language = m.participants[pid].language
+        language = m.participants[pid]
         if pid == speaker:
             continue
         if not translate_same_language and language == speaker_language:
@@ -507,8 +530,7 @@ class TestRosterIndex:
             op = data.draw(st.sampled_from(["set", "delete", "reassign"]))
             if op == "set":
                 pid = data.draw(st.sampled_from(ids))
-                language = LanguageTag(data.draw(st.sampled_from(CASED_LANGUAGES)))
-                m.participants[pid] = Participant(id=pid, language=language)
+                m.participants[pid] = data.draw(st.sampled_from(CASED_LANGUAGES))
             elif op == "delete" and m.participants:
                 del m.participants[data.draw(st.sampled_from(sorted(m.participants)))]
             elif op == "reassign":
@@ -517,13 +539,10 @@ class TestRosterIndex:
                         st.sampled_from(ids), st.sampled_from(CASED_LANGUAGES)
                     )
                 )
-                m.participants = Roster({
-                    pid: Participant(id=pid, language=LanguageTag(lang))
-                    for pid, lang in members.items()
-                })
+                m.participants = Roster(members)
             grouping: dict[LanguageTag, set[str]] = {}
-            for pid, p in m.participants.items():
-                grouping.setdefault(p.language, set()).add(pid)
+            for pid, language in m.participants.items():
+                grouping.setdefault(language, set()).add(pid)
             roster = m.participants
             index = {lang: set(roster.ids_of(lang)) for lang in roster.languages()}
             assert index == grouping
@@ -561,8 +580,7 @@ class TestRosterIndex:
                     pid = speaker
                 else:
                     continue
-                language = LanguageTag(data.draw(st.sampled_from(LANGUAGES)))
-                roster[pid] = Participant(id=pid, language=language)
+                roster[pid] = data.draw(st.sampled_from(LANGUAGES))
             elif op == "leave" and roster:
                 pid = data.draw(st.sampled_from(sorted(roster)))
                 del roster[pid]
@@ -596,8 +614,8 @@ def reference_pass(
     required: set[LanguageTag] = set()
     speaker_language = None
     if new_speaker is not None:
-        speaker_language = roster[new_speaker].language
-        required = {p.language for pid, p in roster.items() if pid != new_speaker}
+        speaker_language = roster[new_speaker]
+        required = {lang for pid, lang in roster.items() if pid != new_speaker}
         if not translate_same_language or speaker_language not in required:
             required.discard(speaker_language)
     meeting.active_speaker = new_speaker
@@ -626,21 +644,21 @@ def reference_pass(
         bypass.add(new_speaker)
         if not translate_same_language:
             bypass.update(
-                pid for pid, p in roster.items() if p.language == speaker_language
+                pid for pid, lang in roster.items() if lang == speaker_language
             )
         events.append(OrchestrationEvent(
             kind=EventKind.SPEAKER_BYPASSED, time=time,
             participant=new_speaker, language=speaker_language))
     delivery = {
-        pid: pipelines[p.language]
-        for pid, p in roster.items()
-        if pid != new_speaker and p.language in pipelines
+        pid: pipelines[lang]
+        for pid, lang in roster.items()
+        if pid != new_speaker and lang in pipelines
     }
     previous = meeting.delivery
     for pid in sorted(p for p, pipe in delivery.items() if previous.get(p) != pipe):
         events.append(OrchestrationEvent(
             kind=EventKind.ROUTE_ADDED, time=time,
-            language=roster[pid].language, pipeline_id=delivery[pid],
+            language=roster[pid], pipeline_id=delivery[pid],
             participant=pid))
     meeting.delivery = delivery
     meeting.bypass = bypass
@@ -677,8 +695,7 @@ class TestAgainstTheFullPass:
             roster = m.participants
             if op == "join":
                 pid = data.draw(st.sampled_from(ids))
-                language = LanguageTag(data.draw(st.sampled_from(CASED_LANGUAGES)))
-                roster[pid] = Participant(id=pid, language=language)
+                roster[pid] = data.draw(st.sampled_from(CASED_LANGUAGES))
             elif op in ("language", "speaker-language", "leave") and roster:
                 pid = (speaker if op == "speaker-language" and speaker is not None
                        else data.draw(st.sampled_from(sorted(roster))))
@@ -687,16 +704,11 @@ class TestAgainstTheFullPass:
                     if pid == speaker:
                         speaker = None
                 else:
-                    language = LanguageTag(
-                        data.draw(st.sampled_from(CASED_LANGUAGES)))
-                    roster[pid] = Participant(id=pid, language=language)
+                    roster[pid] = data.draw(st.sampled_from(CASED_LANGUAGES))
             elif op == "replace":
                 kept = data.draw(st.dictionaries(
                     st.sampled_from(ids), st.sampled_from(CASED_LANGUAGES)))
-                m.participants = reference.participants = Roster({
-                    pid: Participant(id=pid, language=LanguageTag(lang))
-                    for pid, lang in kept.items()
-                })
+                m.participants = reference.participants = Roster(kept)
                 if speaker not in kept:
                     speaker = None
             # then the floor: kept, released or handed to anyone present

@@ -22,7 +22,6 @@ from streamring.core import (
     CostModel,
     LanguageTag,
     Meeting,
-    Participant,
     ValidationError,
     cost_naive,
 )
@@ -363,11 +362,12 @@ class TestCheckedOnce:
 
     def test_members_and_event_order_are_built_once(self, monkeypatch):
         built: list[str] = []
-        init = LanguageTag.__post_init__
+        new = LanguageTag.__new__
 
-        def counting_init(tag):
-            init(tag)
-            built.append(tag.code)
+        def counting_new(cls, code):
+            tag = new(cls, code)
+            built.append(tag)
+            return tag
 
         sorts: list[Scenario] = []
         order = simulator._ordered_events
@@ -376,7 +376,7 @@ class TestCheckedOnce:
             sorts.append(scenario)
             return order(scenario)
 
-        monkeypatch.setattr(LanguageTag, "__post_init__", counting_init)
+        monkeypatch.setattr(LanguageTag, "__new__", counting_new)
         monkeypatch.setattr(simulator, "_ordered_events", counting_order)
         run_scenario(two_party(
             participants=[("A", "en"), ("B", "de"), ("C", "fr")],
@@ -668,8 +668,8 @@ def per_session_report(scenario: Scenario) -> dict:
             f"(tau={viability.tau:.3f}); playback will lag behind the stream"
         )
     cost = CostModel(unit_cost=scenario.unit_cost)
-    meeting = Meeting.create(
-        [Participant(pid, LanguageTag(lang)) for pid, lang in scenario.participants],
+    meeting = Meeting(
+        participants=dict(scenario.participants),
         pool_capacity=scenario.pool_capacity,
     )
     warm = replace(model, cold_start_extra=0.0)
@@ -687,7 +687,7 @@ def per_session_report(scenario: Scenario) -> dict:
             StreamSpec(when - started_at), model if cold else warm, segment
         )
         series.turn_startups.append(
-            TurnStartup(started_at, language.code, play.startup_delay, cold)
+            TurnStartup(started_at, str(language), play.startup_delay, cold)
         )
         totals["stall"] += play.stall_total
         for pid in sorted(meeting.participants.ids_of(language)):
@@ -695,7 +695,7 @@ def per_session_report(scenario: Scenario) -> dict:
                 stalls = series.listener_stalls
                 stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
         entries.extend(
-            (started_at + job.available_at, 0, language.code, timing.stall)
+            (started_at + job.available_at, 0, str(language), timing.stall)
             for job, timing in zip(jobs, play.per_segment)
         )
 
