@@ -62,7 +62,7 @@ from .latency import (
 from .segproc import StreamSpec, run_external
 from .simulator import (
     METRICS_CSV_HEADER,
-    SweepRow,
+    SWEEP_CSV_HEADER,
     load_scenario,
     report_to_json,
     run_scenario,
@@ -85,7 +85,6 @@ _SWEEP_ASSIGNMENTS = {
 MAX_SWEEP_ROWS = 10_000
 
 _TAU_HEADER = ("t_seconds", "p_seconds", "tau", "real_time")
-_SWEEP_HEADER = (*SweepRow._fields, "cost_ratio")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,7 +328,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             _render_csv(METRICS_CSV_HEADER, samples), encoding="utf-8"
         )
     startups = report.series.turn_startups
-    cold = sum(1 for t in startups if t.cold)
+    cold = sum(1 for t in startups if t["cold"])
     human = [
         f"scenario: {args.scenario}  (digest {report.scenario_digest[:12]})",
         f"segment duration: {report.resolved_segment_duration:g} s",
@@ -346,7 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows_data = sweep_cost(
+    rows = sweep_cost(
         args.n,
         args.langs,
         _SWEEP_ASSIGNMENTS[args.assignment],
@@ -354,21 +353,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    payload = [
-        dict(zip(_SWEEP_HEADER, (*r, r.token_cost / r.naive_cost)))
-        for r in rows_data
-    ]
     human = [
         f"assignment: {args.assignment}  languages: {args.langs}  "
         f"trials: {args.trials}  seed: {args.seed}",
         f"{'N':>4} {'mean_k':>10} {'token':>12} {'naive':>12} {'ratio':>10}",
     ]
     human.extend(
-        f"{r.n:>4} {r.mean_k:>10.4f} {r.token_cost:>12.4f} "
-        f"{r.naive_cost:>12.4f} {r.token_cost / r.naive_cost:>10.6f}"
-        for r in rows_data
+        f"{r['n']:>4} {r['mean_k']:>10.4f} {r['token_cost']:>12.4f} "
+        f"{r['naive_cost']:>12.4f} {r['cost_ratio']:>10.6f}"
+        for r in rows
     )
-    return _finish(args, human, payload, _SWEEP_HEADER, payload, out_default="csv")
+    return _finish(args, human, rows, SWEEP_CSV_HEADER, rows, out_default="csv")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -35,7 +35,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from operator import itemgetter
+from typing import Optional, Union
 
 from .core import (
     CostModel,
@@ -66,15 +67,12 @@ from .orchestrator import EventKind, update_orchestration
 from .segproc import StreamSpec, check_viability, schedule_stream
 
 __all__ = [
-    "MetricsSample",
     "MetricsSeries",
     "RunReport",
     "Scenario",
     "ScenarioError",
     "ScenarioEvent",
     "ScenarioEventKind",
-    "SweepRow",
-    "TurnStartup",
     "load_scenario",
     "report_to_json",
     "run_scenario",
@@ -143,35 +141,23 @@ class Scenario:
     translate_same_language: bool = False
 
 
-class MetricsSample(NamedTuple):
-    time_s: float
-    k: int
-    token_cost: float
-    naive_cost: float
-    alloc_failures: int
-    stalls_cum: float
-
-
 #: Column order of the metrics CSV, whose rows are ``report_to_json``'s
 #: ``samples``.
-METRICS_CSV_HEADER = MetricsSample._fields
-
-
-class TurnStartup(NamedTuple):
-    """One session's buffering cost: when it opened, for which language, how
-    long its listeners waited, and whether the pipeline started cold."""
-
-    time: float
-    language: str
-    startup_delay: float
-    cold: bool
+METRICS_CSV_HEADER = (
+    "time_s", "k", "token_cost", "naive_cost", "alloc_failures", "stalls_cum",
+)
 
 
 @dataclass
 class MetricsSeries:
-    samples: list[MetricsSample] = field(default_factory=list)
+    """The report's tables, their rows the dicts ``report_to_json``
+    publishes: ``samples`` keyed as ``METRICS_CSV_HEADER``, and per session
+    when it opened, for which language, how long its listeners waited and
+    whether the pipeline started cold."""
+
+    samples: list[dict] = field(default_factory=list)
     listener_stalls: dict[str, float] = field(default_factory=dict)
-    turn_startups: list[TurnStartup] = field(default_factory=list)
+    turn_startups: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -525,14 +511,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 started_at, duration, cold
             )
         startup_delay, stall_total, boundaries = schedule
-        series.turn_startups.append(
-            TurnStartup(
-                time=started_at,
-                language=language,
-                startup_delay=startup_delay,
-                cold=cold,
-            )
-        )
+        series.turn_startups.append({
+            "time": started_at, "language": language,
+            "startup_delay": startup_delay, "cold": cold,
+        })
         total_stall += stall_total
         stalls = series.listener_stalls
         for pid in meeting.participants.ids_of(language):
@@ -602,20 +584,23 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"the stalls of {segment_duration:g} s segments under the "
             f"{model.form} model sum past the float range")
 
-    series.turn_startups.sort(key=lambda s: (s.time, s.language))
+    series.turn_startups.sort(key=itemgetter("time", "language"))
 
     # at equal times a boundary belongs to the interval that is ending, so it
     # sorts before the state change
     entries.extend(points)
     entries.sort(key=lambda item: (item[0], item[1], item[2]))
-    columns = points[0][3]
+    k, token, naive, fails = points[0][3]
     stalls_cum = 0.0
     for when, priority, _, payload in entries:
         if priority == 1:
-            columns = payload  # type: ignore[assignment]
+            k, token, naive, fails = payload  # type: ignore[misc]
         else:
             stalls_cum += payload  # type: ignore[operator]
-        series.samples.append(MetricsSample(when, *columns, stalls_cum))
+        series.samples.append({
+            "time_s": when, "k": k, "token_cost": token, "naive_cost": naive,
+            "alloc_failures": fails, "stalls_cum": stalls_cum,
+        })
 
     k_integral = token_integral = naive_integral = 0.0
     for (when, _, _, (k, token, naive, _)), nxt in zip(points, points[1:]):
@@ -640,14 +625,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
 # Cost sweeps
 
 
-class SweepRow(NamedTuple):
-    n: int
-    mean_k: float
-    token_cost: float
-    naive_cost: float
-
-
 ASSIGNMENTS = ("uniform", "all-distinct", "all-same")
+
+#: Column order of the sweep CSV, whose rows are ``sweep_cost``'s.
+SWEEP_CSV_HEADER = ("n", "mean_k", "token_cost", "naive_cost", "cost_ratio")
 
 #: Most language draws (the sizes' sum times the trials) one uniform sweep
 #: makes; a larger request is rejected before any draw.
@@ -661,8 +642,9 @@ def sweep_cost(
     cost: CostModel = CostModel(),
     trials: int = 1,
     seed: int = 42,
-) -> list[SweepRow]:
-    """Per-meeting-size pipeline counts under three language assignments.
+) -> list[dict]:
+    """Per-meeting-size pipeline counts under three language assignments,
+    a row per size keyed as ``SWEEP_CSV_HEADER``.
 
     "all-distinct" is the worst case (every listener needs their own
     language, k = N-1); "all-same" the best (one shared listener language
@@ -704,14 +686,11 @@ def sweep_cost(
             raise ValidationError(
                 f"assignment must be one of {ASSIGNMENTS}, got {assignment!r}"
             )
-        rows.append(
-            SweepRow(
-                n=n,
-                mean_k=mean_k,
-                token_cost=cost.unit_cost * mean_k,
-                naive_cost=naive,
-            )
-        )
+        token = cost.unit_cost * mean_k
+        rows.append({
+            "n": n, "mean_k": mean_k, "token_cost": token, "naive_cost": naive,
+            "cost_ratio": token / naive,
+        })
     return rows
 
 
@@ -720,6 +699,9 @@ def sweep_cost(
 
 
 def report_to_json(report: RunReport) -> dict:
+    """The report as its JSON document.  ``samples``, ``listener_stalls``
+    and ``turn_startups`` are the report's own list and dict objects, not
+    copies: changing one changes the other."""
     return {
         "scenario_digest": report.scenario_digest,
         "resolved_segment_duration": report.resolved_segment_duration,
@@ -730,7 +712,7 @@ def report_to_json(report: RunReport) -> dict:
             "cost_ratio": report.cost_ratio,
         },
         "warnings": list(report.warnings),
-        "samples": [s._asdict() for s in report.series.samples],
-        "listener_stalls": dict(sorted(report.series.listener_stalls.items())),
-        "turn_startups": [t._asdict() for t in report.series.turn_startups],
+        "samples": report.series.samples,
+        "listener_stalls": report.series.listener_stalls,
+        "turn_startups": report.series.turn_startups,
     }

@@ -94,10 +94,10 @@ def test_criterion_3_cost_collapse():
     for unit_cost in (1.0, 2.5):
         cost = CostModel(unit_cost=unit_cost)
         for row in sweep_cost(sizes, 4, "all-distinct", cost=cost):
-            assert row.token_cost == unit_cost * (row.n - 1)
-            assert row.naive_cost == unit_cost * row.n * (row.n - 1)
+            assert row["token_cost"] == unit_cost * (row["n"] - 1)
+            assert row["naive_cost"] == unit_cost * row["n"] * (row["n"] - 1)
         for row in sweep_cost(sizes, 4, "all-same", cost=cost):
-            assert row.token_cost == unit_cost
+            assert row["token_cost"] == unit_cost
 
     rng = random.Random(42)
     for _ in range(10_000):

@@ -24,20 +24,19 @@ from streamring.core import (
     Meeting,
     ValidationError,
     cost_naive,
+    dumps_json,
 )
 from streamring.latency import fit, model_from_json
 from streamring.orchestrator import EventKind, update_orchestration
 from streamring.segproc import StreamSpec, check_viability, schedule_stream
 from streamring.simulator import (
     METRICS_CSV_HEADER,
-    MetricsSample,
     MetricsSeries,
     RunReport,
     Scenario,
     ScenarioError,
     ScenarioEvent,
     ScenarioEventKind,
-    TurnStartup,
     load_scenario,
     report_to_json,
     run_scenario,
@@ -166,19 +165,19 @@ class TestTwoPartyMeeting:
         assert report.warnings == ()
         assert report.series.listener_stalls == {"B": 0.0}
         (startup,) = report.series.turn_startups
-        assert startup.language == "de"
-        assert startup.cold
-        assert startup.startup_delay == pytest.approx(2.29, abs=1e-9)
+        assert startup["language"] == "de"
+        assert startup["cold"]
+        assert startup["startup_delay"] == pytest.approx(2.29, abs=1e-9)
         # one state sample at t=0, ten segment boundaries, final state
         assert len(report.series.samples) == 12
-        assert all(s.k == 1 for s in report.series.samples)
-        assert all(s.naive_cost == 2.0 for s in report.series.samples)
+        assert all(s["k"] == 1 for s in report.series.samples)
+        assert all(s["naive_cost"] == 2.0 for s in report.series.samples)
 
     def test_samples_are_cost_consistent(self):
         report = run_scenario(two_party(unit_cost=2.5))
         for sample in report.series.samples:
-            assert sample.token_cost == 2.5 * sample.k
-            assert sample.naive_cost == 2.5 * 2 * 1
+            assert sample["token_cost"] == 2.5 * sample["k"]
+            assert sample["naive_cost"] == 2.5 * 2 * 1
 
 
 class TestShippedScenarios:
@@ -187,7 +186,7 @@ class TestShippedScenarios:
         assert report.max_k == 1
         assert report.mean_k == 1.0
         assert report.cost_ratio == pytest.approx(1.0 / 90.0, rel=1e-12)
-        assert all(s.naive_cost == 90.0 for s in report.series.samples)
+        assert all(s["naive_cost"] == 90.0 for s in report.series.samples)
         assert set(report.series.listener_stalls) == {f"p{i}" for i in range(1, 10)}
         assert all(v == 0.0 for v in report.series.listener_stalls.values())
 
@@ -197,7 +196,7 @@ class TestShippedScenarios:
         assert report.mean_k == 5.0
         assert report.cost_ratio == pytest.approx(1.0 / 6.0, rel=1e-12)
         assert len(report.series.turn_startups) == 10  # 5 per turn, two turns
-        assert all(t.cold for t in report.series.turn_startups)
+        assert all(t["cold"] for t in report.series.turn_startups)
         assert not any("allocation failed" in w for w in report.warnings)
 
     def test_handoff_3(self):
@@ -207,8 +206,8 @@ class TestShippedScenarios:
         assert not any("allocation failed" in w for w in report.warnings)
         # four turns, two sessions each; every hand-off re-initializes
         assert len(report.series.turn_startups) == 8
-        assert all(t.cold for t in report.series.turn_startups)
-        assert [t.time for t in report.series.turn_startups] == [
+        assert all(t["cold"] for t in report.series.turn_startups)
+        assert [t["time"] for t in report.series.turn_startups] == [
             0.0, 0.0, 12.0, 12.0, 24.0, 24.0, 36.0, 36.0,
         ]
 
@@ -233,7 +232,7 @@ class TestMembershipDynamics:
         assert report.max_k == 2
         assert report.mean_k == pytest.approx(1.0)  # (1*10 + 2*10 + 0*10)/30
         # de runs [0,20) uninterrupted by the join; fr runs [10,20)
-        assert [(t.time, t.language) for t in report.series.turn_startups] == [
+        assert [(t["time"], t["language"]) for t in report.series.turn_startups] == [
             (0.0, "de"),
             (10.0, "fr"),
         ]
@@ -247,7 +246,7 @@ class TestMembershipDynamics:
         )
         report = run_scenario(scenario)
         assert len(report.series.turn_startups) == 1
-        assert report.series.turn_startups[0].time == 0.0
+        assert report.series.turn_startups[0]["time"] == 0.0
 
     def test_listener_language_change_opens_new_session(self):
         scenario = Scenario(
@@ -265,7 +264,7 @@ class TestMembershipDynamics:
         )
         report = run_scenario(scenario)
         assert report.max_k == 2
-        assert [(t.time, t.language) for t in report.series.turn_startups] == [
+        assert [(t["time"], t["language"]) for t in report.series.turn_startups] == [
             (0.0, "de"),
             (10.0, "fr"),
         ]
@@ -281,7 +280,9 @@ class TestMembershipDynamics:
         )
         report = run_scenario(scenario)
         # same target language, but the source changed: session restarts cold
-        assert [(t.time, t.language, t.cold) for t in report.series.turn_startups] == [
+        assert [
+            (t["time"], t["language"], t["cold"]) for t in report.series.turn_startups
+        ] == [
             (0.0, "de", True),
             (10.0, "de", True),
         ]
@@ -301,7 +302,7 @@ class TestMembershipDynamics:
         )
         report = run_scenario(scenario)
         assert len(report.series.turn_startups) == 1  # de never re-buffers
-        ks = {s.time_s: s.k for s in report.series.samples}
+        ks = {s["time_s"]: s["k"] for s in report.series.samples}
         assert ks[20.0] == 0  # stale after the last de listener leaves
 
     def test_same_time_events_apply_in_fixed_order(self):
@@ -315,7 +316,7 @@ class TestMembershipDynamics:
             ]
         )
         report = run_scenario(scenario)
-        assert [(t.time, t.language) for t in report.series.turn_startups] == [
+        assert [(t["time"], t["language"]) for t in report.series.turn_startups] == [
             (0.0, "de"),
             (12.0, "fr"),
         ]
@@ -353,7 +354,7 @@ class TestLaggingModel:
         assert report.total_stall_seconds == pytest.approx(expected, abs=1e-9)
         assert report.series.listener_stalls["B"] == pytest.approx(expected, abs=1e-9)
         assert any("not real-time viable" in w for w in report.warnings)
-        stalls = [s.stalls_cum for s in report.series.samples]
+        stalls = [s["stalls_cum"] for s in report.series.samples]
         assert stalls == sorted(stalls)
 
 
@@ -466,25 +467,27 @@ class TestSweep:
     def test_all_distinct_worst_case(self):
         rows = sweep_cost(list(range(2, 21)), 4, "all-distinct")
         for row in rows:
-            assert row.mean_k == row.n - 1
-            assert row.token_cost == row.n - 1
-            assert row.naive_cost == row.n * (row.n - 1)
+            n = row["n"]
+            assert row["mean_k"] == n - 1
+            assert row["token_cost"] == n - 1
+            assert row["naive_cost"] == n * (n - 1)
+            assert row["cost_ratio"] == 1 / n
 
     def test_all_same_best_case(self):
         cost = CostModel(unit_cost=2.0)
         rows = sweep_cost([2, 10, 50], 4, "all-same", cost=cost)
-        assert all(row.token_cost == 2.0 for row in rows)
+        assert all(row["token_cost"] == 2.0 for row in rows)
 
     def test_uniform_matches_inclusion_exclusion(self):
         (row,) = sweep_cost([5], 4, "uniform", trials=4000, seed=42)
-        assert row.mean_k == pytest.approx(expected_uniform_k(4, 5), abs=0.05)
+        assert row["mean_k"] == pytest.approx(expected_uniform_k(4, 5), abs=0.05)
         (big,) = sweep_cost([50], 4, "uniform", trials=500, seed=42)
-        assert big.mean_k == pytest.approx(expected_uniform_k(4, 50), abs=0.01)
+        assert big["mean_k"] == pytest.approx(expected_uniform_k(4, 50), abs=0.01)
 
     def test_token_cost_never_beats_one_over_n(self):
         rows = sweep_cost(list(range(2, 30)), 6, "uniform", trials=50, seed=7)
         for row in rows:
-            assert row.token_cost / row.naive_cost <= 1.0 / row.n + 1e-12
+            assert row["cost_ratio"] <= 1.0 / row["n"] + 1e-12
 
     def test_seeded_reproducibility(self):
         first = sweep_cost([2, 5, 9], 4, "uniform", trials=200, seed=11)
@@ -575,16 +578,15 @@ class TestSharedSchedules:
         for opened, closed, language, cold, listeners in self.SESSIONS:
             jobs, play = self.direct(opened, closed, cold)
             assert play.stall_total > 0.0
-            startups.append(
-                TurnStartup(opened, language, play.startup_delay, cold)
-            )
+            startups.append({"time": opened, "language": language,
+                             "startup_delay": play.startup_delay, "cold": cold})
             for pid in listeners:
                 stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
             boundaries += [
                 (opened + job.available_at, 0, language, timing.stall)
                 for job, timing in zip(jobs, play.per_segment)
             ]
-        startups.sort(key=lambda s: (s.time, s.language))
+        startups.sort(key=lambda s: (s["time"], s["language"]))
         assert report.series.turn_startups == startups
         assert report.series.listener_stalls == stalls
 
@@ -596,7 +598,9 @@ class TestSharedSchedules:
         for when, _, _, stall in rows:
             stalls_cum += stall
             expected.append((when, stalls_cum))
-        assert [(s.time_s, s.stalls_cum) for s in report.series.samples] == expected
+        assert [
+            (s["time_s"], s["stalls_cum"]) for s in report.series.samples
+        ] == expected
 
 
 def replayed_violations(scenario: Scenario) -> list[str]:
@@ -686,9 +690,10 @@ def per_session_report(scenario: Scenario) -> dict:
         jobs, play = schedule_stream(
             StreamSpec(when - started_at), model if cold else warm, segment
         )
-        series.turn_startups.append(
-            TurnStartup(started_at, str(language), play.startup_delay, cold)
-        )
+        series.turn_startups.append({
+            "time": started_at, "language": str(language),
+            "startup_delay": play.startup_delay, "cold": cold,
+        })
         totals["stall"] += play.stall_total
         for pid in sorted(meeting.participants.ids_of(language)):
             if pid != meeting.active_speaker:
@@ -746,7 +751,7 @@ def per_session_report(scenario: Scenario) -> dict:
     for language in sorted(sessions):
         close(language, scenario.run_duration)
     record(scenario.run_duration)
-    series.turn_startups.sort(key=lambda s: (s.time, s.language))
+    series.turn_startups.sort(key=lambda s: (s["time"], s["language"]))
 
     entries.extend((point[0], 1, "", point) for point in states)
     entries.sort(key=lambda item: item[:3])
@@ -757,7 +762,7 @@ def per_session_report(scenario: Scenario) -> dict:
         else:
             stalls_cum += payload
         _, k, n, failures = current
-        series.samples.append(MetricsSample(
+        series.samples.append(dict(
             time_s=when,
             k=k,
             token_cost=cost.unit_cost * k,
@@ -896,16 +901,16 @@ class TestProperties:
         )
         report = run_scenario(scenario)
         for sample in report.series.samples:
-            assert sample.k <= min(capacity, n - 1)
-            if sample.k >= 1:
-                assert sample.naive_cost >= n * sample.token_cost
+            assert sample["k"] <= min(capacity, n - 1)
+            if sample["k"] >= 1:
+                assert sample["naive_cost"] >= n * sample["token_cost"]
         assert report.cost_ratio <= 1.0
 
     @given(scenario=meetings())
     @settings(max_examples=300, deadline=None)
     def test_shared_schedules_match_per_session_scheduling(self, scenario):
         assume(not validate_scenario(scenario))
-        # json text, so that 0.0 and -0.0 or a reordered key would differ too
-        assert json.dumps(report_to_json(run_scenario(scenario))) == json.dumps(
+        # the published text, so that 0.0 and -0.0 would differ too
+        assert dumps_json(report_to_json(run_scenario(scenario))) == dumps_json(
             per_session_report(scenario)
         )
