@@ -140,7 +140,9 @@ def _segments(total_duration: float, segment_duration: float) -> list[tuple[floa
     Full chunks carry ``segment_duration`` itself (never a subtraction
     residue, so p(duration) is p(T) bit-for-bit); a tail shorter than one
     chunk becomes a final short segment available when the stream ends.
-    Durations within 1e-9 s of a whole chunk count as whole.
+    A duration within 1e-9 *chunks* below a whole number of chunks counts
+    as whole, so its last chunk may be available a rounding error after
+    the stream ends; a tail of at most 1e-9 s is dropped.
     """
     if segment_duration <= 0:
         raise ValidationError(

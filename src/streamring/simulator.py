@@ -433,6 +433,10 @@ def _apply(roster: Roster, event: ScenarioEvent) -> None:
 # ---------------------------------------------------------------------------
 # The event loop
 
+#: Most ``samples`` rows one run may make, at about 0.64 KB each while its
+#: report is rendered; a session whose boundaries would pass it ends the run.
+MAX_SAMPLE_ROWS = 1_500_000
+
 
 def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the scenario deterministically and report the metrics series
@@ -486,6 +490,9 @@ def run_scenario(scenario: Scenario) -> RunReport:
             for job, timing in zip(jobs, play.per_segment)
         ]
 
+    # a state point at the start, at the end and at each event time, at most
+    state_rows = len({0.0, scenario.run_duration, *(e.time for e in events)})
+
     # The sessions of one turn open and close together and differ only in
     # language, so each distinct (started_at, cold) among the sessions
     # closing at ``closing_at`` is scheduled once.  Time only moves forward,
@@ -511,6 +518,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 started_at, duration, cold
             )
         startup_delay, stall_total, boundaries = schedule
+        if len(entries) + len(boundaries) + state_rows > MAX_SAMPLE_ROWS:
+            raise ValidationError(
+                f"the report would pass the limit of {MAX_SAMPLE_ROWS} sample "
+                f"rows (simulator.MAX_SAMPLE_ROWS) when the {language} session "
+                f"closes at t={when:g} s")
         series.turn_startups.append({
             "time": started_at, "language": language,
             "startup_delay": startup_delay, "cold": cold,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from streamring import cli
+from streamring import cli, segproc, simulator
 from streamring.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -462,6 +462,38 @@ class TestSimulate:
         path.write_text(json.dumps(two_party_scenario(model, 1e-300)))
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert "segment limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("languages, budget, closing", [
+        (["de"], 12, None), (["de"], 11, "de"),
+        (["de", "fr"], 22, None), (["de", "fr"], 21, "fr"),
+    ])
+    def test_sample_rows_bounded(self, languages, budget, closing, tmp_path,
+                                 monkeypatch, capsys):
+        # each listener language's session makes 10 boundary rows, and the
+        # run two state points
+        scenario = two_party_scenario(
+            {"form": "affine", "params": {"a": 0.2, "b": 0.5}}, 3.0)
+        scenario["participants"][1:] = [
+            {"id": f"L{i}", "language": lang} for i, lang in enumerate(languages)]
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(scenario))
+        monkeypatch.setattr(simulator, "MAX_SAMPLE_ROWS", budget)
+        code = run_cli(["simulate", "--scenario", str(path), "--format", "json"])
+        out, err = capsys.readouterr()
+        if closing is None:
+            assert code == EXIT_OK
+            assert len(json.loads(out)["samples"]) == budget
+            return
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            f"streamring: error: the report would pass the limit of {budget} "
+            "sample rows (simulator.MAX_SAMPLE_ROWS) when the "
+            f"{closing} session closes at t=30 s\n")
+
+    def test_sample_row_budget_fits_one_longest_stream(self):
+        # a two-person run at the segment limit: its boundaries, two states
+        assert simulator.MAX_SAMPLE_ROWS >= segproc.MAX_SEGMENTS + 2
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["simulate", "--scenario",

@@ -153,25 +153,30 @@ ODD_CELLS = st.sampled_from(
 
 @st.composite
 def measurement_csvs(draw) -> bytes:
-    """A valid one-label measurement table with up to three cells replaced or
-    removed; sometimes with a non-UTF-8 byte."""
-    samples = draw(st.lists(
-        st.tuples(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]), st.integers(0, 3),
-                  st.floats(0.1, 20.0)),
-        min_size=2, max_size=8,
-    ))
+    """A valid one-label measurement table of at least two distinct
+    durations whose latencies grow with the duration, so that both forms
+    can fit it, with up to three cells replaced or removed, mostly data
+    cells; sometimes with a non-UTF-8 byte."""
+    durations = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]),
+                              min_size=2, max_size=5, unique=True))
+    a, b = draw(st.floats(0.05, 1.0)), draw(st.floats(0.1, 2.0))
     rows = [["label", "t_seconds", "run", "p_seconds"]]
-    rows += [["L", repr(t), str(run), repr(p)] for t, run, p in samples]
+    for t in durations:
+        for run in range(draw(st.integers(1, 2))):
+            p = a + b * t + draw(st.floats(0.0, 0.01))
+            rows.append(["L", repr(t), str(run), repr(p)])
     for _ in range(draw(st.integers(0, 3))):
-        row = draw(st.sampled_from(rows))
-        column = draw(st.integers(0, len(row) - 1)) if row else 0
-        cell = draw(ODD_CELLS)
-        if cell is DELETE:
-            row[column:column + 1] = []
+        # sampled_from, unlike integers(), does not favour the rare choices
+        target = draw(st.sampled_from(["data"] * 14 + ["header", "label"]))
+        if target == "header":
+            row, column = rows[0], draw(st.integers(0, 3))
         else:
-            row[column:column + 1] = [cell]
+            row = draw(st.sampled_from(rows[1:]))
+            column = 0 if target == "label" else draw(st.integers(1, 3))
+        cell = draw(ODD_CELLS)
+        row[column:column + 1] = [] if cell is DELETE else [cell]
     data = "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
-    if draw(st.integers(0, 7)) == 0:
+    if draw(st.sampled_from([False] * 7 + [True])):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xe9" + data[at:]
     return data
