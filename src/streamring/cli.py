@@ -39,9 +39,9 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
-from .core import CostModel, ValidationError, dumps_json
+from .core import CostModel, ValidationError, dump_json
 from .latency import (
     FORM_AFFINE,
     FORM_LOG,
@@ -163,11 +163,13 @@ def _render_csv(header: Sequence[str], records: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _render(fmt: str, payload: object, header: Sequence[str],
-            records: list[dict]) -> str:
+def _write_output(fmt: str, payload: object, header: Sequence[str],
+                  records: list[dict], fh: TextIO) -> None:
     if fmt == "json":
-        return dumps_json(payload) + "\n"
-    return _render_csv(header, records)
+        dump_json(payload, fh)
+        fh.write("\n")
+    else:
+        fh.write(_render_csv(header, records))
 
 
 def _finish(
@@ -183,12 +185,13 @@ def _finish(
     stdout summary, otherwise the summary prints unless ``--quiet``.  The
     CSV rendering is the table ``records``, which lies inside ``payload``."""
     if args.out is not None:
-        text = _render(args.format or out_default, payload, header, records)
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_output(args.format or out_default, payload, header,
+                          records, fh)
         if not args.quiet:
             print("\n".join(human + [f"wrote {args.out}"]))
     elif args.format is not None:
-        sys.stdout.write(_render(args.format, payload, header, records))
+        _write_output(args.format, payload, header, records, sys.stdout)
     elif not args.quiet:
         print("\n".join(human))
     return EXIT_OK
@@ -283,9 +286,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         save_model(model, args.out)
         human.append(f"model written: {args.out}")
     if args.format is not None:
-        sys.stdout.write(
-            _render(args.format, payload, _TAU_HEADER, payload["tau_table"])
-        )
+        _write_output(args.format, payload, _TAU_HEADER,
+                      payload["tau_table"], sys.stdout)
     elif not args.quiet:
         print("\n".join(human))
     return EXIT_OK

@@ -15,7 +15,7 @@ import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Callable, Iterable, Optional, TextIO
 
 
 class ValidationError(ValueError):
@@ -70,36 +70,39 @@ def read_json(path) -> object:
 _SCALARS = frozenset({str, LanguageTag, int, float, bool, type(None)})
 
 
-#: Rows of a table encoded together.  A block's per-value strings (a few
-#: hundred bytes a row) are freed before the next block is encoded, so a
-#: long table is rendered in about twice the memory of its text.
-_BLOCK_ROWS = 4096
+#: Rows of a table encoded together.  A block's per-value and per-row
+#: strings are freed once the block is written, so rendering a table takes
+#: memory that does not grow with its length.
+_BLOCK_ROWS = 256
 
 
-class _Unfit(Exception):
-    """The payload holds a key or value that only ``json.dumps`` renders."""
-
-
-def dumps_json(payload: object) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, with
-    the per-value work left to the C encoder.
+def dump_json(payload: object, fh: TextIO) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` to ``fh``,
+    byte for byte, each piece as soon as it is made, like ``json.dump``.
 
     Any ``indent`` makes ``json.dumps`` use its pure-Python encoder, so this
     encodes each container of scalars in one C call whose item separator is
     the newline and indent, then pads the brackets.  The C encoder escapes
     ``\\n`` inside strings, so a literal newline can only be a separator.  A
-    table (a list of dicts that share one non-empty set of ``str`` keys and
-    hold only scalars, such as a report's ``samples``) is encoded one column
-    per C call, in blocks of ``_BLOCK_ROWS`` rows, and each row is one ``%``
-    fill of a template that holds the keys and the indents.  Both encoders
-    write a ``LanguageTag`` value as its string.  A key that is not a
-    ``str``, or a value that is not exactly a JSON type or a tag (a tuple,
-    an ``int`` subclass), sends the whole payload to ``json.dumps``.
+    list of dicts (such as a report's ``samples``) is written in blocks of
+    ``_BLOCK_ROWS`` rows.  A block whose rows share one non-empty set of
+    ``str`` keys and hold only scalars is encoded one column per C call,
+    each row one ``%`` fill of a template that holds the keys and the
+    indents; any other block is written row by row.  Both encoders write a
+    ``LanguageTag`` as its string.  A value that is not exactly a JSON type
+    or a tag (a tuple, an ``int`` subclass), or a dict with a key that is
+    not a ``str``, is rendered by ``json.dumps`` where it stands, its
+    newlines replaced by the current newline and indent.
     """
-    try:
-        return _indented(payload, "\n")
-    except _Unfit:
-        return json.dumps(payload, sort_keys=True, indent=2)
+    _write(payload, "\n", fh.write)
+
+
+def dumps_json(payload: object) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte: the
+    pieces ``dump_json`` writes, joined."""
+    pieces: list[str] = []
+    _write(payload, "\n", pieces.append)
+    return "".join(pieces)
 
 
 def _flat(container: object, nl: str) -> str:
@@ -112,41 +115,50 @@ def _types(values: Iterable[object]) -> set[type]:
     return set(map(type, values))
 
 
-def _indented(value: object, nl: str) -> str:
-    """``value`` at the depth whose newline and indent are ``nl``."""
+def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
+    """Pass ``value``, at the depth whose newline and indent are ``nl``, to
+    ``write`` in pieces."""
     kind = type(value)
     if kind in _SCALARS:
-        return _flat(value, nl)
-    if kind is not dict and kind is not list:
-        raise _Unfit
-    if not value:
-        return "{}" if kind is dict else "[]"
+        write(_flat(value, nl))
+        return
+    # a tuple, an int subclass, a key that is not a str, or an empty container
+    if not (kind is list or kind is dict and _types(value) == {str}) or not value:
+        write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+        return
     inner = nl + "  "
-    if kind is dict:
-        if _types(value) != {str}:
-            raise _Unfit
-        if _types(value.values()) <= _SCALARS:
-            return "{" + inner + _flat(value, inner)[1:-1] + nl + "}"
-        return "{" + inner + ("," + inner).join(
-            f"{_flat(key, inner)}: {_indented(v, inner)}"
-            for key, v in sorted(value.items())
-        ) + nl + "}"
-    items = _types(value)
+    items = _types(value.values() if kind is dict else value)
     if items <= _SCALARS:
-        return "[" + inner + _flat(value, inner)[1:-1] + nl + "]"
-    blocks = _table(value, inner) if items == {dict} else None
-    if blocks is not None:  # bracketing the end blocks saves a copy of the text
-        blocks[0] = "[" + inner + blocks[0]
-        blocks[-1] += nl + "]"
-        return ("," + inner).join(blocks)
-    return "[" + inner + ("," + inner).join(
-        _indented(v, inner) for v in value) + nl + "]"
+        text = _flat(value, inner)
+        write(text[0] + inner + text[1:-1] + nl + text[-1])
+        return
+    if kind is dict:
+        opener = "{" + inner
+        for key in sorted(value):
+            write(opener + _flat(key, inner) + ": ")
+            _write(value[key], inner, write)
+            opener = "," + inner
+        write(nl + "}")
+        return
+    opener = "[" + inner
+    for start in range(0, len(value), _BLOCK_ROWS):
+        block = value[start:start + _BLOCK_ROWS]
+        text = _table(block, inner) if items == {dict} else None
+        if text is not None:
+            write(opener + text)
+            opener = "," + inner
+        else:
+            for item in block:
+                write(opener)
+                _write(item, inner, write)
+                opener = "," + inner
+    write(nl + "]")
 
 
-def _table(rows: list, nl: str) -> Optional[list[str]]:
+def _table(rows: list, nl: str) -> Optional[str]:
     """The dicts ``rows`` at the depth whose newline and indent are ``nl``,
-    as the texts of consecutive blocks of rows, or None unless they share
-    the first row's non-empty set of ``str`` keys and hold only scalars."""
+    separated by ``,`` + ``nl``, or None unless they share the first row's
+    non-empty set of ``str`` keys and hold only scalars."""
     keys = rows[0].keys()
     if _types(keys) != {str} or set(map(len, rows)) != {len(keys)}:
         return None
@@ -155,20 +167,16 @@ def _table(rows: list, nl: str) -> Optional[list[str]]:
     template = "{" + field + ("," + field).join(
         _flat(name, field).replace("%", "%%") + ": %s" for name in names
     ) + nl + "}"
-    blocks = []
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        texts = []
-        for name in names:
-            try:  # rows of one size that hold every key share the key set
-                column = list(map(itemgetter(name), block))
-            except KeyError:
-                return None
-            if not _types(column) <= _SCALARS:
-                return None
-            texts.append(_flat(column, "\n")[1:-1].split(",\n"))
-        blocks.append(("," + nl).join(map(template.__mod__, zip(*texts))))
-    return blocks
+    texts = []
+    for name in names:
+        try:  # rows of one size that hold every key share the key set
+            column = list(map(itemgetter(name), rows))
+        except KeyError:
+            return None
+        if not _types(column) <= _SCALARS:
+            return None
+        texts.append(_flat(column, "\n")[1:-1].split(",\n"))
+    return ("," + nl).join(map(template.__mod__, zip(*texts)))
 
 
 def _number(value: object, name: str, expected: str = "a number") -> float:

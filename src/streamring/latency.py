@@ -26,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .core import ValidationError, _number, _typed, dumps_json, read_json
+from .core import ValidationError, _number, _typed, dump_json, read_json
 
 FORM_AFFINE = "affine"
 FORM_LOG = "log"
@@ -485,7 +485,8 @@ def model_from_json(data: dict) -> LatencyModel:
 
 def save_model(model: LatencyModel, path: "Path | str") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(model_to_json(model)) + "\n")
+        dump_json(model_to_json(model), fh)
+        fh.write("\n")
 
 
 def load_model(path: "Path | str") -> LatencyModel:

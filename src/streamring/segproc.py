@@ -59,6 +59,10 @@ SEGMENT_FILE_PATTERN = "seg_%05d"
 #: before any of it is built.
 MAX_SEGMENTS = 10**6
 
+#: The wall clock ``run_external`` reads, looked up at each call so that a
+#: caller may replace it with scripted readings.
+_clock = time.monotonic
+
 
 class StreamMode(str, Enum):
     LIVE = "live"  # segment k finishes arriving at (k+1)*T
@@ -320,11 +324,11 @@ def run_external(
 
     measurements = MeasurementSet(label=label)
     jobs: list[SegmentJob] = []
-    origin = time.monotonic()
+    origin = _clock()
     for index, (duration, live_available) in enumerate(segments):
         available = live_available if live else 0.0
         if live:
-            wait = origin + available - time.monotonic()
+            wait = origin + available - _clock()
             if wait > 0:
                 time.sleep(wait)
         in_path = workdir / (SEGMENT_FILE_PATTERN % index)
@@ -334,9 +338,9 @@ def run_external(
             token.replace("{input}", str(in_path)).replace("{output}", str(out_path))
             for token in argv_template
         ]
-        started = time.monotonic() - origin
+        started = _clock() - origin
         error = _run_command(argv, timeout)
-        finished = time.monotonic() - origin
+        finished = _clock() - origin
         if error is not None:
             logger.error("segment %d command failed: %s", index, error)
             return ExternalRunResult(
@@ -363,10 +367,12 @@ def run_external(
 def _run_command(argv: list[str], timeout: Optional[float]) -> Optional[str]:
     """Run one segment's command: None when it exits 0, else why it failed.
     The command leads a new session, and its whole process group is killed
-    when the segment ends, so no child it forked outlives the segment."""
+    when the segment ends, so no child it forked outlives the segment.  Its
+    stderr is read as UTF-8, each undecodable byte replaced."""
     try:
         proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE, text=True,
+                                stderr=subprocess.PIPE,
+                                encoding="utf-8", errors="replace",
                                 start_new_session=True)
     except OSError as exc:  # the command could not start
         return str(exc)

@@ -47,7 +47,7 @@ from .core import (
     _number,
     _typed,
     cost_naive,
-    dumps_json,
+    dump_json,
     read_json,
 )
 from .latency import (
@@ -63,8 +63,8 @@ from .latency import (
     t_opt_discrete,
     table_model,
 )
-from .orchestrator import EventKind, update_orchestration
-from .segproc import StreamSpec, check_viability, schedule_stream
+from .orchestrator import EventKind, required_languages, update_orchestration
+from .segproc import MAX_SEGMENTS, StreamSpec, check_viability, schedule_stream
 
 __all__ = [
     "MetricsSeries",
@@ -247,7 +247,8 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(scenario_to_json(scenario)) + "\n")
+        dump_json(scenario_to_json(scenario), fh)
+        fh.write("\n")
 
 
 def scenario_digest(scenario: Scenario) -> str:
@@ -332,11 +333,12 @@ def _check_scenario(
     scenario: Scenario,
 ) -> tuple[
     list[str], Optional[LatencyModel], dict[str, LanguageTag],
-    list[ScenarioEvent],
+    list[ScenarioEvent], int,
 ]:
     """The violations, plus what checking built for a run to use: the
-    latency model (None when it did not resolve), the starting members and
-    the events in application order."""
+    latency model (None when it did not resolve), the starting members, the
+    events in application order and the most languages that need a
+    pipeline at once."""
     violations: list[str] = []
     model: Optional[LatencyModel] = None
     if not 0 < scenario.run_duration < math.inf:
@@ -386,6 +388,9 @@ def _check_scenario(
 
     events = _ordered_events(scenario)
     largest = len(roster)
+    replay = Meeting(participants=roster, pool_capacity=0)
+    speaker: Optional[str] = None
+    listeners = 0
     for event in events:
         where = f"event at t={event.time} ({event.kind.value} {event.participant!r})"
         if not 0 <= event.time <= scenario.run_duration:
@@ -394,7 +399,14 @@ def _check_scenario(
             _apply(roster, event)
         except ValidationError as exc:
             violations.append(f"{where}: {exc}")
+        if event.kind is ScenarioEventKind.SPEAKER_CHANGE:
+            speaker = event.participant
+        if speaker not in roster:
+            speaker = None  # the speaker left, or was never present
         largest = max(largest, len(roster))
+        listeners = max(listeners, len(required_languages(
+            replay, speaker,
+            translate_same_language=scenario.translate_same_language)))
 
     # A run samples the naive cost at each roster size and integrates it
     # over the run; both are largest at the largest roster.
@@ -409,7 +421,7 @@ def _check_scenario(
                 violations.append(
                     f"the naive cost of a meeting of {largest} at unit cost "
                     f"{unit:g} over run_duration {run:g} s overflows a float")
-    return violations, model, members, events
+    return violations, model, members, events, listeners
 
 
 def _apply(roster: Roster, event: ScenarioEvent) -> None:
@@ -433,8 +445,10 @@ def _apply(roster: Roster, event: ScenarioEvent) -> None:
 # ---------------------------------------------------------------------------
 # The event loop
 
-#: Most ``samples`` rows one run may make, at about 0.64 KB each while its
-#: report is rendered; a session whose boundaries would pass it ends the run.
+#: Most ``samples`` rows one run may make, at about 0.41 KB each at the
+#: run's peak, while the report is built; writing it adds a bounded amount.
+#: A run whose estimate passes it is rejected before it starts, and a
+#: session whose boundaries would pass it ends the run.
 MAX_SAMPLE_ROWS = 1_500_000
 
 
@@ -442,7 +456,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the scenario deterministically and report the metrics series
     plus aggregates.  Raises ScenarioError listing all structural violations
     when the scenario is malformed."""
-    violations, model, members, events = _check_scenario(scenario)
+    violations, model, members, events, listeners = _check_scenario(scenario)
     if violations:
         raise ScenarioError(
             "invalid scenario:\n" + "\n".join(f"  - {v}" for v in violations)
@@ -456,6 +470,21 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"segment duration {segment_duration:g} s is not real-time viable "
             f"(tau={viability.tau:.3f}); playback will lag behind the stream"
         )
+
+    # a state point at the start, at the end and at each event time, at most
+    state_rows = len({0.0, scenario.run_duration, *(e.time for e in events)})
+    # each language holding a pipeline adds about a row per segment; a
+    # longer stream than the segment limit fails on its own when scheduled
+    languages = min(scenario.pool_capacity, listeners)
+    chunks = math.ceil(min(scenario.run_duration / segment_duration,
+                           MAX_SEGMENTS))
+    rows = languages * chunks + state_rows
+    if rows > MAX_SAMPLE_ROWS:
+        raise ValidationError(
+            f"the report would hold about {rows} sample rows ({languages} "
+            f"listener languages x {chunks} segments of {segment_duration:g} "
+            f"s, plus {state_rows} state rows), past the limit of "
+            f"{MAX_SAMPLE_ROWS} (simulator.MAX_SAMPLE_ROWS)")
 
     cost = CostModel(unit_cost=scenario.unit_cost)
     meeting = Meeting(participants=members, pool_capacity=scenario.pool_capacity)
@@ -489,9 +518,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
             (started_at + job.available_at, timing.stall)
             for job, timing in zip(jobs, play.per_segment)
         ]
-
-    # a state point at the start, at the end and at each event time, at most
-    state_rows = len({0.0, scenario.run_duration, *(e.time for e in events)})
 
     # The sessions of one turn open and close together and differ only in
     # language, so each distinct (started_at, cold) among the sessions

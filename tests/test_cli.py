@@ -35,16 +35,6 @@ from tests.test_golden import SCENARIOS as GOLDEN_SCENARIOS
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-# stub whose runtime grows with segment duration: p ~= 0.04 + 0.1 t, so a
-# two-duration bench run yields a clean, admissible affine fit
-PROPORTIONAL_STUB = (
-    'python3 -c "import shutil,sys,time; '
-    "d=float(open(sys.argv[1]).read().split()[3]); "
-    "time.sleep(0.04+0.1*d); "
-    'shutil.copy(sys.argv[1], sys.argv[2])" {input} {output}'
-)
-
-
 def run_cli(argv: list[str]) -> int:
     try:
         return main(argv)
@@ -478,6 +468,10 @@ class TestSimulate:
         path = tmp_path / "rows.json"
         path.write_text(json.dumps(scenario))
         monkeypatch.setattr(simulator, "MAX_SAMPLE_ROWS", budget)
+        # the up-front estimate sees no listener language, so this checks
+        # the hard stop alone
+        monkeypatch.setattr(simulator, "required_languages",
+                            lambda *args, **kwargs: set())
         code = run_cli(["simulate", "--scenario", str(path), "--format", "json"])
         out, err = capsys.readouterr()
         if closing is None:
@@ -490,6 +484,59 @@ class TestSimulate:
             f"streamring: error: the report would pass the limit of {budget} "
             "sample rows (simulator.MAX_SAMPLE_ROWS) when the "
             f"{closing} session closes at t=30 s\n")
+
+    @pytest.mark.parametrize("pool, budget, rows", [
+        (2, 22, None), (2, 21, 22), (1, 12, None), (1, 11, 12),
+    ])
+    def test_sample_rows_estimated_before_the_run(self, pool, budget, rows,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        # min(pool, 2 listener languages) sessions of 10 boundary rows, and
+        # two state points
+        scenario = two_party_scenario(
+            {"form": "affine", "params": {"a": 0.2, "b": 0.5}}, 3.0)
+        scenario["participants"].append({"id": "C", "language": "fr"})
+        scenario["pool_capacity"] = pool
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(scenario))
+        monkeypatch.setattr(simulator, "MAX_SAMPLE_ROWS", budget)
+        code = run_cli(["simulate", "--scenario", str(path), "--format", "json"])
+        out, err = capsys.readouterr()
+        if rows is None:
+            assert code == EXIT_OK
+            assert len(json.loads(out)["samples"]) == budget
+            return
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            f"streamring: error: the report would hold about {rows} sample "
+            f"rows ({pool} listener languages x 10 segments of 3 s, plus 2 "
+            f"state rows), past the limit of {budget} "
+            "(simulator.MAX_SAMPLE_ROWS)\n")
+
+    def test_oversized_run_rejected_before_any_work(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # eight listener languages at T = 1 s over 2e5 s: 1.6e6 boundary rows
+        scenario = two_party_scenario(
+            {"form": "affine", "params": {"a": 0.2, "b": 0.5}}, 1.0)
+        scenario["participants"][1:] = [
+            {"id": f"L{i}", "language": f"x{i}"} for i in range(8)]
+        scenario["pool_capacity"] = 8
+        scenario["run_duration"] = 2e5
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(scenario))
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("an orchestration pass ran")
+
+        monkeypatch.setattr(simulator, "update_orchestration", no_pass)
+        started = time.monotonic()
+        code = run_cli(["simulate", "--scenario", str(path)])
+        # under 10 ms on a shared two-core host
+        assert time.monotonic() - started < 1.0
+        assert code == EXIT_VALIDATION
+        assert "about 1600002 sample rows (8 listener languages x 200000 " \
+            "segments of 1 s" in capsys.readouterr().err
 
     def test_sample_row_budget_fits_one_longest_stream(self):
         # a two-person run at the segment limit: its boundaries, two states
@@ -728,10 +775,15 @@ class TestBench:
         assert len(rows) == 4
         assert all(0.015 < float(r[3]) < 0.5 for r in rows[1:])
 
-    def test_round_trip_into_calibrate(self, tmp_path, capsys):
+    def test_round_trip_into_calibrate(self, tmp_path, capsys, monkeypatch):
+        # Segments of 1, 1 and 0.5 s, timed by scripted clock readings at
+        # p = 0.1 + 0.5 d: a process's start-up jitter (0.1 s and more on a
+        # loaded host) would swamp any gap a real stub can afford.
+        readings = iter([0.0, 0.0, 0.6, 0.6, 1.2, 1.2, 1.55])
+        monkeypatch.setattr(segproc, "_clock", lambda: next(readings))
         out = tmp_path / "bench.csv"
         code = run_cli(
-            ["bench", "--cmd", PROPORTIONAL_STUB, "--stream-seconds", "2.5",
+            ["bench", "--cmd", "cp {input} {output}", "--stream-seconds", "2.5",
              "--segment", "1", "--label", "mybox", "--out", str(out), "--quiet"]
         )
         assert code == EXIT_OK
@@ -740,6 +792,7 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == "mybox"
         assert payload["diagnostics"]["n_durations"] == 2
+        assert next(readings, None) is None  # every reading was taken
 
     def test_failing_stub_partial_rows(self, capsys):
         cmd = ("sh -c 'grep -q \"segment 2\" {input} "
@@ -764,6 +817,25 @@ class TestBench:
         assert payload["ok"] is True
         assert payload["report"]["stall_count"] >= 0
         assert len(payload["measurements"]) == 2
+
+    @pytest.mark.parametrize("then, code", [
+        ("exit 1", EXIT_RUNTIME), ("cp {input} {output}", EXIT_OK),
+    ], ids=["failing", "succeeding"])
+    def test_stderr_that_is_not_utf8(self, then, code, capsys):
+        cmd = f"sh -c 'printf \"\\377\\376 bad\" >&2; {then}'"
+        assert run_cli(
+            ["bench", "--cmd", cmd, "--stream-seconds", "1", "--segment", "1",
+             "--format", "json"]
+        ) == code
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        if code == EXIT_OK:
+            assert payload["ok"] is True
+            assert len(payload["measurements"]) == 1
+            return
+        assert payload["error"] == "\ufffd\ufffd bad"
+        assert captured.err == (
+            "streamring: error: segment 0 command failed: \ufffd\ufffd bad\n")
 
     def test_missing_executable_keeps_rows(self, capsys):
         code = run_cli(
@@ -815,6 +887,8 @@ class TestBench:
         assert code == EXIT_RUNTIME
         assert "timed out after 0.5 s" in capsys.readouterr().err
         child = int((work / "seg_00000.out").read_text())
+        # the child was gone within 4 ms of bench returning in 30 runs on a
+        # loaded two-core host
         deadline = time.monotonic() + 2.0
         try:
             while running(child) and time.monotonic() < deadline:
@@ -833,6 +907,8 @@ class TestBench:
         )
         assert code == EXIT_OK
         child = int((work / "seg_00000.out").read_text())
+        # the child was gone within 4 ms of bench returning in 30 runs on a
+        # loaded two-core host
         deadline = time.monotonic() + 2.0
         try:
             while running(child) and time.monotonic() < deadline:

@@ -455,7 +455,10 @@ class TestRunExternal:
         assert result.ok
         assert len(result.measurements.samples) == 3
         for sample in result.measurements.samples:
-            assert 0.01 < sample.p < 0.45  # 50 ms sleep plus interpreter cost
+            # at least the 50 ms sleep; with the interpreter's start-up the
+            # largest of 300 readings was 0.36 s on a two-core host running
+            # a second test suite, so 1 s leaves a margin of about 3x
+            assert 0.05 <= sample.p < 1.0
         assert result.report is not None
         assert result.report.stall_count == 0
         assert (tmp_path / "work" / "seg_00000").exists()

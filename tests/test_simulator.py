@@ -389,6 +389,24 @@ class TestCheckedOnce:
         assert sorted(built) == ["de", "en", "fr"]
         assert len(sorts) == 1
 
+    @pytest.mark.parametrize("same, expected", [(False, 2), (True, 3)])
+    def test_most_listener_languages_counted_while_someone_speaks(
+            self, same, expected):
+        # A (en, heard by B) speaks to de and fr, and to en too under
+        # identity translation; once A leaves no one speaks, so D's fourth
+        # language needs no pipeline
+        scenario = two_party(
+            participants=[("A", "en"), ("B", "en"), ("C", "de"), ("E", "fr")],
+            translate_same_language=same,
+            events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=5.0, kind="leave", participant="A"),
+                ScenarioEvent(time=6.0, kind="join", participant="D",
+                              language="ja"),
+            ],
+        )
+        assert simulator._check_scenario(scenario)[4] == expected
+
 
 class TestAutoSegmentDuration:
     def test_table_resolves_to_grid_point(self):
