@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import math
 import sys
 import tempfile
@@ -151,16 +150,15 @@ def _n_range_arg(text: str) -> list[int]:
     return out
 
 
-def _render_csv(header: Sequence[str], records: list[dict]) -> str:
-    """The table ``records`` as CSV: the header, then each record's values
-    in header order, with bools written as 0/1."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(header: Sequence[str], records: list[dict], fh: TextIO) -> None:
+    """Write the table ``records`` to ``fh`` as CSV, a row at a time: the
+    header, then each record's values in header order, with bools written
+    as 0/1."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for record in records:
         row = [record[key] for key in header]
         writer.writerow([int(v) if isinstance(v, bool) else v for v in row])
-    return buf.getvalue()
 
 
 def _write_output(fmt: str, payload: object, header: Sequence[str],
@@ -169,7 +167,7 @@ def _write_output(fmt: str, payload: object, header: Sequence[str],
         dump_json(payload, fh)
         fh.write("\n")
     else:
-        fh.write(_render_csv(header, records))
+        _write_csv(header, records, fh)
 
 
 def _finish(
@@ -326,9 +324,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payload = report_to_json(report)
     samples = payload["samples"]
     if args.csv is not None:
-        Path(args.csv).write_text(
-            _render_csv(METRICS_CSV_HEADER, samples), encoding="utf-8"
-        )
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            _write_csv(METRICS_CSV_HEADER, samples, fh)
     startups = report.series.turn_startups
     cold = sum(1 for t in startups if t["cold"])
     human = [

@@ -14,6 +14,7 @@ import math
 import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Optional, TextIO
 
@@ -87,12 +88,12 @@ def dump_json(payload: object, fh: TextIO) -> None:
     list of dicts (such as a report's ``samples``) is written in blocks of
     ``_BLOCK_ROWS`` rows.  A block whose rows share one non-empty set of
     ``str`` keys and hold only scalars is encoded one column per C call,
-    each row one ``%`` fill of a template that holds the keys and the
-    indents; any other block is written row by row.  Both encoders write a
-    ``LanguageTag`` as its string.  A value that is not exactly a JSON type
-    or a tag (a tuple, an ``int`` subclass), or a dict with a key that is
-    not a ``str``, is rendered by ``json.dumps`` where it stands, its
-    newlines replaced by the current newline and indent.
+    the columns interleaved with the key prefixes row by row; any other
+    block is written row by row.  Both encoders write a ``LanguageTag`` as
+    its string.  A value that is not exactly a JSON type or a tag (a tuple,
+    an ``int`` subclass), or a dict with a key that is not a ``str``, is
+    rendered by ``json.dumps`` where it stands, its newlines replaced by
+    the current newline and indent.
     """
     _write(payload, "\n", fh.write)
 
@@ -162,21 +163,21 @@ def _table(rows: list, nl: str) -> Optional[str]:
     keys = rows[0].keys()
     if _types(keys) != {str} or set(map(len, rows)) != {len(keys)}:
         return None
-    names = sorted(keys)
     field = nl + "  "
-    template = "{" + field + ("," + field).join(
-        _flat(name, field).replace("%", "%%") + ": %s" for name in names
-    ) + nl + "}"
-    texts = []
-    for name in names:
+    opener = "{" + field
+    parts: list[Iterable[str]] = []  # per key: its prefix, its value texts
+    for name in sorted(keys):
         try:  # rows of one size that hold every key share the key set
             column = list(map(itemgetter(name), rows))
         except KeyError:
             return None
         if not _types(column) <= _SCALARS:
             return None
-        texts.append(_flat(column, "\n")[1:-1].split(",\n"))
-    return ("," + nl).join(map(template.__mod__, zip(*texts)))
+        parts.append(repeat(opener + _flat(name, field) + ": "))
+        parts.append(_flat(column, "\n")[1:-1].split(",\n"))
+        opener = "," + field
+    parts.append(repeat(nl + "}"))
+    return ("," + nl).join(map("".join, zip(*parts)))
 
 
 def _number(value: object, name: str, expected: str = "a number") -> float:

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ValidationError
 from .latency import LatencyModel, MeasurementSet
@@ -89,8 +89,7 @@ class StreamSpec:
                 ) from None
 
 
-@dataclass(frozen=True)
-class SegmentJob:
+class SegmentJob(NamedTuple):
     """One chunk's lifecycle on the virtual clock: it finishes arriving at
     ``available_at``, processing occupies [start_at, finish_at]."""
 
@@ -101,8 +100,7 @@ class SegmentJob:
     finish_at: float
 
 
-@dataclass(frozen=True)
-class SegmentTiming:
+class SegmentTiming(NamedTuple):
     """Playback view of one segment: when it was ready, when the player
     needed it, and how long the player paused for it."""
 
@@ -265,7 +263,7 @@ def _playback_report(
             stall_total += stall
         else:
             stall = 0.0
-        per_segment.append(SegmentTiming(ready=ready, needed=needed, stall=stall))
+        per_segment.append(SegmentTiming(ready, needed, stall))
 
     return PlaybackReport(
         startup_delay=startup_delay,

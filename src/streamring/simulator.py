@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -508,22 +509,21 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     def session_schedule(
         started_at: float, duration: float, cold: bool
-    ) -> tuple[float, float, list[tuple[float, float]]]:
-        """(startup_delay, stall_total, [(boundary time, stall)]) of one
-        session; its jobs and timings are freed on return."""
+    ) -> tuple[float, float, list[float], list[float]]:
+        """(startup_delay, stall_total, boundary times, boundary stalls) of
+        one session; its jobs and timings are freed on return."""
         jobs, play = schedule_stream(
             StreamSpec(duration), model if cold else warm_model, segment_duration
         )
-        return play.startup_delay, play.stall_total, [
-            (started_at + job.available_at, timing.stall)
-            for job, timing in zip(jobs, play.per_segment)
-        ]
+        return (play.startup_delay, play.stall_total,
+                [started_at + job.available_at for job in jobs],
+                [timing.stall for timing in play.per_segment])
 
     # The sessions of one turn open and close together and differ only in
     # language, so each distinct (started_at, cold) among the sessions
     # closing at ``closing_at`` is scheduled once.  Time only moves forward,
     # so the cache is dropped when the close time moves on.
-    schedules: dict[tuple[float, bool], tuple[float, float, list]] = {}
+    schedules: dict[tuple[float, bool], tuple[float, float, list, list]] = {}
     closing_at: Optional[float] = None
 
     def close_session(language: LanguageTag, when: float) -> None:
@@ -543,8 +543,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
             schedule = schedules[opened] = session_schedule(
                 started_at, duration, cold
             )
-        startup_delay, stall_total, boundaries = schedule
-        if len(entries) + len(boundaries) + state_rows > MAX_SAMPLE_ROWS:
+        startup_delay, stall_total, times, boundary_stalls = schedule
+        if len(entries) + len(times) + state_rows > MAX_SAMPLE_ROWS:
             raise ValidationError(
                 f"the report would pass the limit of {MAX_SAMPLE_ROWS} sample "
                 f"rows (simulator.MAX_SAMPLE_ROWS) when the {language} session "
@@ -558,7 +558,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
         for pid in meeting.participants.ids_of(language):
             if pid != meeting.active_speaker:
                 stalls[pid] = stalls.get(pid, 0.0) + stall_total
-        entries.extend((t, 0, language, stall) for t, stall in boundaries)
+        entries.extend(
+            zip(times, repeat(0), repeat(language), boundary_stalls))
 
     def record_state(when: float) -> None:
         # the sample columns (k, token_cost, naive_cost, alloc_failures); a
@@ -627,7 +628,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     # at equal times a boundary belongs to the interval that is ending, so it
     # sorts before the state change
     entries.extend(points)
-    entries.sort(key=lambda item: (item[0], item[1], item[2]))
+    entries.sort(key=itemgetter(0, 1, 2))
     k, token, naive, fails = points[0][3]
     stalls_cum = 0.0
     for when, priority, _, payload in entries:

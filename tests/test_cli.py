@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -345,10 +346,11 @@ class TestSimulate:
 
     def test_csv_rows_built_only_when_asked(self, tmp_path, monkeypatch, capsys):
         built = []
-        render_csv = cli._render_csv
+        write_csv = cli._write_csv
         monkeypatch.setattr(
-            cli, "_render_csv",
-            lambda header, records: built.append(1) or render_csv(header, records),
+            cli, "_write_csv",
+            lambda header, records, fh: built.append(1)
+            or write_csv(header, records, fh),
         )
         argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
         assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == EXIT_OK
@@ -541,6 +543,33 @@ class TestSimulate:
     def test_sample_row_budget_fits_one_longest_stream(self):
         # a two-person run at the segment limit: its boundaries, two states
         assert simulator.MAX_SAMPLE_ROWS >= segproc.MAX_SEGMENTS + 2
+
+    def test_run_just_under_the_row_budget_keeps_to_its_memory(
+            self, tmp_path, monkeypatch):
+        # README's two-person case (T = 1 s, affine a = 0.1, b = 0.5) with
+        # 19 997 boundary rows and two state rows, under a budget of 20 000,
+        # from cli.main to the written report.  Measured peaks: 8.36 MB on
+        # Python 3.11 (bound 9.25 MB), 10.36 MB on 3.10 (bound 11.05 MB),
+        # 8.23 MB on 3.12 and 8.48 MB on 3.13.
+        budget = 20_000
+        per_row = 500 if sys.version_info < (3, 11) else 410  # README's figures
+        scenario = two_party_scenario(
+            {"form": "affine", "params": {"a": 0.1, "b": 0.5}}, 1.0)
+        scenario["run_duration"] = float(budget - 3)
+        path, out = tmp_path / "rows.json", tmp_path / "report.json"
+        path.write_text(json.dumps(scenario))
+        monkeypatch.setattr(simulator, "MAX_SAMPLE_ROWS", budget)
+        tracemalloc.start()
+        try:
+            code = run_cli(["simulate", "--scenario", str(path), "--format",
+                            "json", "--out", str(out), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        rows = len(json.loads(out.read_text())["samples"])
+        assert rows == budget - 1
+        assert peak < per_row * rows + 2**20, peak
 
     def test_repeat_runs_are_byte_identical(self, capsys):
         argv = ["simulate", "--scenario",
@@ -988,12 +1017,55 @@ class TestTableSchema:
         assert run_cli(argv + ["--format", "json"]) == EXIT_OK
         records = records_of(json.loads(capsys.readouterr().out))
         assert run_cli(argv + ["--format", "csv"]) == EXIT_OK
-        header, *rows = parse_csv(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        header, *rows = parse_csv(text)
         assert len(rows) == len(records) > 0
         for row, record in zip(rows, records):
             assert sorted(header) == sorted(record)
             expected = [record[key] for key in header]
             assert row == [str(int(v) if isinstance(v, bool) else v) for v in expected]
+        # written a row at a time, on stdout, in --out and in simulate's
+        # --csv, the bytes are those of the whole text built first
+        whole = whole_csv(header, records)
+        assert text == whole
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--format", "csv", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == whole.encode("utf-8")
+        if command == "simulate":
+            flag = tmp_path / "flag.csv"
+            assert run_cli(argv + ["--csv", str(flag), "--quiet"]) == EXIT_OK
+            assert flag.read_bytes() == whole.encode("utf-8")
+
+    def test_writing_csv_takes_memory_that_does_not_grow_with_it(self, tmp_path):
+        # Past the records themselves, the peak is 161 KiB at both sizes on
+        # Python 3.11; building the whole text first peaked at 1.5 and
+        # 5.6 MiB.
+        for rows in (10**4, 4 * 10**4):
+            records = [
+                {"time_s": i * 0.27, "k": i % 6, "token_cost": float(i % 6),
+                 "naive_cost": 132.0, "alloc_failures": 0, "stalls_cum": i / 7}
+                for i in range(rows)]
+            tracemalloc.start()
+            try:
+                with open(tmp_path / "out.csv", "w", encoding="utf-8") as fh:
+                    cli._write_output("csv", records, simulator.METRICS_CSV_HEADER,
+                                      records, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 1024, (rows, peak)
+
+
+def whole_csv(header, records) -> str:
+    """CSV as it was rendered before it was written a row at a time: the
+    whole text in one string."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for record in records:
+        row = [record[key] for key in header]
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in row])
+    return buf.getvalue()
 
 
 #: Each subcommand's argv, without ``--format json``, from the calibrated

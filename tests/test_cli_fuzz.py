@@ -7,7 +7,9 @@ get bytes that are not UTF-8.  Whatever the input, ``main`` must return 0,
 with strict JSON (no ``NaN`` or ``Infinity``) on stdout, or 1, 2 or 3 with a
 ``streamring: error:`` message; it must never raise.  Valid
 draws stay small (runs of at most 60 s cut into segments of at least about
-0.5 s), so each call is fast.
+0.5 s), so each call is fast.  The long-run draws (up to 2e5 s in segments
+of down to about 0.1 s) run under a small row budget instead, so that each
+either makes few rows or exits 2 at the row limit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from streamring import simulator
 from streamring.cli import main
 
 # generated table models are often evaluated outside their points on purpose
@@ -230,6 +233,81 @@ def test_scenario_json(work, data):
     path = work / "scenario.json"
     path.write_bytes(data)
     assert_clean_exit(["simulate", "--scenario", str(path), "--format", "json"])
+
+
+#: The row budget the long-run fuzz patches in, so that a run the estimate
+#: lets through makes few rows and each call stays fast.
+FUZZ_ROW_BUDGET = 2000
+
+
+@st.composite
+def long_runs(draw) -> dict:
+    """A valid scenario of up to 12 listener languages, a run of up to
+    2e5 s (log-uniform) in segments of down to about 0.1 s, and up to eight
+    hand-offs, language changes and joins, which break its sessions into
+    shorter ones than the row estimate counts."""
+    listeners = draw(st.integers(1, 12))
+    run_duration = 10 ** draw(st.floats(0.0, math.log10(2e5)))
+    ids = ["S"] + [f"L{i}" for i in range(listeners)]
+    events = [{"time": 0.0, "kind": "speaker-change", "participant": "S"}]
+    for time, kind, who, language in sorted(draw(st.lists(
+            st.tuples(st.floats(0.0, run_duration),
+                      st.sampled_from(["speaker-change", "language-change", "join"]),
+                      st.integers(0, listeners), st.integers(0, 12)),
+            max_size=8))):
+        event = {"time": time, "kind": kind, "participant": ids[who],
+                 "language": f"x{language}"}
+        if kind == "join":
+            event["participant"] = f"J{len(events)}"
+        events.append(event)
+    return {
+        "participants": [{"id": "S", "language": "en"}] + [
+            {"id": f"L{i}", "language": f"x{i}"} for i in range(listeners)],
+        "pool_capacity": draw(st.integers(0, 12)),
+        "latency_model": {
+            "form": "affine",
+            "params": {"a": draw(st.floats(0.05, 0.5)), "b": draw(st.floats(0.1, 1.2))},
+            "valid_range": [0.1, 8.0], "cold_start_extra": draw(st.floats(0.0, 1.0))},
+        "segment_duration": draw(st.one_of(st.just("auto"), st.floats(0.1, 5.0))),
+        "run_duration": run_duration,
+        "events": events,
+    }
+
+
+#: Two listener languages for 993 s in 1 s segments, broken by eight
+#: hand-offs: the estimate, 1996 rows, is within the budget of 2000, and
+#: the run stops at a session close.
+BROKEN_RUN = {
+    "participants": [{"id": "S", "language": "en"}, {"id": "L0", "language": "x0"},
+                     {"id": "L1", "language": "x1"}],
+    "pool_capacity": 12,
+    "latency_model": {"form": "affine", "params": {"a": 0.2, "b": 0.5}},
+    "segment_duration": 1.0,
+    "run_duration": 993.0,
+    "events": [{"time": 100.5 * i, "kind": "speaker-change",
+                "participant": "L0" if i % 2 else "S"} for i in range(9)],
+}
+
+
+@FUZZ
+@example(scenario=BROKEN_RUN)
+@given(scenario=long_runs())
+def test_long_runs_end_in_rows_or_the_row_limit(work, scenario):
+    """Many languages over long runs either make at most the row budget or
+    exit 2 naming it, before the run or at the session that would pass it."""
+    path = work / "long.json"
+    path.write_bytes(_json(scenario))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "MAX_SAMPLE_ROWS", FUZZ_ROW_BUDGET)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--scenario", str(path), "--format", "json"])
+    if code == 0:
+        samples = json.loads(out.getvalue(), parse_constant=_no_constant)["samples"]
+        assert len(samples) <= FUZZ_ROW_BUDGET
+    else:
+        assert code == 2
+        assert "(simulator.MAX_SAMPLE_ROWS)" in err.getvalue()
 
 
 @FUZZ

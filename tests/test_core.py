@@ -282,6 +282,11 @@ class TestDumpsJson:
                       + rows[middle:],
                       rows[:middle] + [{"t": 1, "n": None}] + rows[middle:]):
             _assert_renders({"samples": table})
+        # keys that a template or a row separator could mistake for its own,
+        # written as they are, in a uniform table of more than two blocks
+        odd = [{"%": i, "%s": i / 3, '"': '"},\n      {"', "\n": "%d", "k": True}
+               for i in range(3 * _BLOCK_ROWS + 1)]
+        _assert_renders({"samples": odd})
 
     @example({10: 1, 9: 2})
     @example({"rows": [{"level": _Level.HIGH}, {"level": 2}], "pair": (1, [2.5])})

@@ -20,6 +20,7 @@ from streamring.core import ValidationError
 from streamring.latency import ExtrapolationWarning, LatencyModel, fit, table_model
 from streamring.segproc import (
     SegmentJob,
+    SegmentTiming,
     StreamMode,
     StreamSpec,
     _playback_report,
@@ -72,6 +73,33 @@ class TestStreamSpec:
         spec = StreamSpec(total_duration=0.0)
         with pytest.raises(ValidationError, match="no segments"):
             schedule_stream(spec, a100_model(), segment_duration=3.0)
+
+
+class TestSegmentRecords:
+    """Jobs and timings are immutable records with named fields in a fixed
+    order, and tuples besides."""
+
+    def test_fields_order_and_repr(self):
+        jobs, report = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
+        job, timing = jobs[0], report.per_segment[0]
+        assert SegmentJob._fields == (
+            "index", "duration", "available_at", "start_at", "finish_at")
+        assert SegmentTiming._fields == ("ready", "needed", "stall")
+        assert repr(job) == (
+            f"SegmentJob(index=0, duration=3.0, available_at=3.0, "
+            f"start_at=3.0, finish_at={job.finish_at!r})")
+        assert repr(timing).startswith(f"SegmentTiming(ready={timing.ready!r}, ")
+        index, duration, *_ = job
+        assert (index, duration) == (job[0], job[1]) == (0, 3.0)
+        assert job == (0, 3.0, 3.0, 3.0, job.finish_at)
+        assert job._replace(index=5) == (5,) + tuple(job)[1:]
+
+    def test_fields_cannot_be_set(self):
+        jobs, report = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
+        with pytest.raises(AttributeError):
+            jobs[0].finish_at = 0.0
+        with pytest.raises(AttributeError):
+            report.per_segment[0].stall = 1.0
 
 
 class TestSegmentation:

@@ -9,6 +9,7 @@ E[k] = (pool-1) * (1 - ((pool-1)/pool)^(N-1)).
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streamring import simulator
-from streamring.cli import _render_csv
+from streamring.cli import _write_csv
 from streamring.core import (
     CostModel,
     LanguageTag,
@@ -471,8 +472,9 @@ class TestMetricsCsv:
     def test_csv_shape(self):
         report = run_scenario(two_party())
         samples = report_to_json(report)["samples"]
-        rows = [line.split(",") for line in
-                _render_csv(METRICS_CSV_HEADER, samples).splitlines()]
+        buf = io.StringIO()
+        _write_csv(METRICS_CSV_HEADER, samples, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()]
         assert rows[0] == [
             "time_s", "k", "token_cost", "naive_cost", "alloc_failures", "stalls_cum",
         ]
