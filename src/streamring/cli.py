@@ -34,6 +34,7 @@ import argparse
 import contextlib
 import csv
 import math
+import os
 import sys
 import tempfile
 import warnings
@@ -528,7 +529,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader left early, as ``head`` does: end quietly.  What stdout
+        # still holds is flushed to /dev/null, so that exit writes nothing;
+        # fd 1 stays the pipe for a later caller in this process.
+        saved = os.dup(1)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), 1)
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+        return EXIT_RUNTIME
     except (ValidationError, FileNotFoundError) as exc:
         _err(str(exc))
         return EXIT_VALIDATION

@@ -15,12 +15,15 @@ else's stream.  A repeated speaker-change to the current speaker is a
 no-op.  Stall seconds accrue to the listeners of a session's language at
 the moment the session closes.
 
-The report is written in one pass: a closing session adds its startup, its
-listeners' stalls and its segment samples to the report, and each pass adds a
-state point; after the loop come only two sorts and the aggregate integrals.
-The sessions of one turn open and close together, so they share one
-schedule: each distinct (open time, warmth) among the sessions closing at
-one instant is scheduled once.
+The report is written in one loop over the run's steps: its start, each
+event and its end.  An event's step runs an orchestration pass; the end
+closes the sessions still open, in language order, as if their pipelines
+were decommissioned.  Every session closes at one place in the loop, which
+adds its startup, its listeners' stalls and its segment samples to the
+report, and each step ends with a state point; after the loop come only two
+sorts and the aggregate integrals.  The sessions of one turn open and close
+together, so they share one schedule: each distinct (open time, warmth)
+among the sessions closing at one instant is scheduled once.
 
 Same-timestamp events apply in a fixed order — leaves, joins, language
 changes, speaker changes, each by participant id — which makes reports
@@ -59,12 +62,16 @@ from .latency import (
     fit_auto,
     load_bundled_measurements,
     model_from_json,
-    model_to_json,
     t_opt_continuous,
     t_opt_discrete,
     table_model,
 )
-from .orchestrator import EventKind, required_languages, update_orchestration
+from .orchestrator import (
+    EventKind,
+    OrchestrationEvent,
+    required_languages,
+    update_orchestration,
+)
 from .segproc import MAX_SEGMENTS, StreamSpec, check_viability, schedule_stream
 
 __all__ = [
@@ -501,123 +508,101 @@ def run_scenario(scenario: Scenario) -> RunReport:
     points: list[tuple[float, int, str, tuple[int, float, float, int]]] = []
     failures = 0
 
-    warm_model = (
-        model
-        if model.cold_start_extra == 0.0
-        else replace(model, cold_start_extra=0.0)
-    )
-
-    def session_schedule(
-        started_at: float, duration: float, cold: bool
-    ) -> tuple[float, float, list[float], list[float]]:
-        """(startup_delay, stall_total, boundary times, boundary stalls) of
-        one session; its jobs and timings are freed on return."""
-        jobs, play = schedule_stream(
-            StreamSpec(duration), model if cold else warm_model, segment_duration
-        )
-        return (play.startup_delay, play.stall_total,
-                [started_at + job.available_at for job in jobs],
-                [timing.stall for timing in play.per_segment])
-
+    warm_model = (model if model.cold_start_extra == 0.0
+                  else replace(model, cold_start_extra=0.0))
     # The sessions of one turn open and close together and differ only in
     # language, so each distinct (started_at, cold) among the sessions
     # closing at ``closing_at`` is scheduled once.  Time only moves forward,
     # so the cache is dropped when the close time moves on.
     schedules: dict[tuple[float, bool], tuple[float, float, list, list]] = {}
     closing_at: Optional[float] = None
+    stalls = series.listener_stalls
 
-    def close_session(language: LanguageTag, when: float) -> None:
-        nonlocal total_stall, closing_at
-        opened = open_sessions.pop(language, None)
-        if opened is None:
-            return
-        started_at, cold = opened
-        duration = when - started_at
-        if duration <= 1e-9:
-            return
-        if closing_at != when:
-            closing_at = when
-            schedules.clear()
-        schedule = schedules.get(opened)
-        if schedule is None:
-            schedule = schedules[opened] = session_schedule(
-                started_at, duration, cold
-            )
-        startup_delay, stall_total, times, boundary_stalls = schedule
-        if len(entries) + len(times) + state_rows > MAX_SAMPLE_ROWS:
-            raise ValidationError(
-                f"the report would pass the limit of {MAX_SAMPLE_ROWS} sample "
-                f"rows (simulator.MAX_SAMPLE_ROWS) when the {language} session "
-                f"closes at t={when:g} s")
-        series.turn_startups.append({
-            "time": started_at, "language": language,
-            "startup_delay": startup_delay, "cold": cold,
-        })
-        total_stall += stall_total
-        stalls = series.listener_stalls
-        for pid in meeting.participants.ids_of(language):
-            if pid != meeting.active_speaker:
-                stalls[pid] = stalls.get(pid, 0.0) + stall_total
-        entries.extend(
-            zip(times, repeat(0), repeat(language), boundary_stalls))
+    for when, event in [(0.0, None), *((e.time, e) for e in events),
+                        (scenario.run_duration, None)]:
+        if event is None:  # start or end, without a pass: the end closes all
+            turnover = False
+            # a generator, not a list: the end is at the run's memory peak
+            changes = (OrchestrationEvent(EventKind.PIPELINE_DECOMMISSIONED,
+                                          when, language)
+                       for language in sorted(open_sessions))
+        else:
+            turnover = event.kind is ScenarioEventKind.SPEAKER_CHANGE
+            if not turnover:
+                _apply(meeting.participants, event)
+            elif event.participant == meeting.active_speaker:
+                continue  # repeated floor grant: nothing changes
+            speaker = event.participant if turnover else meeting.active_speaker
+            if speaker not in meeting.participants:
+                speaker = None  # no speaker yet, or the speaker just left
+            _, changes = update_orchestration(
+                meeting, speaker, time=when,
+                translate_same_language=scenario.translate_same_language)
 
-    def record_state(when: float) -> None:
+        # most changes are route-added: they fall through every test
+        for change in changes:
+            kind = change.kind
+            if kind is EventKind.PIPELINE_DECOMMISSIONED:
+                reopen_cold = None
+            elif kind is EventKind.PIPELINE_ALLOCATED:
+                reopen_cold = True
+            elif kind is EventKind.PIPELINE_REUSED and (
+                    change.reinitialized or turnover):
+                reopen_cold = change.reinitialized
+            else:
+                if kind is EventKind.ALLOCATION_FAILED:
+                    failures += 1
+                    warnings.append(
+                        f"allocation failed for language {change.language} at "
+                        f"t={when:g} s (pool capacity {meeting.pool_capacity})")
+                continue
+            language = change.language
+            opened = open_sessions.pop(language, None)
+            if reopen_cold is not None:
+                open_sessions[language] = (when, reopen_cold)
+            if opened is None or when - opened[0] <= 1e-9:
+                continue
+            # the one place a session closes
+            started_at, cold = opened
+            if closing_at != when:
+                closing_at = when
+                schedules.clear()
+            schedule = schedules.get(opened)
+            if schedule is None:
+                jobs, play = schedule_stream(StreamSpec(when - started_at),
+                                             model if cold else warm_model,
+                                             segment_duration)
+                schedule = schedules[opened] = (
+                    play.startup_delay, play.stall_total,
+                    [started_at + job.available_at for job in jobs],
+                    [timing.stall for timing in play.per_segment])
+                del jobs, play  # keep only the two float columns
+            startup_delay, stall_total, times, boundary_stalls = schedule
+            if len(entries) + len(times) + state_rows > MAX_SAMPLE_ROWS:
+                raise ValidationError(
+                    f"the report would pass the limit of {MAX_SAMPLE_ROWS} "
+                    f"sample rows (simulator.MAX_SAMPLE_ROWS) when the "
+                    f"{language} session closes at t={when:g} s")
+            series.turn_startups.append({
+                "time": started_at, "language": language,
+                "startup_delay": startup_delay, "cold": cold,
+            })
+            total_stall += stall_total
+            for pid in meeting.participants.ids_of(language):
+                if pid != meeting.active_speaker:
+                    stalls[pid] = stalls.get(pid, 0.0) + stall_total
+            entries.extend(
+                zip(times, repeat(0), repeat(language), boundary_stalls))
+
         # the sample columns (k, token_cost, naive_cost, alloc_failures); a
         # later pass at the same time supersedes the earlier state
         k, n = len(meeting.pipelines), meeting.size
         naive = cost_naive(n, cost) if n >= 2 else 0.0
-        point = (when, 1, "", (k, cost.unit_cost * k, naive, failures))
         if points and points[-1][0] == when:
-            points[-1] = point
-        else:
-            points.append(point)
+            del points[-1]
+        points.append((when, 1, "", (k, cost.unit_cost * k, naive, failures)))
 
-    def orchestration_pass(
-        when: float, speaker: Optional[str], turnover: bool
-    ) -> None:
-        nonlocal failures
-        _, events = update_orchestration(
-            meeting,
-            speaker,
-            time=when,
-            translate_same_language=scenario.translate_same_language,
-        )
-        for event in events:
-            kind = event.kind
-            if kind is EventKind.PIPELINE_DECOMMISSIONED:
-                close_session(event.language, when)
-            elif kind is EventKind.PIPELINE_ALLOCATED or (
-                kind is EventKind.PIPELINE_REUSED
-                and (event.reinitialized or turnover)
-            ):
-                close_session(event.language, when)
-                cold = kind is EventKind.PIPELINE_ALLOCATED or event.reinitialized
-                open_sessions[event.language] = (when, cold)
-            elif kind is EventKind.ALLOCATION_FAILED:
-                failures += 1
-                warnings.append(
-                    f"allocation failed for language {event.language} at "
-                    f"t={when:g} s (pool capacity {meeting.pool_capacity})"
-                )
-        record_state(when)
-
-    record_state(0.0)
-    for event in events:
-        if event.kind is ScenarioEventKind.SPEAKER_CHANGE:
-            if event.participant == meeting.active_speaker:
-                continue  # repeated floor grant: nothing changes
-            orchestration_pass(event.time, event.participant, turnover=True)
-            continue
-        _apply(meeting.participants, event)
-        speaker = meeting.active_speaker
-        if speaker not in meeting.participants:
-            speaker = None  # no speaker yet, or the active speaker just left
-        orchestration_pass(event.time, speaker, turnover=False)
-
-    for language in sorted(open_sessions):
-        close_session(language, scenario.run_duration)
     schedules.clear()  # no close follows; free them before the samples
-    record_state(scenario.run_duration)
     if total_stall == math.inf:  # each listener's share is at most this
         raise ValidationError(
             f"the stalls of {segment_duration:g} s segments under the "

@@ -1224,3 +1224,45 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in ("calibrate", "topt", "simulate", "sweep", "bench"):
             assert name in proc.stdout
+
+    # stdout block-buffered, as it is under a shell
+    BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # about 0.5 MB of output either way, far past a pipe's buffer
+    LONG_SWEEP = ["sweep", "--n", "2:9000", "--assignment", "distinct"]
+
+    @pytest.mark.parametrize("output", [["--format", "json"], []],
+                             ids=["json", "summary"])
+    def test_reader_that_leaves_early_ends_the_run_quietly(self, output):
+        # as `streamring sweep --n 2:9000 ... | head -1`
+        with subprocess.Popen(
+            [sys.executable, "-m", "streamring.cli", *self.LONG_SWEEP, *output],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.BUFFERED,
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (EXIT_RUNTIME, b"")
+
+    def test_reader_gone_before_the_first_write_leaves_fd_1_as_it_was(self):
+        # Short output stays in the buffer until ``main`` flushes it.  Each
+        # call ends quietly, fd 1 is still the pipe after both, and nothing
+        # is left for the flush at exit.
+        script = (
+            "import os, stat, sys; from streamring.cli import main; "
+            "argv = sys.argv[1:]; codes = [main(argv), main(argv)]; "
+            "print(codes, stat.S_ISFIFO(os.fstat(1).st_mode), file=sys.stderr)"
+        )
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "sweep", "--n", "2:3",
+                 "--assignment", "distinct", "--format", "json"],
+                stdout=write, stderr=subprocess.PIPE, env=self.BUFFERED,
+                text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, f"[{EXIT_RUNTIME}, "
+                                                     f"{EXIT_RUNTIME}] True\n")
