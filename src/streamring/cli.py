@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", type=Path, required=True, metavar="JSON",
                    help="model file from calibrate")
-    p.add_argument("--grid", type=_grid_arg, default=[1.0, 2.0, 3.0, 5.0, 8.0],
+    p.add_argument("--grid", type=_grid_arg, default=(1.0, 2.0, 3.0, 5.0, 8.0),
                    metavar="T1,T2,...",
                    help="candidate segment durations (default 1,2,3,5,8)")
     p.add_argument("--continuous", action="store_true",
@@ -521,8 +522,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built on its first call: building one costs far
+    more than a parse, and a parse leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handler = getattr(args, "handler", None)
     if handler is None:

@@ -127,6 +127,56 @@ class TestUsage:
         assert run_cli(["topt", "--model", "x.json", "--grid", "3,3"]) == EXIT_USAGE
 
 
+class TestParserReuse:
+    def test_calls_in_sequence_match_calls_on_a_new_parser(
+            self, model_files, tmp_path, monkeypatch, capsys):
+        # ``main`` builds its parser once and reuses it; no call may leave
+        # anything in it that a later call sees.
+        scenario = str(SCENARIO_DIR / "handoff_3.json")
+        sequence = [
+            ["simulate", "--scenario", scenario, "--csv", "metrics.csv",
+             "--quiet"],
+            ["simulate", "--scenario", scenario],
+            ["topt", "--model", model_files["A100"], "--grid", "2,1"],
+            ["topt", "--model", model_files["A100"]],
+            ["simulate", "--scenario", scenario, "--format", "xml"],
+            ["simulate", "--scenario", scenario, "--format", "json",
+             "--out", "report.json"],
+        ]
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(None) or build())
+
+        def run(workdir: Path, new_parser: bool):
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            results = []
+            for argv in sequence:
+                if new_parser:
+                    cli._parser.cache_clear()
+                code = run_cli(argv)
+                results.append((code, *capsys.readouterr()))
+            files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+            return results, files
+
+        cli._parser.cache_clear()
+        try:
+            reused = run(tmp_path / "reused", new_parser=False)
+            assert len(builds) == 1
+            fresh = run(tmp_path / "fresh", new_parser=True)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1 + len(sequence)
+        assert [code for code, _, _ in reused[0]] == [
+            EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert sorted(reused[1]) == ["metrics.csv", "report.json"]
+        assert reused == fresh
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestCalibrate:
     def test_bundled_a100_auto_is_affine(self, capsys):
         assert run_cli(["calibrate", "--label", "A100", "--format", "json"]) == EXIT_OK
@@ -318,6 +368,23 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert f"the naive cost of {message} overflows a float" in captured.err
         assert "Infinity" not in captured.out
+
+    def test_event_at_negative_zero_reports_as_at_zero(self, tmp_path, capsys):
+        def published(time: float) -> str:
+            scenario = two_party_scenario({"fixture": "A100", "form": "affine"},
+                                          3.0)
+            scenario["events"][0]["time"] = time
+            path = tmp_path / "at-zero.json"
+            path.write_text(json.dumps(scenario))  # writes -0.0 as -0.0
+            assert run_cli(["simulate", "--scenario", str(path),
+                            "--format", "json"]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            # the digest hashes the input as given
+            return "".join(line for line in captured.out.splitlines(True)
+                           if '"scenario_digest"' not in line)
+
+        assert published(-0.0) == published(0.0)
 
     def test_worst_case_k_is_n_minus_1(self, capsys):
         run_cli(

@@ -180,6 +180,19 @@ class TestTwoPartyMeeting:
             assert sample["token_cost"] == 2.5 * sample["k"]
             assert sample["naive_cost"] == 2.5 * 2 * 1
 
+    @pytest.mark.parametrize("pool", [4, 0], ids=["served", "unserved"])
+    def test_event_at_negative_zero_reports_as_at_zero(self, pool):
+        # validation accepts -0.0 (it is >= 0); unserved, the allocation
+        # failure's warning names the time too
+        def published(time: float) -> str:
+            report = report_to_json(run_scenario(two_party(
+                pool_capacity=pool,
+                events=[ScenarioEvent(time, "speaker-change", "A")])))
+            del report["scenario_digest"]  # it hashes the input as given
+            return dumps_json(report)
+
+        assert published(-0.0) == published(0.0)
+
 
 class TestShippedScenarios:
     def test_bilingual_10(self):
@@ -857,6 +870,56 @@ def meetings(draw) -> Scenario:
     )
 
 
+#: Languages of ``larger_meetings``, of which a meeting uses the first 6-10.
+LARGER_LANGUAGES = ("ar", "de", "en", "es", "fr", "hi", "it", "ja", "pt", "zh")
+
+
+@st.composite
+def larger_meetings(draw) -> Scenario:
+    """Meetings of 8-40 people on 6-10 languages with a pool smaller than
+    the language count, so that passes fail to allocate and a hand-off
+    re-routes many listeners at once; up to 10 events, several at one
+    instant.  The model is the exhaustive gate's: T = 0.5 s stalls, 3 s
+    does not."""
+    languages = LARGER_LANGUAGES[:draw(st.integers(min_value=6, max_value=10))]
+    size = draw(st.integers(min_value=8, max_value=40))
+    roster = {f"p{i}": draw(st.sampled_from(languages)) for i in range(size)}
+    participants = list(roster.items())
+    events, time, rank = [], 0.0, 0
+    kinds = [ScenarioEventKind.SPEAKER_CHANGE] * 4 + [
+        ScenarioEventKind.JOIN, ScenarioEventKind.LEAVE,
+        ScenarioEventKind.LANGUAGE_CHANGE]
+    for step in range(draw(st.integers(min_value=0, max_value=10))):
+        gap = draw(st.sampled_from([0.0, 0.0, 1.5, 4.0]))
+        time, rank = time + gap, rank if gap == 0.0 else 0
+        # within an instant, drawn in the order the simulator applies them
+        kind = draw(st.sampled_from(
+            [k for k in kinds if simulator._KIND_RANK[k] >= rank]))
+        rank = simulator._KIND_RANK[kind]
+        language = None
+        if kind is ScenarioEventKind.JOIN:
+            pid, language = f"q{step}", draw(st.sampled_from(languages))
+            roster[pid] = language
+        else:
+            pid = draw(st.sampled_from(sorted(roster)))
+            if kind is ScenarioEventKind.LEAVE:
+                del roster[pid]
+            elif kind is ScenarioEventKind.LANGUAGE_CHANGE:
+                language = roster[pid] = draw(st.sampled_from(languages))
+        events.append(ScenarioEvent(time, kind, pid, language))
+    model = {"form": "affine", "params": {"a": 0.6, "b": 0.68},
+             "cold_start_extra": draw(st.sampled_from([0.0, 0.5]))}
+    return Scenario(
+        participants=participants,
+        pool_capacity=draw(st.integers(min_value=1, max_value=len(languages) - 1)),
+        model_spec=model,
+        segment_duration=draw(st.sampled_from([0.5, 3.0])),
+        run_duration=max(time, 1.0) + draw(st.sampled_from([0.0, 2.5])),
+        events=events,
+        translate_same_language=draw(st.booleans()),
+    )
+
+
 IDS = st.sampled_from(["A", "B", "C", "D"])
 TAGS = st.sampled_from(["en", "DE", " fr ", "", "  "])
 
@@ -931,6 +994,14 @@ class TestProperties:
     def test_shared_schedules_match_per_session_scheduling(self, scenario):
         assume(not validate_scenario(scenario))
         # the published text, so that 0.0 and -0.0 would differ too
+        assert dumps_json(report_to_json(run_scenario(scenario))) == dumps_json(
+            per_session_report(scenario)
+        )
+
+    @given(scenario=larger_meetings())
+    @settings(max_examples=500, deadline=None)
+    def test_larger_meetings_match_per_session_scheduling(self, scenario):
+        assert not validate_scenario(scenario)
         assert dumps_json(report_to_json(run_scenario(scenario))) == dumps_json(
             per_session_report(scenario)
         )
