@@ -525,7 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """``main``'s parser, built on its first call: building one costs far
-    more than a parse, and a parse leaves it unchanged."""
+    more than a parse, and a parse leaves it unchanged.  The handlers and
+    argument types are bound when it is built, so a later patch of one
+    takes effect only after ``_parser.cache_clear()``."""
     return build_parser()
 
 
