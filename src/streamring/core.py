@@ -217,7 +217,8 @@ class Roster(MutableMapping[str, LanguageTag]):
     members, plus the ids edited since the last ``take_edits``.
 
     Setting a member's language normalizes a plain ``str`` to a
-    ``LanguageTag`` and rejects an empty id.  Every set and delete updates
+    ``LanguageTag`` (a tag is stored as given, so members set with one tag
+    object share it) and rejects an empty id.  Every set and delete updates
     all three, so the language index cannot drift from the members.  Only
     members are indexed: a language whose last member leaves or changes
     language is dropped from the index.
@@ -283,9 +284,21 @@ class Roster(MutableMapping[str, LanguageTag]):
 
     def take_edits(self) -> set[str]:
         """The ids set or deleted since the last call (all of them, for a
-        new roster), and a fresh start."""
+        new roster or a copy), and a fresh start."""
         edited, self._edited = self._edited, set()
         return edited
+
+    def copy(self) -> "Roster":
+        """A roster of the same members, sharing their tags, whose edits are
+        all its ids, as for a new roster.  The member dict and each
+        language's id set are copied in C, not set member by member, and
+        neither roster's later edits reach the other."""
+        other = Roster()
+        index = self._index
+        other._members = self._members.copy()
+        other._index = dict(zip(index, map(set.copy, index.values())))
+        other._edited = set(self._members)
+        return other
 
 
 @dataclass

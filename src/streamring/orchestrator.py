@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -83,6 +84,11 @@ class OrchestrationEvent(NamedTuple):
     pipeline_id: Optional[str] = None
     participant: Optional[str] = None
     reinitialized: bool = False
+
+
+# An event built in C, every field given: a NamedTuple's generated
+# ``__new__`` is Python code, and a pass makes an event per route it adds.
+_event = partial(tuple.__new__, OrchestrationEvent)
 
 
 def required_languages(
@@ -142,8 +148,8 @@ def update_orchestration(
 
     # Stale first: released slots must be reusable within this same pass.
     for language in sorted(set(pipelines) - required):
-        events.append(OrchestrationEvent(
-            _DECOMMISSIONED, time, language, pipelines.pop(language)))
+        events.append(_event((_DECOMMISSIONED, time, language,
+                               pipelines.pop(language), None, False)))
         for participant_id in roster.ids_of(language):
             delivery.pop(participant_id, None)
 
@@ -153,15 +159,16 @@ def update_orchestration(
     for language in sorted(required):
         pipeline_id = pipelines.get(language)
         if pipeline_id is not None:
-            events.append(OrchestrationEvent(
-                _REUSED, time, language, pipeline_id, None, reinitialized))
+            events.append(_event((
+                _REUSED, time, language, pipeline_id, None, reinitialized)))
         elif meeting.free_slots <= 0:
             unserved.append(language)
-            events.append(OrchestrationEvent(_ALLOCATION_FAILED, time, language))
+            events.append(_event((
+                _ALLOCATION_FAILED, time, language, None, None, False)))
         else:
             pipelines[language] = meeting.new_pipeline_id()
-            events.append(OrchestrationEvent(
-                _ALLOCATED, time, language, pipelines[language]))
+            events.append(_event((
+                _ALLOCATED, time, language, pipelines[language], None, False)))
             listeners = roster.ids_of(language)
             delivery.update(dict.fromkeys(listeners, pipelines[language]))
             added.update(listeners)
@@ -180,8 +187,8 @@ def update_orchestration(
         bypass.add(new_speaker)
         if not translate_same_language:
             bypass.update(roster.ids_of(speaker_language))
-        events.append(OrchestrationEvent(
-            _BYPASSED, time, speaker_language, None, new_speaker))
+        events.append(_event((
+            _BYPASSED, time, speaker_language, None, new_speaker, False)))
     # Every mapped language is required, so every listener of one is
     # outside the bypass set; a listener whose language failed to allocate
     # stays undelivered, and so does an identity pipeline's own speaker.
@@ -199,9 +206,9 @@ def update_orchestration(
             delivery[participant_id] = pipeline_id
             added.add(participant_id)
     for participant_id in sorted(added):
-        events.append(OrchestrationEvent(
+        events.append(_event((
             _ROUTE_ADDED, time, roster[participant_id],
-            delivery[participant_id], participant_id))
+            delivery[participant_id], participant_id, False)))
     meeting.bypass = bypass
     return meeting, events
 

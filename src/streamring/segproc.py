@@ -32,6 +32,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -107,6 +108,12 @@ class SegmentTiming(NamedTuple):
     ready: float
     needed: float
     stall: float
+
+
+# A schedule's records built in C, every field given: a NamedTuple's
+# generated ``__new__`` is Python code, and a schedule makes two per segment.
+_job = partial(tuple.__new__, SegmentJob)
+_timing = partial(tuple.__new__, SegmentTiming)
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ def schedule_stream(
             # reported startup is p(T) with no rounding residue
             startup_delay = processing
         free = start + processing
-        jobs.append(SegmentJob(index, duration, available, start, free))
+        jobs.append(_job((index, duration, available, start, free)))
     if free == math.inf:  # finish times only grow: the last is the largest
         raise ValidationError(
             f"a {stream.total_duration:g} s stream in {segment_duration:g} s "
@@ -263,7 +270,7 @@ def _playback_report(
             stall_total += stall
         else:
             stall = 0.0
-        per_segment.append(SegmentTiming(ready, needed, stall))
+        per_segment.append(_timing((ready, needed, stall)))
 
     return PlaybackReport(
         startup_delay=startup_delay,

@@ -215,15 +215,29 @@ def _integer(value: object, name: str) -> int:
     raise ValidationError(f"{name} must be {expected}, got {value!r}")
 
 
+def _participants(entries: list) -> list[tuple[str, str]]:
+    """Each entry's (id, language), read and type-checked in bulk; when a
+    value is not a ``str`` or the bulk read fails, read again field by
+    field, so that the error names the first bad field."""
+    try:
+        ids = list(map(itemgetter("id"), entries))
+        languages = list(map(itemgetter("language"), entries))
+        if set(map(type, ids)).union(map(type, languages)) <= {str}:
+            return list(zip(ids, languages))
+    except (LookupError, TypeError):
+        pass
+    return [
+        (_typed(p["id"], str, f"participants[{i}].id"),
+         _typed(p["language"], str, f"participants[{i}].language"))
+        for i, p in enumerate(entries)
+    ]
+
+
 def scenario_from_json(data: dict) -> Scenario:
     """The scenario a JSON document describes.  A value of the wrong JSON
     type is rejected with the field's name, never coerced."""
     try:
-        participants = [
-            (_typed(p["id"], str, f"participants[{i}].id"),
-             _typed(p["language"], str, f"participants[{i}].language"))
-            for i, p in enumerate(data["participants"])
-        ]
+        participants = _participants(data["participants"])
         events = [
             ScenarioEvent(
                 time=_number(e["time"], f"events[{i}].time"),
@@ -340,13 +354,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 def _check_scenario(
     scenario: Scenario,
 ) -> tuple[
-    list[str], Optional[LatencyModel], dict[str, LanguageTag],
-    list[ScenarioEvent], int,
+    list[str], Optional[LatencyModel], Roster, list[ScenarioEvent], int,
 ]:
     """The violations, plus what checking built for a run to use: the
-    latency model (None when it did not resolve), the starting members, the
-    events in application order and the most languages that need a
-    pipeline at once."""
+    latency model (None when it did not resolve), the starting roster,
+    whose members of one language share one tag object, the events in
+    application order and the most languages that need a pipeline at
+    once."""
     violations: list[str] = []
     model: Optional[LatencyModel] = None
     if not 0 < scenario.run_duration < math.inf:
@@ -380,16 +394,24 @@ def _check_scenario(
         violations.append(f"latency model: {exc}")
 
     roster = Roster()
+    listed: set[str] = set()
+    tags: dict[str, LanguageTag] = {}  # by code: "EN" and "en" share one
+    shared: dict[LanguageTag, LanguageTag] = {}  # each language's one tag
     for pid, lang in scenario.participants:
-        if pid in roster:
+        if pid in listed:
             violations.append(f"duplicate participant id {pid!r}")
             continue
+        listed.add(pid)
         try:
-            roster[pid] = lang
+            tag = tags.get(lang)
+            if tag is None:
+                tag = LanguageTag(lang)
+                tag = tags[lang] = shared.setdefault(tag, tag)
+            roster[pid] = tag
         except ValidationError as exc:
             violations.append(f"participant {pid!r}: {exc}")
 
-    members = dict(roster)
+    members = roster.copy()
     times = [e.time for e in scenario.events]
     if times != sorted(times):
         violations.append("events are not sorted by time")
@@ -617,9 +639,12 @@ def run_scenario(scenario: Scenario) -> RunReport:
     series.turn_startups.sort(key=itemgetter("time", "language"))
 
     # at equal times a boundary belongs to the interval that is ending, so it
-    # sorts before the state change
+    # sorts before the state change.  (time, priority, language) order as
+    # stable sorts by one key each, least significant first: no key tuples.
     entries.extend(points)
-    entries.sort(key=itemgetter(0, 1, 2))
+    entries.sort(key=itemgetter(2))
+    entries.sort(key=itemgetter(1))
+    entries.sort(key=itemgetter(0))
     k, token, naive, fails = points[0][3]
     stalls_cum = 0.0
     for when, priority, _, payload in entries:

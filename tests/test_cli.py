@@ -715,6 +715,14 @@ class TestSimulate:
              "participants[0].id must be a string, got 7"),
             (lambda s: s["participants"][1].update(language=5),
              "participants[1].language must be a string, got 5"),
+            (lambda s: s["participants"][1].pop("language"),
+             "malformed scenario JSON: 'language'"),
+            (lambda s: s["participants"].__setitem__(1, ["B", "de"]),
+             "malformed scenario JSON: list indices must be integers"),
+            # the participants are read in bulk first: the missing language
+            # must not hide the id before it
+            (lambda s: s["participants"].__setitem__(1, {"id": 5}),
+             "participants[1].id must be a string, got 5"),
             (lambda s: s["events"].append(
                 {"time": 1.0, "kind": "leave", "participant": 7}),
              "events[1].participant must be a string, got 7"),
@@ -723,7 +731,9 @@ class TestSimulate:
              "fixture-cold", "fixture-list", "segment-huge-int", "model-str",
              "pool-float", "pool-bool", "run-bool", "time-bool", "unit-bool",
              "segment-bool", "segment-str", "translate-str", "id-int",
-             "participant-language-int", "event-participant-int"],
+             "participant-language-int", "participant-language-missing",
+             "participant-not-object", "id-int-language-missing",
+             "event-participant-int"],
     )
     def test_malformed_values_rejected(self, edit, message, tmp_path, capsys):
         scenario = two_party_scenario(

@@ -116,6 +116,24 @@ class TestUpdateOrchestration:
         assert m.bypass == {"B", "C"}
         assert verify_invariants(m) == []
 
+    def test_events_are_whole_instances_of_their_class(self):
+        # a pass builds its records without the class constructor
+        m = make_meeting({"A": "en", "B": "de", "C": "fr"}, 1)
+        events = [event for speaker in ["A", "C", "B"]
+                  for event in update_orchestration(m, speaker, time=2.5)[1]]
+        assert {event.kind for event in events} == set(EventKind)
+        fields = OrchestrationEvent._fields
+        for event in events:
+            assert type(event) is OrchestrationEvent
+            assert len(event) == len(fields)
+            assert event == OrchestrationEvent(*event)
+            assert repr(event) == repr(OrchestrationEvent(*event))
+            assert event.time == 2.5
+        assert repr(events[0]) == (
+            "OrchestrationEvent(kind=<EventKind.PIPELINE_ALLOCATED: "
+            "'pipeline-allocated'>, time=2.5, language='de', "
+            "pipeline_id='pl0001', participant=None, reinitialized=False)")
+
     def test_monolingual_meeting_all_bypass(self):
         m = make_meeting({"A": "en", "B": "en"}, 4)
         _, events = update_orchestration(m, "A")

@@ -94,6 +94,20 @@ class TestSegmentRecords:
         assert job == (0, 3.0, 3.0, 3.0, job.finish_at)
         assert job._replace(index=5) == (5,) + tuple(job)[1:]
 
+    @pytest.mark.parametrize("mode", list(StreamMode))
+    def test_records_are_whole_instances_of_their_class(self, mode):
+        # schedules build their records without the class constructor
+        jobs, report = schedule_stream(
+            StreamSpec(10.0, mode=mode), a100_model(), 3.0)
+        records = [*jobs, *report.per_segment]
+        assert len(records) == 8
+        for record in records:
+            cls = type(record)
+            assert cls in (SegmentJob, SegmentTiming)
+            assert len(record) == len(cls._fields)
+            assert record == cls(*record)
+            assert repr(record) == repr(cls(*record))
+
     def test_fields_cannot_be_set(self):
         jobs, report = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
         with pytest.raises(AttributeError):

@@ -151,6 +151,23 @@ class TestValidation:
         assert str(exc.value).startswith("invalid scenario:")
         assert "participant id must be non-empty" in str(exc.value)
 
+    def test_duplicate_of_a_rejected_entry_is_listed(self):
+        # the first "A" is rejected, so it never joins the roster; its
+        # second entry is a duplicate all the same
+        scenario = two_party(
+            participants=[("A", "  "), ("A", "en"), ("B", "de")],
+            events=[ScenarioEvent(time=0.0, kind="speaker-change", participant="B")])
+        assert validate_scenario(scenario) == [
+            "participant 'A': language tag must be non-empty",
+            "duplicate participant id 'A'",
+        ]
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(scenario)
+        assert str(exc.value) == (
+            "invalid scenario:\n"
+            "  - participant 'A': language tag must be non-empty\n"
+            "  - duplicate participant id 'A'")
+
     def test_unknown_event_kind_rejected_at_construction(self):
         with pytest.raises(ValidationError):
             ScenarioEvent(time=0.0, kind="teleport", participant="A")
@@ -355,6 +372,50 @@ class TestMembershipDynamics:
         assert json.dumps(one, sort_keys=True) == json.dumps(other, sort_keys=True)
 
 
+    def test_same_time_joins_apply_by_participant_id(self):
+        # D (fr) and C (es) join at once, listed in reverse id order, with
+        # one free slot: C's join applies first, so es gets the pipeline
+        def build(order):
+            return two_party(
+                pool_capacity=2,
+                events=[
+                    ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                    *order,
+                ],
+            )
+
+        join_c = ScenarioEvent(time=6.0, kind="join", participant="C", language="es")
+        join_d = ScenarioEvent(time=6.0, kind="join", participant="D", language="fr")
+        report = run_scenario(build([join_d, join_c]))
+        assert [(t["time"], t["language"]) for t in report.series.turn_startups] == [
+            (0.0, "de"), (6.0, "es")]
+        assert report.warnings == (
+            "allocation failed for language fr at t=6 s (pool capacity 2)",)
+        one = report_to_json(report)
+        other = report_to_json(run_scenario(build([join_c, join_d])))
+        one.pop("scenario_digest")
+        other.pop("scenario_digest")
+        assert dumps_json(one) == dumps_json(other)
+
+    def test_language_change_applies_before_a_same_time_speaker_change(self):
+        # B turns to en, A's language, and takes the floor at once: the
+        # change applies first, so the source language stays en and the fr
+        # session reopens warm; the other order would hand the floor to a
+        # de speaker and reopen it cold
+        scenario = two_party(
+            participants=[("A", "en"), ("B", "de"), ("C", "fr")],
+            events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=9.0, kind="speaker-change", participant="B"),
+                ScenarioEvent(time=9.0, kind="language-change", participant="B",
+                              language="en"),
+            ],
+        )
+        startups = run_scenario(scenario).series.turn_startups
+        assert [(t["time"], t["language"], t["cold"]) for t in startups] == [
+            (0.0, "de", True), (0.0, "fr", True), (9.0, "fr", False)]
+
+
 class TestLaggingModel:
     def test_stalls_accrue_to_listener(self):
         scenario = two_party(
@@ -402,6 +463,16 @@ class TestCheckedOnce:
         ))
         assert sorted(built) == ["de", "en", "fr"]
         assert len(sorts) == 1
+
+    def test_members_of_one_language_share_one_tag(self):
+        scenario = two_party(participants=[
+            ("A", "en"), ("B", "de"), ("C", "EN"), ("D", " de"), ("E", "en"),
+            ("F", "fr")])
+        roster = simulator._check_scenario(scenario)[2]
+        assert roster["A"] is roster["C"] is roster["E"]
+        assert roster["B"] is roster["D"]
+        assert sorted(roster.languages()) == ["de", "en", "fr"]
+        assert roster.take_edits() == set("ABCDEF")  # as for a new roster
 
     @pytest.mark.parametrize("same, expected", [(False, 2), (True, 3)])
     def test_most_listener_languages_counted_while_someone_speaks(
@@ -641,10 +712,12 @@ def replayed_violations(scenario: Scenario) -> list[str]:
     replay over language strings, one branch per event kind."""
     violations: list[str] = []
     roster: dict[str, str] = {}
+    listed: list[str] = []  # a rejected entry's id is listed too
     for pid, lang in scenario.participants:
-        if pid in roster:
+        if pid in listed:
             violations.append(f"duplicate participant id {pid!r}")
             continue
+        listed.append(pid)
         try:
             LanguageTag(lang)
         except ValidationError as exc:
