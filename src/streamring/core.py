@@ -14,8 +14,8 @@ import math
 import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import is_not, itemgetter, sub
 from typing import AbstractSet, Callable, Iterable, Optional, TextIO
 
 
@@ -87,11 +87,12 @@ def dump_json(payload: object, fh: TextIO) -> None:
     ``\\n`` inside strings, so a literal newline can only be a separator.  A
     list of dicts (such as a report's ``samples``) is written in blocks of
     ``_BLOCK_ROWS`` rows.  A block whose rows share one non-empty set of
-    ``str`` keys and hold only scalars is encoded one column per C call,
-    the columns interleaved with the key prefixes row by row; any other
-    block is written row by row.  Both encoders write a ``LanguageTag`` as
-    its string.  A value that is not exactly a JSON type or a tag (a tuple,
-    an ``int`` subclass), or a dict with a key that is not a ``str``, is
+    ``str`` keys and hold only scalars is encoded by columns, one C call
+    per column for the heads of its runs of one object (see ``_table``),
+    interleaved with the key prefixes row by row; any other block is
+    written row by row.  Both encoders write a ``LanguageTag`` as its
+    string.  A value that is not exactly a JSON type or a tag (a tuple, an
+    ``int`` subclass), or a dict with a key that is not a ``str``, is
     rendered by ``json.dumps`` where it stands, its newlines replaced by
     the current newline and indent.
     """
@@ -159,24 +160,41 @@ def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
 def _table(rows: list, nl: str) -> Optional[str]:
     """The dicts ``rows`` at the depth whose newline and indent are ``nl``,
     separated by ``,`` + ``nl``, or None unless they share the first row's
-    non-empty set of ``str`` keys and hold only scalars."""
+    non-empty set of ``str`` keys and hold only scalars.
+
+    A column is cut into runs of one object, found by identity in C, and
+    each run's text is made once: ``0``, ``0.0``, ``False`` and ``-0.0``
+    are equal but write differently, so values are never compared.  A
+    column that is one object in every row joins the fixed key text around
+    it; any other column encodes its run heads in one C call and repeats
+    each head's text over its run."""
     keys = rows[0].keys()
     if _types(keys) != {str} or set(map(len, rows)) != {len(keys)}:
         return None
     field = nl + "  "
     opener = "{" + field
-    parts: list[Iterable[str]] = []  # per key: its prefix, its value texts
+    fixed = ""  # the text since the last column that varies
+    parts: list[Iterable[str]] = []  # per varying column: its prefix, its texts
     for name in sorted(keys):
         try:  # rows of one size that hold every key share the key set
             column = list(map(itemgetter(name), rows))
         except KeyError:
             return None
-        if not _types(column) <= _SCALARS:
+        starts = [0, *compress(count(1), map(is_not, column[1:], column))]
+        heads = list(map(column.__getitem__, starts))
+        if not _types(heads) <= _SCALARS:  # a run's cells are its head
             return None
-        parts.append(repeat(opener + _flat(name, field) + ": "))
-        parts.append(_flat(column, "\n")[1:-1].split(",\n"))
+        fixed += opener + _flat(name, field) + ": "
         opener = "," + field
-    parts.append(repeat(nl + "}"))
+        if len(heads) == 1:
+            fixed += _flat(heads[0], "\n")
+            continue
+        lengths = map(sub, [*starts[1:], len(column)], starts)
+        parts.append(repeat(fixed))
+        parts.append(chain.from_iterable(
+            map(repeat, _flat(heads, "\n")[1:-1].split(",\n"), lengths)))
+        fixed = ""
+    parts.append(repeat(fixed + nl + "}", len(rows)))
     return ("," + nl).join(map("".join, zip(*parts)))
 
 

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Optional, Union
 
 from .core import (
@@ -274,10 +274,29 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    canonical = json.dumps(
-        scenario_to_json(scenario), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The SHA-256 of the scenario's canonical JSON, ``json.dumps(
+    scenario_to_json(scenario), sort_keys=True, separators=(",", ":"))``.
+
+    The participants, most of a large scenario, are not built as dicts for
+    the encoder to sort: the ids and the languages are each encoded in one
+    C call, split on the item separator ``",\\n"`` (the C encoder escapes
+    a newline inside a string) and joined into the fixed
+    ``{"id":…,"language":…}`` text."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    cells = json.JSONEncoder(sort_keys=True, separators=(",\n", ":")).encode
+    pairs = scenario.participants
+    ids = cells([pid for pid, _ in pairs])[1:-1].split(",\n")
+    languages = cells([lang for _, lang in pairs])[1:-1].split(",\n")
+    if len(ids) == len(languages) == len(pairs):
+        people = '[{"id":' + '},{"id":'.join(map(
+            add, map(add, ids, repeat(',"language":')), languages)) + "}]"
+    else:  # no participants, or a value that holds two or more items
+        people = encode([{"id": pid, "language": lang} for pid, lang in pairs])
+    data = scenario_to_json(replace(scenario, participants=[]))
+    canonical = ",".join(
+        encode(key) + ":" + (people if key == "participants" else encode(value))
+        for key, value in sorted(data.items()))
+    return hashlib.sha256(("{" + canonical + "}").encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +494,7 @@ def _apply(roster: Roster, event: ScenarioEvent) -> None:
 # ---------------------------------------------------------------------------
 # The event loop
 
-#: Most ``samples`` rows one run may make, at about 0.41 KB each at the
+#: Most ``samples`` rows one run may make, at about 0.40 KB each at the
 #: run's peak, while the report is built; writing it adds a bounded amount.
 #: A run whose estimate passes it is rejected before it starts, and a
 #: session whose boundaries would pass it ends the run.
@@ -650,7 +669,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     for when, priority, _, payload in entries:
         if priority == 1:
             k, token, naive, fails = payload  # type: ignore[misc]
-        else:
+        elif payload:  # a zero stall keeps the bits, so rows share the float
             stalls_cum += payload  # type: ignore[operator]
         series.samples.append({
             "time_s": when, "k": k, "token_cost": token, "naive_cost": naive,

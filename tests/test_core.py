@@ -6,6 +6,7 @@ import enum
 import io
 import json
 import math
+import operator
 import random
 import tracemalloc
 
@@ -235,15 +236,26 @@ _scalars = (st.none() | st.booleans() | st.integers() | st.floats()
             | st.text(max_size=8) | st.sampled_from(_AWKWARD))
 #: Lists of flat dicts, empty or not, with differing key sets.
 _rows = st.lists(st.dictionaries(_keys, _scalars, max_size=4), max_size=4)
+#: Groups of equal numbers that are written differently (NaNs count as
+#: equal here); a text stands for a float made anew for each cell.
+_EQUAL_NUMBERS = [(0, False, "0.0", "-0.0"), (1, True, "1.0"), ("nan", "-nan")]
+
+
+def _fresh(value):
+    return float(value) if type(value) is str else value
 
 
 @st.composite
 def _tables(draw, cells=_scalars):
     """Tables: up to 40 dicts on one key set (a single key included), each
-    column mixing value types, and cells that often share one object."""
+    column mixing value types, and cells that often share one object or
+    are equal to their neighbours without being the same object."""
     keys = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
     shared = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=4)))
-    row = st.fixed_dictionaries({key: shared | cells for key in keys})
+    row = st.fixed_dictionaries({
+        key: shared | cells
+        | st.sampled_from(draw(st.sampled_from(_EQUAL_NUMBERS))).map(_fresh)
+        for key in keys})
     return draw(st.lists(row, min_size=1, max_size=40))
 
 
@@ -312,6 +324,40 @@ class TestDumpsJson:
         odd = [{"%": i, "%s": i / 3, '"': '"},\n      {"', "\n": "%d", "k": True}
                for i in range(3 * _BLOCK_ROWS + 1)]
         _assert_renders({"samples": odd})
+
+    def test_runs_are_cut_by_identity_not_equality(self):
+        # each cell equals the one before it but is another object
+        cells = [0, 0.0, False, -0.0, float("0.0"), 1, 1.0, True,
+                 float("nan"), float("nan")]
+        assert not any(map(operator.is_, cells, cells[1:]))
+        for table in ([{"v": c} for c in cells],
+                      [{"v": c, "i": i, "s": "x"} for i, c in enumerate(cells)],
+                      [{"v": c, "w": c} for c in cells for _ in "ab"]):
+            _assert_renders({"samples": table})
+
+    def test_a_run_across_a_block_boundary(self):
+        zero = float("0.0")
+        column = ([i / 7 for i in range(_BLOCK_ROWS - 6)] + [zero] * 12
+                  + [0, False, -0.0, 0.0] * 3 + [zero] * 4)
+        _assert_renders({"samples": [{"t": c, "k": 3} for c in column]})
+
+    def test_a_block_in_which_every_column_is_one_object(self):
+        row = {"a": 0, "b": -0.0, "c": "x", "d": None, "e": False}
+        same = [dict(row) for _ in range(_BLOCK_ROWS)]
+        twins = [{"a": False, "b": 0.0, "c": "x", "d": None, "e": 0}] * 3
+        for table in (same, same + twins, [row] * (_BLOCK_ROWS + 3)):
+            _assert_renders({"samples": table})
+
+    def test_a_block_of_one_row(self):
+        rows = [{"t": i / 7, "z": (0, 0.0)[i % 2]}
+                for i in range(_BLOCK_ROWS + 1)]
+        for table in (rows, [{"a": -0.0, "b": 0}]):
+            _assert_renders({"samples": table})
+
+    def test_a_block_in_which_every_row_differs(self):
+        zeros = [0, 0.0, False, -0.0] * 80
+        _assert_renders({"samples": [
+            {"i": i, "t": i / 7, "z": z} for i, z in enumerate(zeros)]})
 
     @example({10: 1, 9: 2})
     @example({"rows": [{"level": _Level.HIGH}, {"level": 2}], "pair": (1, [2.5])})

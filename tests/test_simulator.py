@@ -9,13 +9,14 @@ E[k] = (pool-1) * (1 - ((pool-1)/pool)^(N-1)).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from streamring import simulator
 from streamring.cli import _write_csv
@@ -517,6 +518,13 @@ class TestAutoSegmentDuration:
         assert any("not real-time viable" in w for w in report.warnings)
 
 
+#: Ids and languages that need escaping or look like the digest's own
+#: separators.
+_ids = st.text(max_size=6) | st.sampled_from([
+    'say "hi"', "back\\slash", "line\nbreak", "na\u00efve \u2603",
+    '","', ",\n", '"},{"id":', ""])
+
+
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
         scenario = two_party()
@@ -544,6 +552,24 @@ class TestScenarioFiles:
         b = two_party(run_duration=31.0)
         assert scenario_digest(a) != scenario_digest(b)
         assert len(scenario_digest(a)) == 64
+
+    @example(two_party(participants=[]))
+    @example(two_party(participants=[(5, "en"), (("B", "C"), {"x": 1, "y": 2})]))
+    @example(two_party(model_spec={"participants": [], "b": [{"id": 1}]}))
+    @given(st.builds(
+        two_party,
+        participants=st.lists(st.tuples(_ids, _ids), max_size=12),
+        events=st.lists(st.builds(
+            ScenarioEvent, time=st.floats(), kind=st.sampled_from(
+                [kind.value for kind in ScenarioEventKind]),
+            participant=_ids, language=st.none() | _ids), max_size=3),
+        segment_duration=st.floats() | st.just("auto"),
+    ))
+    def test_digest_hashes_the_canonical_json(self, scenario):
+        canonical = json.dumps(
+            scenario_to_json(scenario), sort_keys=True, separators=(",", ":"))
+        assert scenario_digest(scenario) == hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "s.json"
@@ -705,6 +731,32 @@ class TestSharedSchedules:
         assert [
             (s["time_s"], s["stalls_cum"]) for s in report.series.samples
         ] == expected
+
+
+class TestStallsCum:
+    """``stalls_cum`` adds only the boundaries whose stall is non-zero.  The
+    sum starts at ``+0.0`` and a sum of non-negative floats never reaches
+    ``-0.0``, so it has the bits of a ``+=`` over every boundary, and the
+    rows between two stalls share one float object."""
+
+    @pytest.mark.parametrize("path", [
+        GOLDEN_DIR / "churn_stalls_6.scenario.json",  # tau > 1
+        GOLDEN_DIR / "table_tail_4.scenario.json",  # tau > 1
+        SCENARIO_DIR / "worst_case_6.json",  # tau < 1
+    ], ids=lambda path: path.name.split(".")[0])
+    def test_equals_a_running_sum_over_every_boundary(self, path):
+        scenario = load_scenario(path)
+        report = run_scenario(scenario)
+        samples = report.series.samples
+        # per_session_report adds every boundary's stall, zeros included
+        expected = per_session_report(scenario)["samples"]
+        assert len(samples) == len(expected) > 10
+        assert [float.hex(row["stalls_cum"]) for row in samples] == [
+            float.hex(row["stalls_cum"]) for row in expected]
+        if report.total_stall_seconds == 0.0:  # tau < 1: one object
+            assert len({id(row["stalls_cum"]) for row in samples}) == 1
+        else:
+            assert samples[-1]["stalls_cum"] > 0.0
 
 
 def replayed_violations(scenario: Scenario) -> list[str]:
