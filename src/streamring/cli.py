@@ -32,35 +32,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import math
 import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
 from .core import CostModel, ValidationError, dump_json
-from .latency import (
-    FORM_AFFINE,
-    FORM_LOG,
-    MEASUREMENT_CSV_HEADER,
-    InsufficientDataError,
-    MeasurementSet,
-    ThroughputPoint,
-    fit,
-    fit_auto,
-    load_bundled_measurements,
-    load_model,
-    model_to_json,
-    read_measurement_csv,
-    save_model,
-    t_opt_continuous,
-    t_opt_discrete,
-)
-from .segproc import StreamSpec, run_external
+from .latency import FORM_AFFINE, FORM_LOG, load_model, model_to_json, save_model
+from .segproc import StreamSpec
 from .simulator import (
     METRICS_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -69,6 +51,9 @@ from .simulator import (
     run_scenario,
     sweep_cost,
 )
+
+if TYPE_CHECKING:
+    from .calibration import MeasurementSet, ThroughputPoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,6 +141,8 @@ def _write_csv(header: Sequence[str], records: list[dict], fh: TextIO) -> None:
     """Write the table ``records`` to ``fh`` as CSV, a row at a time: the
     header, then each record's values in header order, with bools written
     as 0/1."""
+    import csv
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for record in records:
@@ -212,6 +199,8 @@ def _relay_warnings() -> Iterator[None]:
 
 def _pick_label(sets: dict[str, MeasurementSet], label: Optional[str],
                 source: str) -> MeasurementSet:
+    from .calibration import InsufficientDataError
+
     if not sets:
         raise InsufficientDataError(f"{source}: insufficient data (no rows)")
     if label is not None:
@@ -247,6 +236,10 @@ def _tau_lines(points: list[ThroughputPoint]) -> list[str]:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .calibration import (
+        fit, fit_auto, load_bundled_measurements, read_measurement_csv,
+    )
+
     if args.input is not None:
         sets = read_measurement_csv(args.input)
         source = str(args.input)
@@ -294,6 +287,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_topt(args: argparse.Namespace) -> int:
+    from .calibration import ThroughputPoint, t_opt_continuous, t_opt_discrete
+
     model = load_model(args.model)
     with _relay_warnings():
         points = [ThroughputPoint(t, model.evaluate(t)) for t in sorted(args.grid)]
@@ -368,6 +363,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from .calibration import MEASUREMENT_CSV_HEADER
+    from .external import run_external
+
     stream = StreamSpec(total_duration=args.stream_seconds, mode=args.mode)
     workdir = (contextlib.nullcontext(args.workdir) if args.workdir is not None
                else tempfile.TemporaryDirectory(prefix="streamring-bench-"))

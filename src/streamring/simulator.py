@@ -54,18 +54,7 @@ from .core import (
     dump_json,
     read_json,
 )
-from .latency import (
-    FORM_TABLE,
-    LatencyModel,
-    ThroughputPoint,
-    fit,
-    fit_auto,
-    load_bundled_measurements,
-    model_from_json,
-    t_opt_continuous,
-    t_opt_discrete,
-    table_model,
-)
+from .latency import FORM_TABLE, LatencyModel, model_from_json
 from .orchestrator import (
     EventKind,
     OrchestrationEvent,
@@ -307,6 +296,8 @@ def resolve_model(spec: dict) -> LatencyModel:
     """Turn a scenario's model reference into a LatencyModel: either a
     bundled-fixture reference fitted on the fly, or inline model JSON."""
     if "fixture" in spec:
+        from .calibration import fit, fit_auto, load_bundled_measurements, table_model
+
         label = spec["fixture"]
         sets = load_bundled_measurements()
         if not isinstance(label, str) or label not in sets:
@@ -333,6 +324,8 @@ def resolve_segment_duration(
     duration, loudly."""
     if requested != "auto":
         return float(requested), []
+    from .calibration import ThroughputPoint, t_opt_continuous, t_opt_discrete
+
     if model.form == FORM_TABLE:
         points = [ThroughputPoint(t=t, p=p) for t, p in model.points]
         chosen = t_opt_discrete(points)

@@ -15,15 +15,15 @@ import time
 
 import pytest
 
-from streamring.cli import main as cli_main
-from streamring.core import CostModel, Meeting
-from streamring.latency import (
-    LatencyModel,
+from streamring.calibration import (
     fit,
     load_bundled_measurements,
     t_opt_continuous,
     t_opt_discrete,
 )
+from streamring.cli import main as cli_main
+from streamring.core import CostModel, Meeting
+from streamring.latency import LatencyModel
 from streamring.orchestrator import (
     required_languages,
     update_orchestration,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from streamring import cli, segproc, simulator
+from streamring import cli, external, segproc, simulator
 from streamring.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -886,7 +886,7 @@ class TestBench:
         # p = 0.1 + 0.5 d: a process's start-up jitter (0.1 s and more on a
         # loaded host) would swamp any gap a real stub can afford.
         readings = iter([0.0, 0.0, 0.6, 0.6, 1.2, 1.2, 1.55])
-        monkeypatch.setattr(segproc, "_clock", lambda: next(readings))
+        monkeypatch.setattr(external, "_clock", lambda: next(readings))
         out = tmp_path / "bench.csv"
         code = run_cli(
             ["bench", "--cmd", "cp {input} {output}", "--stream-seconds", "2.5",
@@ -1090,7 +1090,8 @@ class TestTableSchema:
             ),
         }[command]
         # one measured bench run serves both renderings
-        monkeypatch.setattr(cli, "run_external", functools.cache(cli.run_external))
+        monkeypatch.setattr(external, "run_external",
+                            functools.cache(external.run_external))
         assert run_cli(argv + ["--format", "json"]) == EXIT_OK
         records = records_of(json.loads(capsys.readouterr().out))
         assert run_cli(argv + ["--format", "csv"]) == EXIT_OK
@@ -1343,3 +1344,96 @@ class TestEntryPoint:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, f"[{EXIT_RUNTIME}, "
                                                      f"{EXIT_RUNTIME}] True\n")
+
+
+class TestImportBoundary:
+    """A one-shot ``simulate`` imports only what it runs.  Each case is a
+    fresh interpreter without ``site`` (``-S``), so that no ``.pth`` file of
+    the environment imports a module first."""
+
+    # what only calibration, ``bench`` or a CSV output needs
+    ON_DEMAND = {"streamring.calibration", "streamring.external", "subprocess",
+                 "tempfile", "shlex", "signal", "csv", "statistics"}
+    SCRIPT = ("import json, sys; from streamring.cli import main; "
+              "code = main(sys.argv[1:]); print(json.dumps(sorted(sys.modules))); "
+              "sys.exit(code)")
+
+    def simulate(self, scenario: Path, out: Path) -> set[str]:
+        """The modules loaded by a fresh process that simulates ``scenario``
+        into ``out``."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT, "simulate", "--scenario",
+             str(scenario), "--format", "json", "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    @pytest.mark.parametrize("name", ["churn_stalls_6", "table_tail_4"])
+    def test_inline_model_at_a_fixed_duration(self, name, tmp_path):
+        out = tmp_path / "report.json"
+        loaded = self.simulate(GOLDEN_SCENARIOS[name], out)
+        assert "streamring.simulator" in loaded
+        assert loaded & self.ON_DEMAND == set()
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+    def test_fixture_model_loads_calibration(self, tmp_path):
+        out = tmp_path / "report.json"
+        loaded = self.simulate(GOLDEN_SCENARIOS["handoff_3"], out)
+        assert "streamring.calibration" in loaded
+        assert "streamring.external" not in loaded
+        assert out.read_bytes() == (GOLDEN_DIR / "handoff_3.json").read_bytes()
+
+    def test_auto_duration_loads_calibration(self, tmp_path, capsys):
+        # no golden is "auto", so the in-process report stands in for one
+        data = json.loads(GOLDEN_SCENARIOS["churn_stalls_6"].read_text())
+        data["segment_duration"] = "auto"
+        scenario = tmp_path / "auto.json"
+        scenario.write_text(json.dumps(data))
+        out, expected = tmp_path / "report.json", tmp_path / "expected.json"
+        loaded = self.simulate(scenario, out)
+        assert "streamring.calibration" in loaded
+        assert run_cli(["simulate", "--scenario", str(scenario), "--format",
+                        "json", "--out", str(expected), "--quiet"]) == EXIT_OK
+        assert out.read_bytes() == expected.read_bytes()
+
+
+class TestPackageNamespace:
+    """``streamring`` exports calibration and the command runner lazily
+    (PEP 562), each name the object of the module that defines it."""
+
+    def test_every_exported_name_is_its_defining_module_s_object(self):
+        import importlib
+
+        import streamring
+
+        for name in streamring.__all__:
+            obj = getattr(streamring, name)
+            assert obj.__module__.startswith("streamring."), name
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+    def test_star_import_and_dir_list_every_name(self):
+        import streamring
+
+        namespace: dict = {}
+        exec("from streamring import *", namespace)
+        for name in streamring.__all__:
+            assert namespace[name] is getattr(streamring, name)
+        assert set(streamring.__all__) <= set(dir(streamring))
+
+    def test_unknown_attribute_raises_naming_it(self):
+        import streamring
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            streamring.no_such_name
+
+    def test_moved_names_are_not_forwarded(self):
+        from streamring import latency
+
+        for name in ("fit", "fit_auto", "table_model", "MeasurementSet",
+                     "ThroughputPoint", "t_opt_discrete", "t_opt_continuous",
+                     "load_bundled_measurements", "read_measurement_csv"):
+            assert not hasattr(latency, name), name
+        for name in ("run_external", "ExternalRunResult", "_clock"):
+            assert not hasattr(segproc, name), name

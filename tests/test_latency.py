@@ -18,24 +18,26 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamring.core import ValidationError
-from streamring.latency import (
-    ExtrapolationWarning,
+from streamring.calibration import (
     InsufficientDataError,
-    LatencyModel,
     MeasurementSet,
     ThroughputPoint,
     fit,
     fit_auto,
     load_bundled_measurements,
-    load_model,
-    model_from_json,
-    model_to_json,
     read_measurement_csv,
-    save_model,
     t_opt_continuous,
     t_opt_discrete,
     table_model,
+)
+from streamring.core import ValidationError
+from streamring.latency import (
+    ExtrapolationWarning,
+    LatencyModel,
+    load_model,
+    model_from_json,
+    model_to_json,
+    save_model,
 )
 
 # -- independent least-squares oracle (normal equations) --------------------

@@ -8,7 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
-from streamring import segproc
+from streamring import external
 from streamring.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +61,7 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
         readings += [now, now + 0.1 + 0.5 * duration]
         now = readings[-1]
     clock = iter(readings)
-    monkeypatch.setattr(segproc, "_clock", lambda: next(clock))
+    monkeypatch.setattr(external, "_clock", lambda: next(clock))
     for argv in commands:
         argv = [token.replace("mymodel {input} -o {output}", "cp {input} {output}")
                 for token in argv[1:]]

@@ -16,8 +16,10 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from streamring.calibration import fit, table_model
 from streamring.core import ValidationError
-from streamring.latency import ExtrapolationWarning, LatencyModel, fit, table_model
+from streamring.external import run_external
+from streamring.latency import ExtrapolationWarning, LatencyModel
 from streamring.segproc import (
     SegmentJob,
     SegmentTiming,
@@ -26,7 +28,6 @@ from streamring.segproc import (
     _playback_report,
     _segments,
     check_viability,
-    run_external,
     schedule_stream,
 )
 from tests.test_latency import fixture_set

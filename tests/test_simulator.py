@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from streamring import simulator
+from streamring.calibration import fit
 from streamring.cli import _write_csv
 from streamring.core import (
     CostModel,
@@ -28,7 +29,7 @@ from streamring.core import (
     cost_naive,
     dumps_json,
 )
-from streamring.latency import fit, model_from_json
+from streamring.latency import model_from_json
 from streamring.orchestrator import EventKind, update_orchestration
 from streamring.segproc import StreamSpec, check_viability, schedule_stream
 from streamring.simulator import (
