@@ -275,15 +275,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "throughput (measured means):",
         *_tau_lines(points),
     ]
-    if args.out is not None:
+    if args.out is not None:  # the model file, not the command's output
         save_model(model, args.out)
         human.append(f"model written: {args.out}")
-    if args.format is not None:
-        _write_output(args.format, payload, _TAU_HEADER,
-                      payload["tau_table"], sys.stdout)
-    elif not args.quiet:
-        print("\n".join(human))
-    return EXIT_OK
+        args.out = None
+    return _finish(args, human, payload, _TAU_HEADER, payload["tau_table"])
 
 
 def cmd_topt(args: argparse.Namespace) -> int:

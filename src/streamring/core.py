@@ -330,11 +330,13 @@ class Meeting:
     pipelines: a pipeline is live exactly while the map names it, and pool
     occupancy is derived from the map's size.  Every live pipeline translates
     from ``source_language``, the speaker's language at the last pass.
-    ``delivery`` names each listener's pipeline and ``bypass`` the ids that
-    hear the raw stream; the stream routes are derived from ``delivery``,
-    not stored.  A pass updates ``delivery`` from the roster's edits, so it
-    also notes which roster it last read: assigning another one makes the
-    next pass re-resolve every id.
+    ``delivery`` names each listener's pipeline, and ``raw_language`` the
+    language whose members hear the speaker's raw stream (None under
+    identity translation or with no one on the floor); the stream routes
+    and the ``bypass`` ids are derived from them, not stored.  A pass
+    updates ``delivery`` from the roster's edits, so it also notes which
+    roster it last read: assigning another one makes the next pass
+    re-resolve every id.
     """
 
     participants: Roster
@@ -342,7 +344,7 @@ class Meeting:
     active_speaker: Optional[str] = None
     pipelines: dict[LanguageTag, str] = field(default_factory=dict)
     delivery: dict[str, str] = field(default_factory=dict)  # listener -> pipeline
-    bypass: set[str] = field(default_factory=set)
+    raw_language: Optional[LanguageTag] = None
     source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
     _delivered: Optional[Roster] = field(
@@ -366,6 +368,14 @@ class Meeting:
         return frozenset(feeds).union(
             Route(p, pid) for pid, p in self.delivery.items()
         )
+
+    @property
+    def bypass(self) -> set[str]:
+        """The ids that hear the raw stream, as a new set: the speaker and
+        the current members of ``raw_language``."""
+        if self.active_speaker is None:
+            return set()
+        return {self.active_speaker, *self.participants.ids_of(self.raw_language)}
 
     @property
     def free_slots(self) -> int:

@@ -17,11 +17,13 @@ pipeline for them.  Decommissioning a pipeline drops its entry from
 A pass costs O(k + L + edits since the last pass), never a scan of the
 roster: the required languages come from the roster's language index in
 O(L), and the meeting stores only each listener's pipeline (``delivery``),
-which the pass updates in place.  The members of a language it decommissions
+which the pass updates in place, and the one language that hears the raw
+stream (``raw_language``).  The members of a language it decommissions
 or allocates are updated by language; the ids the roster edited since the
 last pass and both speakers are re-resolved one by one.  A roster assigned
 in place of another makes the next pass re-resolve every id.  The stream
-routes are derived from ``delivery`` on demand and are never stored.
+routes and the ids that hear the raw stream are derived on demand and are
+never stored, so a pass's cost does not grow with the speaker's language.
 """
 
 from __future__ import annotations
@@ -182,11 +184,8 @@ def update_orchestration(
             meeting.pool_capacity,
         )
 
-    bypass: set[str] = set()
+    meeting.raw_language = None if translate_same_language else speaker_language
     if new_speaker is not None:
-        bypass.add(new_speaker)
-        if not translate_same_language:
-            bypass.update(roster.ids_of(speaker_language))
         events.append(_event((
             _BYPASSED, time, speaker_language, None, new_speaker, False)))
     # Every mapped language is required, so every listener of one is
@@ -209,7 +208,6 @@ def update_orchestration(
         events.append(_event((
             _ROUTE_ADDED, time, roster[participant_id],
             delivery[participant_id], participant_id, False)))
-    meeting.bypass = bypass
     return meeting, events
 
 
@@ -221,8 +219,8 @@ def verify_invariants(
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
     raises on bad state.  Costs O(N + k): it reads ``meeting.delivery``,
-    ``meeting.bypass`` and the roster's language index, never the derived
-    routes.
+    ``meeting.raw_language`` and the roster's language index, never the
+    derived routes or ``bypass``.
     """
     violations: list[str] = []
     roster = meeting.participants
@@ -233,28 +231,17 @@ def verify_invariants(
     # 1. Speaker bypass: the speaker is never a pipeline consumer, and the
     #    raw stream reaches only the speaker and, unless identity
     #    translation is on, the members of the speaker's language.
-    hears_raw: set[str] = set()
-    if speaker is not None:
-        if speaker not in meeting.bypass:
-            violations.append(f"active speaker {speaker!r} not in bypass set")
-        if speaker in delivery:
-            violations.append(
-                f"active speaker {speaker!r} consumes route from "
-                f"{delivery[speaker]!r}"
-            )
-        hears_raw.add(speaker)
-        if not translate_same_language:
-            hears_raw.update(roster.ids_of(roster.get(speaker)))
-    for participant_id in sorted(meeting.bypass - hears_raw):
+    if speaker in delivery:
         violations.append(
-            f"{participant_id!r} hears the raw stream but is not the speaker"
-            + ("" if translate_same_language
-               else " or of the speaker's language")
+            f"active speaker {speaker!r} consumes route from "
+            f"{delivery[speaker]!r}"
         )
-    for participant_id in sorted(hears_raw - meeting.bypass - {speaker}):
+    raw_language = (None if translate_same_language or speaker is None
+                    else roster.get(speaker))
+    if meeting.raw_language != raw_language:
         violations.append(
-            f"{participant_id!r} shares the speaker's language but is not "
-            "in the bypass set"
+            f"the raw stream reaches language {meeting.raw_language!r}, "
+            f"expected {raw_language!r}"
         )
 
     # 2. Minimal allocation: one pipeline per required language, short only

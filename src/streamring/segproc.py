@@ -116,12 +116,9 @@ class PlaybackReport:
 def check_viability(model: LatencyModel, segment_duration: float) -> ViabilityCheck:
     """Strict real-time test: viable iff p(T)/T < 1.  A ratio of exactly 1.0
     is classified not viable — such a schedule has zero slack and any
-    perturbation stalls it."""
-    if segment_duration <= 0:
-        raise ValidationError(
-            f"segment duration must be positive, got {segment_duration}"
-        )
-    tau = model.evaluate(segment_duration) / segment_duration
+    perturbation stalls it.  A non-positive ``segment_duration`` is a
+    ValidationError, raised by ``LatencyModel.evaluate``."""
+    tau = model.tau(segment_duration)
     return ViabilityCheck(viable=tau < 1.0, tau=tau)
 
 

@@ -19,6 +19,13 @@ only to pin the report paths the shipped ones never reach:
 changes between 4 hand-offs.  It pins the roster-scale bookkeeping: the
 per-language listener sets behind routing and stall charging.
 
+The calibration goldens pin the other two commands that print a model's
+tau table.  ``calibrate_A100.json`` is the standard output of ``streamring
+calibrate --label A100 --format json --out
+tests/golden/calibrate_A100.model.json``, which also writes that model file,
+and ``topt_A100.json`` is the standard output of ``streamring topt --model
+tests/golden/calibrate_A100.model.json --continuous --format json``.
+
 A refactor must reproduce them byte for byte; a change that is meant to alter
 a report regenerates the file with that command and says why.
 """
@@ -54,3 +61,19 @@ def test_simulate_json_matches_golden(name, tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_calibrate_and_topt_json_match_golden(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    code = main(["calibrate", "--label", "A100", "--format", "json",
+                 "--out", str(model)])
+    assert code == EXIT_OK
+    golden_model = GOLDEN_DIR / "calibrate_A100.model.json"
+    assert model.read_bytes() == golden_model.read_bytes()
+    assert capsys.readouterr().out.encode() == (
+        GOLDEN_DIR / "calibrate_A100.json").read_bytes()
+    code = main(["topt", "--model", str(golden_model), "--continuous",
+                 "--format", "json"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.encode() == (
+        GOLDEN_DIR / "topt_A100.json").read_bytes()

@@ -231,6 +231,30 @@ class TestUpdateOrchestration:
         added = [e for e in events if e.kind is EventKind.ROUTE_ADDED]
         assert [(e.participant, e.pipeline_id) for e in added] == [("A", en_pipe)]
 
+    def test_a_join_pass_reads_no_member_of_the_speakers_language(self):
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
+        update_orchestration(m, "A")
+        m.participants["D"] = "de"
+        roster = m.participants
+        read: list[LanguageTag] = []
+
+        def ids_of(language, original=roster.ids_of):
+            read.append(language)
+            return original(language)
+
+        roster.ids_of = ids_of  # on the instance, shadowing the method
+        update_orchestration(m, "A")
+        assert LanguageTag("en") not in read
+        assert m.bypass == {"A", "B"}
+
+    def test_a_join_reaches_the_raw_stream_before_the_next_pass(self):
+        m = make_meeting({"A": "en", "B": "de"}, 4)
+        update_orchestration(m, "A")
+        m.participants["C"] = "EN"
+        assert m.bypass == {"A", "C"}
+        del m.participants["C"]
+        assert m.bypass == {"A"}
+
     def test_warm_reuse_when_source_language_unchanged(self):
         m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
         update_orchestration(m, "A")
@@ -298,10 +322,26 @@ class TestVerifyInvariants:
         assert Route(source=pid, destination="A") in m.routes
         assert any("speaker" in v for v in verify_invariants(m))
 
-    def test_speaker_missing_from_bypass(self):
+    def test_raw_stream_to_another_language(self):
         m = self._orchestrated()
-        m.bypass.discard("A")
-        assert any("bypass" in v for v in verify_invariants(m))
+        m.raw_language = LanguageTag("de")
+        assert "the raw stream reaches language 'de', expected 'en'" in (
+            verify_invariants(m))
+
+    def test_raw_stream_under_identity_translation(self):
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
+        update_orchestration(m, "A", translate_same_language=True)
+        assert verify_invariants(m, translate_same_language=True) == []
+        m.raw_language = LanguageTag("en")
+        assert "the raw stream reaches language 'en', expected None" in (
+            verify_invariants(m, translate_same_language=True))
+
+    def test_raw_stream_left_on_after_the_speaker_leaves(self):
+        m = self._orchestrated()
+        del m.participants["A"]
+        m.active_speaker = None  # no pass since
+        assert "the raw stream reaches language 'en', expected None" in (
+            verify_invariants(m))
 
     def test_duplicate_pipeline_for_language(self):
         m = self._orchestrated()
@@ -346,18 +386,9 @@ class TestVerifyInvariants:
         m = make_meeting({"A": "en", "B": "de", "C": "de"}, 2)
         update_orchestration(m, "A")
         assert verify_invariants(m) == []
-        m.bypass.add("C")
         m.delivery.pop("C")
         violations = verify_invariants(m)
-        assert any("'C' hears the raw stream" in v for v in violations)
         assert any("listener 'C' has 0 routes" in v for v in violations)
-
-    def test_same_language_listener_missing_from_bypass(self):
-        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 2)
-        update_orchestration(m, "A")
-        m.bypass.discard("B")
-        assert any("'B' shares the speaker's language" in v
-                   for v in verify_invariants(m))
 
     def test_over_capacity(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 2)
@@ -624,9 +655,11 @@ class TestRosterIndex:
 
 def reference_pass(
     meeting: Meeting, new_speaker, *, time: float, translate_same_language: bool
-) -> list[OrchestrationEvent]:
+) -> tuple[list[OrchestrationEvent], set[str]]:
     """The O(N) pass: the required languages counted over the whole roster,
-    and every listener's delivery rebuilt, then diffed against the last."""
+    and every listener's delivery rebuilt, then diffed against the last.
+    Returns its events and the ids that hear the raw stream, found by a
+    scan of the roster."""
     events: list[OrchestrationEvent] = []
     roster = meeting.participants
     required: set[LanguageTag] = set()
@@ -679,13 +712,12 @@ def reference_pass(
             language=roster[pid], pipeline_id=delivery[pid],
             participant=pid))
     meeting.delivery = delivery
-    meeting.bypass = bypass
-    return events
+    return events, bypass
 
 
 def state_of(m: Meeting) -> tuple:
-    return (m.active_speaker, m.delivery, m.bypass, m.pipelines,
-            m.source_language, m.pipeline_seq)
+    return (m.active_speaker, m.delivery, m.pipelines, m.source_language,
+            m.pipeline_seq)
 
 
 class TestAgainstTheFullPass:
@@ -736,9 +768,10 @@ class TestAgainstTheFullPass:
                 m, speaker, time=float(step),
                 translate_same_language=translate_same_language,
             )
-            expected = reference_pass(
+            expected, hears_raw = reference_pass(
                 reference, speaker, time=float(step),
                 translate_same_language=translate_same_language,
             )
             assert events == expected
             assert state_of(m) == state_of(reference)
+            assert m.bypass == hears_raw
