@@ -227,6 +227,9 @@ def verify_invariants(
     delivery = meeting.delivery
     pipelines = meeting.pipelines
     speaker = meeting.active_speaker
+    if speaker is not None and speaker not in roster:
+        violations.append(f"active speaker {speaker!r} is not a member")
+        speaker = None  # the rest is checked as with no one on the floor
 
     # 1. Speaker bypass: the speaker is never a pipeline consumer, and the
     #    raw stream reaches only the speaker and, unless identity

@@ -13,7 +13,9 @@ language, warm otherwise); membership events leave untouched pipelines'
 sessions running, so a listener joining mid-turn does not reset anyone
 else's stream.  A repeated speaker-change to the current speaker is a
 no-op.  Stall seconds accrue to the listeners of a session's language at
-the moment the session closes.
+the moment the session closes: a close records its stall on its language's
+ledger, and each member is charged the ledger's entries since they began
+listening when they stop listening or at the end of the run.
 
 The report is written in one loop over the run's steps: its start, each
 event and its end.  An event's step runs an orchestration pass; the end
@@ -38,6 +40,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import reduce
 from itertools import repeat
 from operator import add, itemgetter
 from typing import Optional, Union
@@ -558,6 +561,20 @@ def run_scenario(scenario: Scenario) -> RunReport:
     schedules: dict[tuple[float, bool], tuple[float, float, list, list]] = {}
     closing_at: Optional[float] = None
     stalls = series.listener_stalls
+    roster = meeting.participants
+    # Each close appends its stall to its language's ledger.  A listener is
+    # charged its entries from ``since[pid]`` (0 with no entry) when they stop
+    # listening or at the end, left to right as one charge per close adds:
+    # not ``sum()``, which compensates from 3.12 on, nor a difference.
+    ledger: dict[LanguageTag, list[float]] = {}
+    since: dict[str, int] = {}
+
+    def settle(pid: str) -> None:
+        """Charge ``pid``, unless they hold the floor, and stop the reading."""
+        if pid != meeting.active_speaker:
+            charges = ledger.get(roster[pid], ())[since.pop(pid, 0):]
+            if charges:  # a close charged them, if only a zero stall
+                stalls[pid] = reduce(add, charges, stalls.get(pid, 0.0))
 
     # ``+ 0.0`` makes an event at -0.0 report as one at 0.0
     for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),
@@ -569,12 +586,24 @@ def run_scenario(scenario: Scenario) -> RunReport:
                        for language in sorted(open_sessions))
         else:
             turnover = event.kind is _SPEAKER_CHANGE
+            pid = event.participant
             if not turnover:
-                _apply(meeting.participants, event)
-            elif event.participant == meeting.active_speaker:
+                if pid in roster:  # a leave or a language change
+                    settle(pid)
+                _apply(roster, event)
+                if pid in roster and pid != meeting.active_speaker:
+                    since[pid] = len(ledger.get(roster[pid], ()))
+            elif pid == meeting.active_speaker:
                 continue  # repeated floor grant: nothing changes
-            speaker = event.participant if turnover else meeting.active_speaker
-            if speaker not in meeting.participants:
+            else:
+                # settled before this step's closes, the new speaker is not
+                # charged for the session they heard (ROADMAP item 4)
+                settle(pid)
+                previous = meeting.active_speaker
+                if previous is not None:
+                    since[previous] = len(ledger.get(roster[previous], ()))
+            speaker = pid if turnover else meeting.active_speaker
+            if speaker not in roster:
                 speaker = None  # no speaker yet, or the speaker just left
             _, changes = update_orchestration(
                 meeting, speaker, time=when,
@@ -628,9 +657,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 "startup_delay": startup_delay, "cold": cold,
             })
             total_stall += stall_total
-            for pid in meeting.participants.ids_of(language):
-                if pid != meeting.active_speaker:
-                    stalls[pid] = stalls.get(pid, 0.0) + stall_total
+            ledger.setdefault(language, []).append(stall_total)
             entries.extend(
                 zip(times, repeat(0), repeat(language), boundary_stalls))
 
@@ -647,6 +674,14 @@ def run_scenario(scenario: Scenario) -> RunReport:
         raise ValidationError(
             f"the stalls of {segment_duration:g} s segments under the "
             f"{model.form} model sum past the float range")
+    # the members still listening: those with no reading share one value
+    # per language, written in C
+    for language, charges in ledger.items():
+        stalls.update(dict.fromkeys(
+            roster.ids_of(language).difference(since, (meeting.active_speaker,)),
+            reduce(add, charges, 0.0)))
+    for pid in list(since):
+        settle(pid)
 
     series.turn_startups.sort(key=itemgetter("time", "language"))
 

@@ -343,6 +343,16 @@ class TestVerifyInvariants:
         assert "the raw stream reaches language 'en', expected None" in (
             verify_invariants(m))
 
+    def test_speaker_who_left_with_no_pass_since(self):
+        m = make_meeting({"A": "en", "B": "de"}, 4)
+        update_orchestration(m, "A")
+        del m.participants["A"]
+        assert verify_invariants(m) == [
+            "active speaker 'A' is not a member",
+            "the raw stream reaches language 'en', expected None",
+            "pipelines kept for unrequired languages: de",
+        ]
+
     def test_duplicate_pipeline_for_language(self):
         m = self._orchestrated()
         pipeline_map = m.pipelines

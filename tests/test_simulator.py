@@ -25,6 +25,7 @@ from streamring.core import (
     CostModel,
     LanguageTag,
     Meeting,
+    Roster,
     ValidationError,
     cost_naive,
     dumps_json,
@@ -1005,13 +1006,13 @@ def larger_meetings(draw) -> Scenario:
     """Meetings of 8-40 people on 6-10 languages with a pool smaller than
     the language count, so that passes fail to allocate and a hand-off
     re-routes many listeners at once; up to 10 events, several at one
-    instant.  The model is the exhaustive gate's: T = 0.5 s stalls, 3 s
-    does not."""
+    instant, where a join may bring back an id that left.  The model is the
+    exhaustive gate's: T = 0.5 s stalls, 3 s does not."""
     languages = LARGER_LANGUAGES[:draw(st.integers(min_value=6, max_value=10))]
     size = draw(st.integers(min_value=8, max_value=40))
     roster = {f"p{i}": draw(st.sampled_from(languages)) for i in range(size)}
     participants = list(roster.items())
-    events, time, rank = [], 0.0, 0
+    events, time, rank, departed = [], 0.0, 0, set()
     kinds = [ScenarioEventKind.SPEAKER_CHANGE] * 4 + [
         ScenarioEventKind.JOIN, ScenarioEventKind.LEAVE,
         ScenarioEventKind.LANGUAGE_CHANGE]
@@ -1023,13 +1024,15 @@ def larger_meetings(draw) -> Scenario:
             [k for k in kinds if simulator._KIND_RANK[k] >= rank]))
         rank = simulator._KIND_RANK[kind]
         language = None
-        if kind is ScenarioEventKind.JOIN:
-            pid, language = f"q{step}", draw(st.sampled_from(languages))
-            roster[pid] = language
+        if kind is ScenarioEventKind.JOIN:  # a new id, or one that left
+            pid = draw(st.sampled_from([f"q{step}", *sorted(departed)]))
+            language = roster[pid] = draw(st.sampled_from(languages))
+            departed.discard(pid)
         else:
             pid = draw(st.sampled_from(sorted(roster)))
             if kind is ScenarioEventKind.LEAVE:
                 del roster[pid]
+                departed.add(pid)
             elif kind is ScenarioEventKind.LANGUAGE_CHANGE:
                 language = roster[pid] = draw(st.sampled_from(languages))
         events.append(ScenarioEvent(time, kind, pid, language))
@@ -1131,3 +1134,101 @@ class TestProperties:
         assert dumps_json(report_to_json(run_scenario(scenario))) == dumps_json(
             per_session_report(scenario)
         )
+
+
+class TestListenerLedger:
+    """A close records its stall on its language's ledger, and a member is
+    charged when they stop listening or at the end of the run.  Each case
+    takes one settlement path on a stalling model (tau = 1.3) and must give
+    the bits of one charge per close, as ``per_session_report`` makes."""
+
+    PEOPLE = [("A", "en"), ("B", "de"), ("C", "de"), ("D", "fr"), ("E", "en")]
+    CASES = {
+        "late-join": [(0, "speaker-change", "A"), (5, "join", "F", "de"),
+                      (8, "speaker-change", "D"), (16, "speaker-change", "A")],
+        "mid-session-leave": [(0, "speaker-change", "A"), (5, "leave", "C"),
+                              (8, "speaker-change", "D"),
+                              (16, "speaker-change", "A")],
+        "leave-then-rejoin": [(0, "speaker-change", "A"),
+                              (8, "speaker-change", "D"), (10, "leave", "C"),
+                              (12, "join", "C", "fr"),
+                              (16, "speaker-change", "A")],
+        "language-changes": [(0, "speaker-change", "A"),
+                             (4, "language-change", "E", "de"),
+                             (8, "speaker-change", "D"),
+                             (12, "language-change", "E", "en"),
+                             (16, "speaker-change", "A")],
+        "listener-takes-the-floor-and-hands-it-back": [
+            (0, "speaker-change", "A"), (6, "speaker-change", "B"),
+            (12, "speaker-change", "A"), (16, "speaker-change", "D")],
+        "speaker-changes-language": [(0, "speaker-change", "A"),
+                                     (6, "language-change", "A", "de"),
+                                     (12, "speaker-change", "D")],
+        "speaker-leaves": [(0, "speaker-change", "A"), (6, "leave", "A"),
+                           (12, "speaker-change", "D")],
+        "speaker-changes-language-then-leaves": [
+            (0, "speaker-change", "A"), (4, "language-change", "A", "de"),
+            (6, "leave", "A"), (12, "speaker-change", "D")],
+        "identity-translation": [(0, "speaker-change", "A"),
+                                 (8, "speaker-change", "E"),
+                                 (16, "speaker-change", "B")],
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_charges_match_one_charge_per_close(self, name):
+        scenario = Scenario(
+            participants=list(self.PEOPLE),
+            pool_capacity=4,
+            model_spec={"form": "affine", "params": {"a": 0.8, "b": 0.5},
+                        "cold_start_extra": 1.25},
+            segment_duration=1.0,
+            run_duration=22.0,
+            events=[ScenarioEvent(float(t), *rest) for t, *rest in self.CASES[name]],
+            translate_same_language=name == "identity-translation",
+        )
+        stalls = run_scenario(scenario).series.listener_stalls
+        expected = per_session_report(scenario)["listener_stalls"]
+        assert len(stalls) >= 3
+        assert {pid: stall.hex() for pid, stall in stalls.items()} == {
+            pid: stall.hex() for pid, stall in expected.items()}
+
+    def test_a_close_reads_no_member_set(self, monkeypatch):
+        """Outside the orchestrator, a run reads each language's members
+        once at the end, however many hand-offs close its sessions."""
+        languages = ["de", "fr", "es", "it", "ja"]
+        people = [("A", "en"), ("B", "de")] + [
+            (f"L{i:03d}", languages[i % 5]) for i in range(200)]
+        calls, orchestrating = [0], [False]
+        ids_of, orchestrate = Roster.ids_of, simulator.update_orchestration
+
+        def counted_ids_of(roster, language):
+            calls[0] += not orchestrating[0]
+            return ids_of(roster, language)
+
+        def flagged_orchestrate(*args, **kwargs):
+            orchestrating[0] = True
+            try:
+                return orchestrate(*args, **kwargs)
+            finally:
+                orchestrating[0] = False
+
+        monkeypatch.setattr(Roster, "ids_of", counted_ids_of)
+        monkeypatch.setattr(simulator, "update_orchestration", flagged_orchestrate)
+        counts = []
+        for handoffs in (4, 40):
+            scenario = Scenario(
+                participants=people,
+                pool_capacity=8,
+                model_spec={"form": "affine", "params": {"a": 0.8, "b": 0.5}},
+                segment_duration=1.0,
+                run_duration=200.0,
+                events=[ScenarioEvent(200.0 * i / handoffs, "speaker-change",
+                                      "AB"[i % 2]) for i in range(handoffs)],
+            )
+            calls[0] = 0
+            report = run_scenario(scenario)
+            closed = {row["language"] for row in report.series.turn_startups}
+            assert len(report.series.turn_startups) > handoffs
+            assert calls[0] <= len(closed)
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
