@@ -360,6 +360,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     import tempfile
+    from dataclasses import asdict
 
     from .calibration import MEASUREMENT_CSV_HEADER
     from .external import run_external
@@ -381,15 +382,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             dict(zip(MEASUREMENT_CSV_HEADER, (mset.label, s.t, s.run, s.p)))
             for s in mset.samples
         ],
-        "report": None,
+        "report": None if result.report is None else asdict(result.report),
     }
-    if result.report is not None:
-        payload["report"] = {
-            "startup_delay": result.report.startup_delay,
-            "glass_latency": result.report.glass_latency,
-            "stall_count": result.report.stall_count,
-            "stall_total": result.report.stall_total,
-        }
 
     human = [
         f"label: {mset.label}",

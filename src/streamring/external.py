@@ -3,8 +3,9 @@
 ``run_external`` is the wall-clock twin of the virtual scheduler in
 ``streamring.segproc``: it writes each chunk file just before running a
 user command on it, and reports real measured latencies in the
-measurement-CSV schema of ``streamring.calibration``.  Of the CLI's
-subcommands, only ``bench`` imports this module.
+measurement-CSV schema of ``streamring.calibration``, with segment records
+built by the virtual scheduler's own rule.  Of the CLI's subcommands, only
+``bench`` imports this module.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ _clock = time.monotonic
 
 @dataclass(frozen=True)
 class ExternalRunResult:
-    """Outcome of a wall-clock run: measured rows (possibly partial on
-    failure) plus the playback report over whatever segments completed."""
+    """Outcome of a wall-clock run: the measured rows, segment records and
+    playback report of the segments that completed before any failure."""
 
     measurements: MeasurementSet
     report: Optional[PlaybackReport]
+    jobs: list[SegmentJob]
     failed_segment: Optional[int] = None
     error: Optional[str] = None
 
@@ -77,17 +79,18 @@ def run_external(
         raise ValidationError(
             f"segment timeout must be a positive number of seconds, got {timeout}"
         )
-    segments = _segments(stream.total_duration, segment_duration)
+    durations, availables = _segments(stream, segment_duration)
     live = stream.mode is StreamMode.LIVE
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     argv_template = shlex.split(command_template)
 
     measurements = MeasurementSet(label=label)
-    jobs: list[SegmentJob] = []
+    starts: list[float] = []
+    finishes: list[float] = []
+    error: Optional[str] = None
     origin = _clock()
-    for index, (duration, live_available) in enumerate(segments):
-        available = live_available if live else 0.0
+    for index, (duration, available) in enumerate(zip(durations, availables)):
         if live:
             wait = origin + available - _clock()
             if wait > 0:
@@ -104,25 +107,20 @@ def run_external(
         finished = _clock() - origin
         if error is not None:
             logger.error("segment %d command failed: %s", index, error)
-            return ExternalRunResult(
-                measurements=measurements,
-                report=_external_report(jobs, segment_duration),
-                failed_segment=index,
-                error=error,
-            )
+            break
         measurements.add(duration, finished - started, run=index)
-        jobs.append(
-            SegmentJob(
-                index=index,
-                duration=duration,
-                available_at=available,
-                start_at=started,
-                finish_at=finished,
-            )
-        )
-    return ExternalRunResult(
-        measurements=measurements, report=_external_report(jobs, segment_duration)
-    )
+        starts.append(started)
+        finishes.append(finished)
+
+    done = len(finishes)  # the segments measured, and the failed one's index
+    jobs: list[SegmentJob] = []
+    report: Optional[PlaybackReport] = None
+    if done:
+        jobs, report = _playback_report(
+            durations[:done], availables[:done], starts, finishes,
+            segment_duration, finishes[0] - availables[0], live_full_first=False)
+    return ExternalRunResult(measurements, report, jobs,
+                             None if error is None else done, error)
 
 
 def _run_command(argv: list[str], timeout: Optional[float]) -> Optional[str]:
@@ -153,11 +151,3 @@ def _run_command(argv: list[str], timeout: Optional[float]) -> Optional[str]:
         return stderr.strip() or f"exit status {proc.returncode}"
     return None
 
-
-def _external_report(
-    jobs: list[SegmentJob], segment_duration: float
-) -> Optional[PlaybackReport]:
-    if not jobs:
-        return None
-    startup = jobs[0].finish_at - jobs[0].available_at
-    return _playback_report(jobs, segment_duration, startup, live_full_first=False)

@@ -16,7 +16,10 @@ re-buffering player would distribute the same total differently, so
 ``stall_total`` is the robust quantity and ``stall_count`` the
 policy-sensitive one.
 
-The wall-clock twin of this scheduler, ``run_external``, lives in
+A segment's one record, a ``SegmentJob``, holds its finish time beside
+the time the player needed it.  ``_playback_report``, the one home of the
+needed-time and stall rule, builds a schedule's records from its columns,
+for this scheduler and for its wall-clock twin, ``run_external`` in
 ``streamring.external``, which only ``bench`` imports.
 """
 
@@ -34,7 +37,6 @@ from .latency import LatencyModel
 __all__ = [
     "PlaybackReport",
     "SegmentJob",
-    "SegmentTiming",
     "StreamMode",
     "StreamSpec",
     "ViabilityCheck",
@@ -73,29 +75,22 @@ class StreamSpec:
 
 
 class SegmentJob(NamedTuple):
-    """One chunk's lifecycle on the virtual clock: it finishes arriving at
-    ``available_at``, processing occupies [start_at, finish_at]."""
+    """One chunk's lifecycle: it finishes arriving at ``available_at``,
+    processing occupies [start_at, finish_at], the player needs it at
+    ``needed_at`` and pauses ``stall`` seconds for it."""
 
     index: int
     duration: float
     available_at: float
     start_at: float
     finish_at: float
-
-
-class SegmentTiming(NamedTuple):
-    """Playback view of one segment: when it was ready, when the player
-    needed it, and how long the player paused for it."""
-
-    ready: float
-    needed: float
+    needed_at: float
     stall: float
 
 
 # A schedule's records built in C, every field given: a NamedTuple's
-# generated ``__new__`` is Python code, and a schedule makes two per segment.
+# generated ``__new__`` is Python code, and a schedule makes one per segment.
 _job = partial(tuple.__new__, SegmentJob)
-_timing = partial(tuple.__new__, SegmentTiming)
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,6 @@ class PlaybackReport:
     glass_latency: float
     stall_count: int
     stall_total: float
-    per_segment: tuple[SegmentTiming, ...]
 
 
 def check_viability(model: LatencyModel, segment_duration: float) -> ViabilityCheck:
@@ -122,8 +116,10 @@ def check_viability(model: LatencyModel, segment_duration: float) -> ViabilityCh
     return ViabilityCheck(viable=tau < 1.0, tau=tau)
 
 
-def _segments(total_duration: float, segment_duration: float) -> list[tuple[float, float]]:
-    """Cut the stream into (duration, live_available_at) pairs.
+def _segments(stream: StreamSpec, segment_duration: float) -> tuple[list[float], list[float]]:
+    """Cut the stream into two columns: each segment's duration and the time
+    its data is available, when it finishes arriving in a live stream and
+    0.0 in a batch.
 
     Full chunks carry ``segment_duration`` itself (never a subtraction
     residue, so p(duration) is p(T) bit-for-bit); a tail shorter than one
@@ -132,6 +128,7 @@ def _segments(total_duration: float, segment_duration: float) -> list[tuple[floa
     as whole, so its last chunk may be available a rounding error after
     the stream ends; a tail of at most 1e-9 s is dropped.
     """
+    total_duration = stream.total_duration
     if segment_duration <= 0:
         raise ValidationError(
             f"segment duration must be positive, got {segment_duration}"
@@ -143,15 +140,17 @@ def _segments(total_duration: float, segment_duration: float) -> list[tuple[floa
             f"the {MAX_SEGMENTS} segment limit"
         )
     n_full = int(ratio + 1e-9)
-    out = [
-        (segment_duration, (k + 1) * segment_duration) for k in range(n_full)
-    ]
+    durations = [segment_duration] * n_full
+    availables = [(k + 1) * segment_duration for k in range(n_full)]
     tail = total_duration - n_full * segment_duration
     if tail > 1e-9:
-        out.append((tail, total_duration))
-    if not out:
+        durations.append(tail)
+        availables.append(total_duration)
+    if not durations:
         raise ValidationError("no segments: stream has zero duration")
-    return out
+    if stream.mode is StreamMode.BATCH:
+        return durations, [0.0] * len(durations)
+    return durations, availables
 
 
 def schedule_stream(
@@ -173,47 +172,43 @@ def schedule_stream(
     duration, every job time is the one a per-segment evaluation would give,
     to the bit.
     """
-    segments = _segments(stream.total_duration, segment_duration)
-    live = stream.mode is StreamMode.LIVE
-
+    durations, availables = _segments(stream, segment_duration)
     costs: dict[float, float] = {}  # duration -> p(duration)
     free = 0.0
-    jobs: list[SegmentJob] = []
-    for index, (duration, live_available) in enumerate(segments):
-        available = live_available if live else 0.0
+    starts: list[float] = []
+    finishes: list[float] = []
+    for duration, available in zip(durations, availables):
         start = max(available, free)
         processing = costs.get(duration)
         if processing is None:
             processing = costs[duration] = model.evaluate(duration)
-        if index == 0:
+        if not finishes:
             processing += model.cold_start_extra
             # kept as the model's own output (not finish-start), so the
             # reported startup is p(T) with no rounding residue
             startup_delay = processing
         free = start + processing
-        jobs.append(_job((index, duration, available, start, free)))
+        starts.append(start)
+        finishes.append(free)
     if free == math.inf:  # finish times only grow: the last is the largest
         raise ValidationError(
             f"a {stream.total_duration:g} s stream in {segment_duration:g} s "
             f"segments under the {model.form} model finishes past the float "
             "range")
 
-    report = _playback_report(
-        jobs,
-        segment_duration,
-        startup_delay,
-        live_full_first=live and segments[0][0] == segment_duration,
-    )
-    return jobs, report
+    return _playback_report(
+        durations, availables, starts, finishes, segment_duration, startup_delay,
+        live_full_first=(stream.mode is StreamMode.LIVE
+                         and durations[0] == segment_duration))
 
 
 def _playback_report(
-    jobs: list[SegmentJob],
-    segment_duration: float,
-    startup_delay: float,
+    durations: list[float], availables: list[float], starts: list[float],
+    finishes: list[float], segment_duration: float, startup_delay: float,
     live_full_first: bool,
-) -> PlaybackReport:
-    """Derive the playback timeline from scheduled jobs.
+) -> tuple[list[SegmentJob], PlaybackReport]:
+    """Derive the playback timeline from a schedule's columns, and build its
+    records from them.
 
     The jobs ran one after another, so segment k is ready when its own job
     finishes, and it is needed at playback_start + k*T, where
@@ -222,39 +217,33 @@ def _playback_report(
     it is the same float expression as an on-time job's finish — equality,
     not just closeness, in the viable case.
     """
+    n = len(finishes)
     if live_full_first:
-        needed_times = [
-            (k + 1) * segment_duration + startup_delay for k in range(len(jobs))
-        ]
+        needed_times = [(k + 1) * segment_duration + startup_delay for k in range(n)]
     else:
-        first_available = jobs[0].available_at
+        first_available = availables[0]
         needed_times = [
             first_available + startup_delay + k * segment_duration
-            for k in range(len(jobs))
+            for k in range(n)
         ]
 
-    per_segment: list[SegmentTiming] = []
+    stalls: list[float] = []
     worst_lag = 0.0
-    stall_count = 0
     stall_total = 0.0
-    for job, needed in zip(jobs, needed_times):
-        ready = job.finish_at
+    for ready, needed in zip(finishes, needed_times):
         lag = ready - needed
         if lag < 0.0:
             lag = 0.0
         stall = lag - worst_lag
         if stall > 0.0:
             worst_lag = lag
-            stall_count += 1
             stall_total += stall
         else:
             stall = 0.0
-        per_segment.append(_timing((ready, needed, stall)))
+        stalls.append(stall)
 
-    return PlaybackReport(
-        startup_delay=startup_delay,
-        glass_latency=jobs[0].duration + startup_delay,
-        stall_count=stall_count,
-        stall_total=stall_total,
-        per_segment=tuple(per_segment),
-    )
+    jobs = list(map(_job, zip(range(n), durations, availables, starts,
+                              finishes, needed_times, stalls)))
+    stall_count = n - stalls.count(0.0)  # every other stall is positive
+    return jobs, PlaybackReport(startup_delay, durations[0] + startup_delay,
+                                stall_count, stall_total)

@@ -118,6 +118,10 @@ class ScenarioEvent:
                 object.__setattr__(self, "kind", ScenarioEventKind(self.kind))
             except ValueError:
                 raise ValidationError(f"unknown event kind {self.kind!r}") from None
+        if not isinstance(self.participant, str):
+            raise ValidationError(
+                f"event participant must be a string, got {self.participant!r}"
+            )
         if self.language is not None and not isinstance(self.language, str):
             raise ValidationError(
                 f"event language must be a string, got {self.language!r}"
@@ -412,11 +416,18 @@ def _check_scenario(
     listed: set[str] = set()
     tags: dict[str, LanguageTag] = {}  # by code: "EN" and "en" share one
     shared: dict[LanguageTag, LanguageTag] = {}  # each language's one tag
-    for pid, lang in scenario.participants:
+    for i, (pid, lang) in enumerate(scenario.participants):
+        if not isinstance(pid, str):  # before ``listed``: a list is unhashable
+            violations.append(f"participants[{i}].id must be a string, got {pid!r}")
+            continue
         if pid in listed:
             violations.append(f"duplicate participant id {pid!r}")
             continue
         listed.add(pid)
+        if not isinstance(lang, str):
+            violations.append(f"participant {pid!r}: participants[{i}].language "
+                              f"must be a string, got {lang!r}")
+            continue
         try:
             tag = tags.get(lang)
             if tag is None:
@@ -644,7 +655,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 schedule = schedules[opened] = (
                     play.startup_delay, play.stall_total,
                     [started_at + job.available_at for job in jobs],
-                    [timing.stall for timing in play.per_segment])
+                    [job.stall for job in jobs])
                 del jobs, play  # keep only the two float columns
             startup_delay, stall_total, times, boundary_stalls = schedule
             if len(entries) + len(times) + state_rows > MAX_SAMPLE_ROWS:

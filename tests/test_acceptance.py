@@ -145,10 +145,12 @@ def test_criterion_5_zero_stall_theorem():
         model = LatencyModel(form="affine", a=a, b=b)
         assert model.tau(T) < 1.0
         n_segments = rng.randint(1, 1000)
-        _, report = schedule_stream(
+        jobs, report = schedule_stream(
             StreamSpec(total_duration=n_segments * T, mode="live"), model, T
         )
-        assert len(report.per_segment) == n_segments
+        assert len(jobs) == n_segments
+        # on time to the bit: each segment is ready when the player needs it
+        assert all(job.finish_at == job.needed_at for job in jobs)
         assert report.stall_count == 0
         assert report.stall_total == 0.0
         assert report.startup_delay == model.evaluate(T)  # bit-exact
@@ -164,12 +166,12 @@ def test_criterion_5_zero_stall_theorem():
         model = LatencyModel(form="affine", a=a, b=b)
         assert model.tau(T) > 1.0
         n_segments = rng.randint(2, 300)
-        _, report = schedule_stream(
+        jobs, _ = schedule_stream(
             StreamSpec(total_duration=n_segments * T, mode="live"), model, T
         )
         p = model.evaluate(T)
-        for k, timing in enumerate(report.per_segment):
-            lag = max(0.0, timing.ready - timing.needed)
+        for k, job in enumerate(jobs):
+            lag = max(0.0, job.finish_at - job.needed_at)
             assert lag == pytest.approx(k * (p - T), abs=1e-9)
     _report("5 (zero-stall exact x1000; lag k(p-T) +/-1e-9 x1000)", started, 30.0)
 

@@ -126,6 +126,17 @@ class TestUsage:
     def test_duplicate_grid(self, capsys):
         assert run_cli(["topt", "--model", "x.json", "--grid", "3,3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--cmd", "true", "--stream-seconds", "abc", "--segment", "1"],
+         "argument --stream-seconds: not a number: 'abc'"),
+        (["topt", "--model", "x.json", "--grid", "1,x"],
+         "argument --grid: bad grid: '1,x'"),
+        (["sweep", "--n", ","], "argument --n: no meeting sizes given"),
+    ], ids=["bench-stream-seconds", "topt-grid", "sweep-n"])
+    def test_bad_value_is_named(self, argv, message, capsys):
+        assert run_cli(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 
 class TestParserReuse:
     def test_calls_in_sequence_match_calls_on_a_new_parser(
@@ -666,6 +677,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "'Z'" in err and "speaker-change" in err
 
+    def test_out_path_that_is_a_directory(self, tmp_path, capsys):
+        argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json"),
+                "--out", str(tmp_path)]
+        assert run_cli(argv) == EXIT_RUNTIME
+        assert "Is a directory" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         code = run_cli(["simulate", "--scenario", "/no/such/scenario.json"])
         assert code == EXIT_VALIDATION
@@ -913,7 +930,11 @@ class TestBench:
         assert len(rows) == 3  # header + segments 0 and 1
         assert "boom" in captured.err
 
-    def test_json_format_carries_report(self, capsys):
+    def test_json_format_carries_report(self, capsys, monkeypatch):
+        # two 1 s segments timed by scripted clock readings: the first takes
+        # 0.5 s, the second 1.25 s, so it is 0.25 s late for the player
+        readings = iter([0.0, 0.0, 0.5, 0.5, 1.75])
+        monkeypatch.setattr(external, "_clock", lambda: next(readings))
         code = run_cli(
             ["bench", "--cmd", "cp {input} {output}", "--stream-seconds", "2",
              "--segment", "1", "--format", "json"]
@@ -921,8 +942,12 @@ class TestBench:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["report"]["stall_count"] >= 0
+        assert payload["report"] == {
+            "glass_latency": 1.5, "stall_count": 1, "stall_total": 0.25,
+            "startup_delay": 0.5,
+        }
         assert len(payload["measurements"]) == 2
+        assert next(readings, None) is None  # every reading was taken
 
     @pytest.mark.parametrize("then, code", [
         ("exit 1", EXIT_RUNTIME), ("cp {input} {output}", EXIT_OK),
@@ -1194,8 +1219,10 @@ class TestUnreadableInput:
             ("A,1e308,0,1\nA,1.5e308,0,2\n", "cannot fit the affine form"),
             ("A,1,0,1e308\nA,1,1,1.5e308\nA,2,0,3\n", "too large to average"),
             ("A," + "9" * 200_000 + ",0,1\n", "unreadable CSV"),
+            ("", "insufficient data (no rows)"),
+            (",1,0,1\n", "line 2: empty label"),
         ],
-        ids=["durations", "latencies", "field-limit"],
+        ids=["durations", "latencies", "field-limit", "header-only", "blank-label"],
     )
     def test_measurements_out_of_range(self, rows, message, tmp_path, capsys):
         path = tmp_path / "m.csv"

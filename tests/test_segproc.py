@@ -22,7 +22,6 @@ from streamring.external import run_external
 from streamring.latency import ExtrapolationWarning, LatencyModel
 from streamring.segproc import (
     SegmentJob,
-    SegmentTiming,
     StreamMode,
     StreamSpec,
     _playback_report,
@@ -77,44 +76,42 @@ class TestStreamSpec:
 
 
 class TestSegmentRecords:
-    """Jobs and timings are immutable records with named fields in a fixed
-    order, and tuples besides."""
+    """Segment records are immutable, with named fields in a fixed order,
+    and tuples besides."""
 
     def test_fields_order_and_repr(self):
-        jobs, report = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
-        job, timing = jobs[0], report.per_segment[0]
+        jobs, _ = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
+        job = jobs[0]
         assert SegmentJob._fields == (
-            "index", "duration", "available_at", "start_at", "finish_at")
-        assert SegmentTiming._fields == ("ready", "needed", "stall")
+            "index", "duration", "available_at", "start_at", "finish_at",
+            "needed_at", "stall")
         assert repr(job) == (
             f"SegmentJob(index=0, duration=3.0, available_at=3.0, "
-            f"start_at=3.0, finish_at={job.finish_at!r})")
-        assert repr(timing).startswith(f"SegmentTiming(ready={timing.ready!r}, ")
+            f"start_at=3.0, finish_at={job.finish_at!r}, "
+            f"needed_at={job.needed_at!r}, stall=0.0)")
         index, duration, *_ = job
         assert (index, duration) == (job[0], job[1]) == (0, 3.0)
-        assert job == (0, 3.0, 3.0, 3.0, job.finish_at)
+        assert job == (0, 3.0, 3.0, 3.0, job.finish_at, job.needed_at, 0.0)
         assert job._replace(index=5) == (5,) + tuple(job)[1:]
 
     @pytest.mark.parametrize("mode", list(StreamMode))
     def test_records_are_whole_instances_of_their_class(self, mode):
         # schedules build their records without the class constructor
-        jobs, report = schedule_stream(
+        jobs, _ = schedule_stream(
             StreamSpec(10.0, mode=mode), a100_model(), 3.0)
-        records = [*jobs, *report.per_segment]
-        assert len(records) == 8
-        for record in records:
-            cls = type(record)
-            assert cls in (SegmentJob, SegmentTiming)
-            assert len(record) == len(cls._fields)
-            assert record == cls(*record)
-            assert repr(record) == repr(cls(*record))
+        assert len(jobs) == 4
+        for record in jobs:
+            assert type(record) is SegmentJob
+            assert len(record) == len(SegmentJob._fields)
+            assert record == SegmentJob(*record)
+            assert repr(record) == repr(SegmentJob(*record))
 
     def test_fields_cannot_be_set(self):
-        jobs, report = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
+        jobs, _ = schedule_stream(StreamSpec(4.0), a100_model(), 3.0)
         with pytest.raises(AttributeError):
             jobs[0].finish_at = 0.0
         with pytest.raises(AttributeError):
-            report.per_segment[0].stall = 1.0
+            jobs[0].stall = 1.0
 
 
 class TestSegmentation:
@@ -191,9 +188,9 @@ class TestViableLiveSchedule:
         assert check_viability(model, 3.0).viable
         # on-time everywhere, to the bit: each segment is emittable at the
         # exact instant the player needs it
-        for timing in report.per_segment:
-            assert timing.ready == timing.needed
-            assert timing.stall == 0.0
+        for job in jobs:
+            assert job.finish_at == job.needed_at
+            assert job.stall == 0.0
 
     def test_jobs_start_at_availability(self):
         jobs, _ = schedule_stream(StreamSpec(30.0), a100_model(), 3.0)
@@ -212,10 +209,10 @@ class TestLaggingLiveSchedule:
         assert not check_viability(model, 8.0).viable
         assert report.stall_count == 9  # every segment after the first pauses
         per_step = p8 - 8.0
-        for timing in report.per_segment[1:]:
-            assert timing.stall == pytest.approx(per_step, abs=1e-9)
-        final = report.per_segment[-1]
-        assert final.ready - final.needed == pytest.approx(9 * per_step, abs=1e-9)
+        for job in jobs[1:]:
+            assert job.stall == pytest.approx(per_step, abs=1e-9)
+        final = jobs[-1]
+        assert final.finish_at - final.needed_at == pytest.approx(9 * per_step, abs=1e-9)
         assert report.stall_total == pytest.approx(9 * per_step, abs=1e-9)
 
     def test_every_later_segment_stalls_by_the_excess(self):
@@ -341,10 +338,10 @@ class TestProperties:
         affine = LatencyModel(form="affine", a=a, b=b)
         for model in [affine] + ([other] if other.tau(t) >= 1.001 else []):
             p = model.evaluate(t)
-            _, report = schedule_stream(StreamSpec(n_segments * t), model, t)
-            final = report.per_segment[-1]
+            jobs, report = schedule_stream(StreamSpec(n_segments * t), model, t)
+            final = jobs[-1]
             expected = (n_segments - 1) * (p - t)
-            assert final.ready - final.needed == pytest.approx(expected, abs=1e-9)
+            assert final.finish_at - final.needed_at == pytest.approx(expected, abs=1e-9)
             assert report.stall_count == n_segments - 1
 
     @given(
@@ -360,7 +357,7 @@ class TestProperties:
         spec = StreamSpec(n_segments * t, mode="batch" if batch else "live")
         jobs, report = schedule_stream(spec, model, t)
         assert [j.index for j in jobs] == list(range(len(jobs)))
-        ready = [timing.ready for timing in report.per_segment]
+        ready = [job.finish_at for job in jobs]
         assert ready == sorted(ready)
         for job in jobs:
             assert job.available_at <= job.start_at <= job.finish_at
@@ -373,27 +370,26 @@ def reference_schedule(stream, model, segment_duration):
     """A single-worker reference scheduler that calls ``model.evaluate`` for
     every segment.  Segmentation and the playback timeline are the module's
     own helpers: they do not depend on how often p is evaluated."""
-    segments = _segments(stream.total_duration, segment_duration)
-    live = stream.mode is StreamMode.LIVE
+    durations, availables = _segments(stream, segment_duration)
     free = 0.0
-    jobs = []
+    starts, finishes = [], []
     startup_delay = 0.0
-    for index, (duration, live_available) in enumerate(segments):
-        available = live_available if live else 0.0
+    for index, (duration, available) in enumerate(zip(durations, availables)):
         start = max(available, free)
         processing = model.evaluate(duration)
         if index == 0:
             processing += model.cold_start_extra
             startup_delay = processing
         free = start + processing
-        jobs.append(SegmentJob(index, duration, available, start, free))
-    report = _playback_report(
-        jobs,
+        starts.append(start)
+        finishes.append(free)
+    return _playback_report(
+        durations, availables, starts, finishes,
         segment_duration,
         startup_delay,
-        live_full_first=live and segments[0][0] == segment_duration,
+        live_full_first=(stream.mode is StreamMode.LIVE
+                         and durations[0] == segment_duration),
     )
-    return jobs, report
 
 
 class TestOneEvaluationPerDuration:
@@ -418,7 +414,6 @@ class TestOneEvaluationPerDuration:
             )
             jobs, report = schedule_stream(stream, model, segment_duration)
         assert jobs == expected_jobs
-        assert report.per_segment == expected.per_segment
         assert report.startup_delay == expected.startup_delay
         assert report.glass_latency == expected.glass_latency
         assert report.stall_count == expected.stall_count
@@ -515,8 +510,11 @@ class TestRunExternal:
         jobs_start = [s.run for s in result.measurements.samples]
         assert jobs_start == [0, 1]
         assert result.report is not None
-        for timing, expected_available in zip(result.report.per_segment, (0.3, 0.6)):
-            assert timing.ready >= expected_available
+        assert len(result.jobs) == 2
+        for job, expected_available in zip(result.jobs, (0.3, 0.6)):
+            assert job.available_at == expected_available
+            assert job.start_at >= expected_available
+            assert job.finish_at >= expected_available
 
     def test_failure_preserves_partial_measurements(self, failing_stub, tmp_path):
         result = run_external(

@@ -175,6 +175,29 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ScenarioEvent(time=0.0, kind="teleport", participant="A")
 
+    @pytest.mark.parametrize("participants, violation", [
+        ([("A", "en"), ("B", 5)],
+         "participant 'B': participants[1].language must be a string, got 5"),
+        ([("A", "en"), ("B", ["de"])],
+         "participant 'B': participants[1].language must be a string, got ['de']"),
+        ([("A", "en"), (("x",), "en")],
+         "participants[1].id must be a string, got ('x',)"),
+        ([("A", "en"), (["x"], "en")],
+         "participants[1].id must be a string, got ['x']"),
+    ])
+    def test_participant_that_is_not_a_string_is_listed(self, participants, violation):
+        # worded as scenario_from_json words the same value in a file
+        scenario = two_party(participants=participants)
+        assert validate_scenario(scenario) == [violation]
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(scenario)
+        assert str(exc.value) == f"invalid scenario:\n  - {violation}"
+
+    @pytest.mark.parametrize("participant", [7, ("x",), None])
+    def test_event_participant_must_be_a_string(self, participant):
+        with pytest.raises(ValidationError, match="event participant must be a string"):
+            ScenarioEvent(time=0.0, kind="join", participant=participant, language="en")
+
 
 class TestTwoPartyMeeting:
     def test_single_turn_timeline(self):
@@ -715,8 +738,8 @@ class TestSharedSchedules:
             for pid in listeners:
                 stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
             boundaries += [
-                (opened + job.available_at, 0, language, timing.stall)
-                for job, timing in zip(jobs, play.per_segment)
+                (opened + job.available_at, 0, language, job.stall)
+                for job in jobs
             ]
         startups.sort(key=lambda s: (s["time"], s["language"]))
         assert report.series.turn_startups == startups
@@ -860,8 +883,8 @@ def per_session_report(scenario: Scenario) -> dict:
                 stalls = series.listener_stalls
                 stalls[pid] = stalls.get(pid, 0.0) + play.stall_total
         entries.extend(
-            (started_at + job.available_at, 0, str(language), timing.stall)
-            for job, timing in zip(jobs, play.per_segment)
+            (started_at + job.available_at, 0, str(language), job.stall)
+            for job in jobs
         )
 
     def record(when):
