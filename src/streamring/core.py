@@ -232,12 +232,12 @@ class Route:
 
 class Roster(MutableMapping[str, LanguageTag]):
     """Each member's language by id, plus the ids of each language's
-    members, plus the ids edited since the last ``take_edits``.
+    members.
 
     Setting a member's language normalizes a plain ``str`` to a
     ``LanguageTag`` (a tag is stored as given, so members set with one tag
     object share it) and rejects an empty id.  Every set and delete updates
-    all three, so the language index cannot drift from the members.  Only
+    both, so the language index cannot drift from the members.  Only
     members are indexed: a language whose last member leaves or changes
     language is dropped from the index.
     """
@@ -245,7 +245,6 @@ class Roster(MutableMapping[str, LanguageTag]):
     def __init__(self, members: Optional[Mapping[str, str]] = None) -> None:
         self._members: dict[str, LanguageTag] = {}
         self._index: dict[LanguageTag, set[str]] = {}
-        self._edited: set[str] = set()
         if members:
             self.update(members)
 
@@ -275,12 +274,10 @@ class Roster(MutableMapping[str, LanguageTag]):
             self._unindex(pid)
         self._members[pid] = language
         self._index.setdefault(language, set()).add(pid)
-        self._edited.add(pid)
 
     def __delitem__(self, pid: str) -> None:
         self._unindex(pid)
         del self._members[pid]
-        self._edited.add(pid)
 
     def _unindex(self, pid: str) -> None:
         language = self._members[pid]
@@ -300,22 +297,14 @@ class Roster(MutableMapping[str, LanguageTag]):
         """The distinct languages of the members, as a new set."""
         return set(self._index)  # reuses the index's hashes
 
-    def take_edits(self) -> set[str]:
-        """The ids set or deleted since the last call (all of them, for a
-        new roster or a copy), and a fresh start."""
-        edited, self._edited = self._edited, set()
-        return edited
-
     def copy(self) -> "Roster":
-        """A roster of the same members, sharing their tags, whose edits are
-        all its ids, as for a new roster.  The member dict and each
-        language's id set are copied in C, not set member by member, and
-        neither roster's later edits reach the other."""
+        """A roster of the same members, sharing their tags.  The member
+        dict and each language's id set are copied in C, not set member by
+        member, and neither roster's later edits reach the other."""
         other = Roster()
         index = self._index
         other._members = self._members.copy()
         other._index = dict(zip(index, map(set.copy, index.values())))
-        other._edited = set(self._members)
         return other
 
 
@@ -330,25 +319,23 @@ class Meeting:
     pipelines: a pipeline is live exactly while the map names it, and pool
     occupancy is derived from the map's size.  Every live pipeline translates
     from ``source_language``, the speaker's language at the last pass.
-    ``delivery`` names each listener's pipeline, and ``raw_language`` the
-    language whose members hear the speaker's raw stream (None under
-    identity translation or with no one on the floor); the stream routes
-    and the ``bypass`` ids are derived from them, not stored.  A pass
-    updates ``delivery`` from the roster's edits, so it also notes which
-    roster it last read: assigning another one makes the next pass
-    re-resolve every id.
+    ``raw_language`` is the language whose members hear the speaker's raw
+    stream (None under identity translation or with no one on the floor).
+    Each listener's pipeline (``delivery``), the stream routes and the
+    ``bypass`` ids are derived from these on each read, never stored, so
+    they reflect the current roster and pipelines even between passes.
+    ``delivery`` is no longer a constructor argument: ``Meeting(delivery=...)``
+    raises a ``TypeError``.  A pass's events name pipelines, not listeners
+    (see ``orchestrator``).
     """
 
     participants: Roster
     pool_capacity: int
     active_speaker: Optional[str] = None
     pipelines: dict[LanguageTag, str] = field(default_factory=dict)
-    delivery: dict[str, str] = field(default_factory=dict)  # listener -> pipeline
     raw_language: Optional[LanguageTag] = None
     source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
-    _delivered: Optional[Roster] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pool_capacity < 0:
@@ -361,12 +348,24 @@ class Meeting:
         return f"pl{self.pipeline_seq:04d}"
 
     @property
+    def delivery(self) -> dict[str, str]:
+        """Each listener's pipeline, as a new dict: every member of a
+        language that has a pipeline maps to it, except the active speaker."""
+        ids_of = self.participants.ids_of
+        delivery = {pid: pipeline
+                    for language, pipeline in self.pipelines.items()
+                    for pid in ids_of(language)}
+        delivery.pop(self.active_speaker, None)
+        return delivery
+
+    @property
     def routes(self) -> frozenset[Route]:
         """``SPEAKER_RAW -> pipeline`` for each pipeline that feeds a
         listener, and ``pipeline -> listener`` for each delivery."""
-        feeds = {Route(SPEAKER_RAW, p) for p in set(self.delivery.values())}
+        delivery = self.delivery
+        feeds = {Route(SPEAKER_RAW, p) for p in set(delivery.values())}
         return frozenset(feeds).union(
-            Route(p, pid) for pid, p in self.delivery.items()
+            Route(p, pid) for pid, p in delivery.items()
         )
 
     @property

@@ -14,16 +14,21 @@ raw stream via bypass unless ``translate_same_language`` forces an identity
 pipeline for them.  Decommissioning a pipeline drops its entry from
 ``Meeting.pipelines``, the one record of live pipelines.
 
-A pass costs O(k + L + edits since the last pass), never a scan of the
-roster: the required languages come from the roster's language index in
-O(L), and the meeting stores only each listener's pipeline (``delivery``),
-which the pass updates in place, and the one language that hears the raw
-stream (``raw_language``).  The members of a language it decommissions
-or allocates are updated by language; the ids the roster edited since the
-last pass and both speakers are re-resolved one by one.  A roster assigned
-in place of another makes the next pass re-resolve every id.  The stream
-routes and the ids that hear the raw stream are derived on demand and are
-never stored, so a pass's cost does not grow with the speaker's language.
+A pass costs O(k + L), never a scan of the roster: the required languages
+come from the roster's language index in O(L), and the meeting stores only
+the live pipelines and the one language that hears the raw stream
+(``raw_language``).  Each listener's pipeline (``Meeting.delivery``, a
+read-only property, no longer a constructor argument), the stream routes
+and the ids that hear the raw stream are derived on each read from those
+and the roster, so they reflect the current roster and pipelines even
+between passes, and a pass touches no member but the two speakers.
+
+A pass emits one event per pipeline it decommissions, reuses, allocates or
+fails to allocate, ``speaker-bypassed`` for the new speaker, and one
+``route-added`` for the outgoing speaker when their language has a live
+pipeline.  It emits nothing per listener: a listener's pipeline is the one
+of their language, so the per-language events say who hears what, and a
+pass's events number O(k + L) whatever the roster's size.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 from .core import (
-    SPEAKER_RAW,
     LanguageTag,
     Meeting,
     Route,
@@ -62,7 +66,7 @@ class EventKind(str, Enum):
 
 
 # Module globals: ``EventKind.X`` is an Enum class lookup (about 140 ns on
-# Python 3.10 and 3.11), and a pass makes an event per route it adds.
+# Python 3.10 and 3.11), and a pass makes an event per language.
 _ALLOCATED = EventKind.PIPELINE_ALLOCATED
 _REUSED = EventKind.PIPELINE_REUSED
 _DECOMMISSIONED = EventKind.PIPELINE_DECOMMISSIONED
@@ -89,7 +93,7 @@ class OrchestrationEvent(NamedTuple):
 
 
 # An event built in C, every field given: a NamedTuple's generated
-# ``__new__`` is Python code, and a pass makes an event per route it adds.
+# ``__new__`` is Python code, and a pass makes an event per language.
 _event = partial(tuple.__new__, OrchestrationEvent)
 
 
@@ -125,25 +129,16 @@ def update_orchestration(
     """Atomically hand the floor to ``new_speaker`` and reconcile pipelines.
 
     Returns the (mutated in place) meeting and the events of this pass.
-    ``new_speaker=None`` releases the floor: every pipeline is decommissioned
-    and all deliveries dropped.  An unknown speaker id raises before any
-    state is touched.
+    ``new_speaker=None`` releases the floor: every pipeline is decommissioned,
+    so no one is delivered.  An unknown speaker id raises before any state
+    is touched.
     """
     events: list[OrchestrationEvent] = []
     roster = meeting.participants
     required = required_languages(
         meeting, new_speaker, translate_same_language=translate_same_language
     )
-    # ``delivery`` changes only for the members of a language decommissioned
-    # or allocated here, updated by language, and for the roster's edits and
-    # both speakers, re-resolved one by one.
-    delivery = meeting.delivery
-    added: set[str] = set()
-    resolve = roster.take_edits()
-    if meeting._delivered is not roster:
-        resolve.update(delivery, roster)
-        meeting._delivered = roster
-    speakers = {meeting.active_speaker, new_speaker} - {None}
+    previous = meeting.active_speaker
     meeting.active_speaker = new_speaker
     speaker_language = roster[new_speaker] if new_speaker else None
     pipelines = meeting.pipelines
@@ -152,8 +147,6 @@ def update_orchestration(
     for language in sorted(set(pipelines) - required):
         events.append(_event((_DECOMMISSIONED, time, language,
                                pipelines.pop(language), None, False)))
-        for participant_id in roster.ids_of(language):
-            delivery.pop(participant_id, None)
 
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
@@ -171,9 +164,6 @@ def update_orchestration(
             pipelines[language] = meeting.new_pipeline_id()
             events.append(_event((
                 _ALLOCATED, time, language, pipelines[language], None, False)))
-            listeners = roster.ids_of(language)
-            delivery.update(dict.fromkeys(listeners, pipelines[language]))
-            added.update(listeners)
 
     if unserved:
         # one record per pass, not per language: a LogRecord is built for
@@ -188,26 +178,13 @@ def update_orchestration(
     if new_speaker is not None:
         events.append(_event((
             _BYPASSED, time, speaker_language, None, new_speaker, False)))
-    # Every mapped language is required, so every listener of one is
-    # outside the bypass set; a listener whose language failed to allocate
-    # stays undelivered, and so does an identity pipeline's own speaker.
-    resolve -= added  # they hold their language's new pipeline
-    for participant_id in resolve | speakers:
-        pipeline_id = (
-            pipelines.get(roster.get(participant_id))  # None for a non-member
-            if participant_id != new_speaker
-            else None
-        )
-        if pipeline_id is None:
-            delivery.pop(participant_id, None)
-            added.discard(participant_id)
-        elif delivery.get(participant_id) != pipeline_id:
-            delivery[participant_id] = pipeline_id
-            added.add(participant_id)
-    for participant_id in sorted(added):
-        events.append(_event((
-            _ROUTE_ADDED, time, roster[participant_id],
-            delivery[participant_id], participant_id, False)))
+    # the outgoing speaker, if still a member, now listens to their language
+    if previous != new_speaker and previous in roster:
+        language = roster[previous]
+        pipeline_id = pipelines.get(language)
+        if pipeline_id is not None:
+            events.append(_event((
+                _ROUTE_ADDED, time, language, pipeline_id, previous, False)))
     return meeting, events
 
 
@@ -218,27 +195,21 @@ def verify_invariants(
 
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
-    raises on bad state.  Costs O(N + k): it reads ``meeting.delivery``,
-    ``meeting.raw_language`` and the roster's language index, never the
-    derived routes or ``bypass``.
+    raises on bad state.  It checks what a pass stores (the speaker,
+    ``raw_language``, ``pipelines`` and the pool) and costs O(k + L): each
+    listener's pipeline is derived from the pipelines and the roster, so it
+    has nothing to check.
     """
     violations: list[str] = []
     roster = meeting.participants
-    delivery = meeting.delivery
     pipelines = meeting.pipelines
     speaker = meeting.active_speaker
     if speaker is not None and speaker not in roster:
         violations.append(f"active speaker {speaker!r} is not a member")
         speaker = None  # the rest is checked as with no one on the floor
 
-    # 1. Speaker bypass: the speaker is never a pipeline consumer, and the
-    #    raw stream reaches only the speaker and, unless identity
-    #    translation is on, the members of the speaker's language.
-    if speaker in delivery:
-        violations.append(
-            f"active speaker {speaker!r} consumes route from "
-            f"{delivery[speaker]!r}"
-        )
+    # 1. Speaker bypass: the raw stream reaches only the speaker and, unless
+    #    identity translation is on, the members of the speaker's language.
     raw_language = (None if translate_same_language or speaker is None
                     else roster.get(speaker))
     if meeting.raw_language != raw_language:
@@ -266,48 +237,6 @@ def verify_invariants(
             f"{len(mapped)} live pipelines exceed pool capacity "
             f"{meeting.pool_capacity}"
         )
-    live = set(pipelines.values())
-    if len(live) != len(pipelines):
+    if len(set(pipelines.values())) != len(pipelines):
         violations.append("a pipeline id serves more than one language")
-
-    # 3. Every pipeline a route names is live.  The routes are one
-    #    SPEAKER_RAW -> pipeline per delivering pipeline and one
-    #    pipeline -> listener per delivery.
-    feeds = [(SPEAKER_RAW, p, p) for p in dict.fromkeys(delivery.values())]
-    outputs = [(p, pid, p) for pid, p in delivery.items()]
-    for source, destination, pipeline_id in feeds + outputs:
-        if pipeline_id not in live:
-            violations.append(
-                f"route {source!r}->{destination!r} references "
-                f"pipeline {pipeline_id!r}, which is not live"
-            )
-
-    # 4. Each delivery feeds a member the pipeline of their own language.
-    for participant_id, pipeline_id in delivery.items():
-        language = roster.get(participant_id)
-        if language is None:
-            violations.append(
-                f"pipeline {pipeline_id!r} feeds {participant_id!r}, "
-                "who is not a member"
-            )
-        elif pipelines.get(language) != pipeline_id:
-            violations.append(
-                f"listener {participant_id!r} is fed pipeline {pipeline_id!r}, "
-                f"which does not translate into their language {language}"
-            )
-
-    # Routing completeness: every listener whose language has a pipeline is
-    # fed by exactly one route from it.
-    unfed = sorted(
-        (participant_id, pipeline_id)
-        for language, pipeline_id in pipelines.items()
-        for participant_id in roster.ids_of(language)
-        if participant_id != speaker
-        and delivery.get(participant_id) != pipeline_id
-    )
-    for participant_id, pipeline_id in unfed:
-        violations.append(
-            f"listener {participant_id!r} has 0 routes from "
-            f"pipeline {pipeline_id!r}, expected exactly 1"
-        )
     return violations

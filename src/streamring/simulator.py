@@ -608,7 +608,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 continue  # repeated floor grant: nothing changes
             else:
                 # settled before this step's closes, the new speaker is not
-                # charged for the session they heard (ROADMAP item 4)
+                # charged for the session they heard (ROADMAP item 6)
                 settle(pid)
                 previous = meeting.active_speaker
                 if previous is not None:
@@ -620,7 +620,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 meeting, speaker, time=when,
                 translate_same_language=scenario.translate_same_language)
 
-        # most changes are route-added: they fall through every test
+        # speaker-bypassed and route-added fall through every test
         for change in changes:
             kind = change.kind
             if kind is _DECOMMISSIONED:

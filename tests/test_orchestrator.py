@@ -85,12 +85,13 @@ class TestUpdateOrchestration:
         m = make_meeting({"A": "en", "B": "de", "C": "de", "D": "tr"}, 4)
         _, events = update_orchestration(m, "A")
         assert set(m.pipelines) == {LanguageTag("de"), LanguageTag("tr")}
+        # one event per pipeline and one for the speaker, none per listener
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 2
-        assert count(events, EventKind.ROUTE_ADDED) == 3
         assert count(events, EventKind.SPEAKER_BYPASSED) == 1
-        assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
-        assert count(events, EventKind.ALLOCATION_FAILED) == 0
+        assert len(events) == 3
         de_pipe = m.pipelines[LanguageTag("de")]
+        tr_pipe = m.pipelines[LanguageTag("tr")]
+        assert m.delivery == {"B": de_pipe, "C": de_pipe, "D": tr_pipe}
         assert Route(source=de_pipe, destination="B") in m.routes
         assert Route(source=de_pipe, destination="C") in m.routes
         assert Route(source=SPEAKER_RAW, destination=de_pipe) in m.routes
@@ -118,8 +119,9 @@ class TestUpdateOrchestration:
 
     def test_events_are_whole_instances_of_their_class(self):
         # a pass builds its records without the class constructor
+        # B takes the floor from A, whose language gets the one slot
         m = make_meeting({"A": "en", "B": "de", "C": "fr"}, 1)
-        events = [event for speaker in ["A", "C", "B"]
+        events = [event for speaker in ["A", "B", "C"]
                   for event in update_orchestration(m, speaker, time=2.5)[1]]
         assert {event.kind for event in events} == set(EventKind)
         fields = OrchestrationEvent._fields
@@ -231,6 +233,17 @@ class TestUpdateOrchestration:
         added = [e for e in events if e.kind is EventKind.ROUTE_ADDED]
         assert [(e.participant, e.pipeline_id) for e in added] == [("A", en_pipe)]
 
+    def test_delivery_follows_roster_edits_between_passes(self):
+        m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
+        update_orchestration(m, "A")
+        de_pipe = m.pipelines[LanguageTag("de")]
+        m.participants["D"] = "DE"
+        m.participants["C"] = "de"
+        del m.participants["B"]
+        assert m.delivery == {"C": de_pipe, "D": de_pipe}
+        with pytest.raises(TypeError):
+            Meeting(participants={"A": "en"}, pool_capacity=1, delivery={})
+
     def test_a_join_pass_reads_no_member_of_the_speakers_language(self):
         m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
         update_orchestration(m, "A")
@@ -316,11 +329,19 @@ class TestVerifyInvariants:
         assert verify_invariants(self._orchestrated()) == []
 
     def test_speaker_consuming_a_pipeline(self):
+        # the speaker is never delivered, even from an identity pipeline
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
+        update_orchestration(m, "A", translate_same_language=True)
+        assert set(m.delivery) == {"B", "C"}
+        # a speaker stored without a pass, whose language has a pipeline
         m = self._orchestrated()
-        pid = m.pipelines[LanguageTag("de")]
-        m.delivery["A"] = pid
-        assert Route(source=pid, destination="A") in m.routes
-        assert any("speaker" in v for v in verify_invariants(m))
+        m.active_speaker = "B"
+        assert "B" not in m.delivery
+        assert not any(r.destination == "B" for r in m.routes)
+        assert verify_invariants(m) == [
+            "the raw stream reaches language 'en', expected 'de'",
+            "pipelines kept for unrequired languages: de",
+        ]
 
     def test_raw_stream_to_another_language(self):
         m = self._orchestrated()
@@ -365,40 +386,60 @@ class TestVerifyInvariants:
         assert any("unrequired" in v for v in verify_invariants(m))
 
     def test_route_to_decommissioned_pipeline(self):
+        # a pipeline a pass decommissions leaves every route at once
         m = self._orchestrated()
-        pid = m.pipelines.pop(LanguageTag("de"))
-        dangling = [v for v in verify_invariants(m) if f"{pid!r}, which is not live" in v]
-        assert len(dangling) == 2  # SPEAKER_RAW -> pid and pid -> B
+        pid = m.pipelines[LanguageTag("de")]
+        update_orchestration(m, "B")
+        assert not any(pid in (r.source, r.destination) for r in m.routes)
+        # put back under its stale language, it is a pipeline kept for nothing
+        m.pipelines[LanguageTag("de")] = pid
+        assert "B" not in m.delivery
+        assert verify_invariants(m) == [
+            "pipelines kept for unrequired languages: de"]
 
     def test_under_allocation_with_free_slots(self):
         m = self._orchestrated()
         pid = m.pipelines.pop(LanguageTag("de"))
-        m.delivery = {
-            listener: p for listener, p in m.delivery.items() if p != pid
-        }
         assert not any(pid in (r.source, r.destination) for r in m.routes)
-        assert any("free slots" in v for v in verify_invariants(m))
+        assert "B" not in m.delivery
+        assert verify_invariants(m) == [
+            "1 pipelines for 2 required languages with free slots remaining"]
 
     def test_listener_fed_another_language(self):
+        # fr failed to allocate, so C is undelivered until C switches to de
         m = make_meeting({"A": "en", "B": "de", "C": "fr"}, 1)
         update_orchestration(m, "A")
         assert verify_invariants(m) == []
-        m.delivery["C"] = m.pipelines[LanguageTag("de")]
-        assert any("'C' is fed pipeline 'pl0001', which does not translate "
-                   "into their language fr" in v for v in verify_invariants(m))
+        assert m.delivery == {"B": "pl0001"}
+        m.participants["C"] = "de"
+        assert m.delivery == {"B": "pl0001", "C": "pl0001"}
+        assert verify_invariants(m) == []
+        # a pipeline map that feeds fr the de pipeline
+        m.participants["C"] = "fr"
+        m.pipelines[LanguageTag("fr")] = "pl0001"
+        assert m.delivery == {"B": "pl0001", "C": "pl0001"}
+        assert verify_invariants(m) == [
+            "2 live pipelines exceed pool capacity 1",
+            "a pipeline id serves more than one language",
+        ]
 
     def test_delivery_to_a_non_member(self):
+        # a member who leaves is undelivered at once; their language's
+        # pipeline is stale until the next pass
         m = self._orchestrated()
-        m.delivery["Z"] = m.pipelines[LanguageTag("de")]
-        assert any("'Z', who is not a member" in v for v in verify_invariants(m))
+        del m.participants["B"]
+        assert set(m.delivery) == {"C"}
+        assert verify_invariants(m) == [
+            "pipelines kept for unrequired languages: de"]
 
     def test_listener_moved_onto_the_raw_stream(self):
         m = make_meeting({"A": "en", "B": "de", "C": "de"}, 2)
         update_orchestration(m, "A")
         assert verify_invariants(m) == []
-        m.delivery.pop("C")
-        violations = verify_invariants(m)
-        assert any("listener 'C' has 0 routes" in v for v in violations)
+        m.raw_language = LanguageTag("de")
+        assert m.bypass == {"A", "B", "C"}
+        assert verify_invariants(m) == [
+            "the raw stream reaches language 'de', expected 'en'"]
 
     def test_over_capacity(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 2)
@@ -620,7 +661,6 @@ class TestRosterIndex:
         # Roster edits in place, as the simulator makes them, then a pass.
         m = make_meeting(members, capacity)
         speaker = None
-        previous: dict[str, str] = {}
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
             op = data.draw(
                 st.sampled_from(
@@ -645,14 +685,14 @@ class TestRosterIndex:
                 del roster[pid]
                 if pid == speaker:
                     speaker = None
+            outgoing = m.active_speaker
             _, events = update_orchestration(
                 m, speaker, translate_same_language=translate_same_language
             )
             expected = scratch_delivery(m, speaker, translate_same_language)
             added = [e.participant for e in events if e.kind is EventKind.ROUTE_ADDED]
-            assert added == sorted(
-                pid for pid, p in expected.items() if previous.get(pid) != p
-            )
+            assert added == ([outgoing] if outgoing in expected
+                             and outgoing != speaker else [])
             assert m.delivery == expected
             assert m.routes == rebuilt_routes(
                 m, speaker, translate_same_language
@@ -660,14 +700,12 @@ class TestRosterIndex:
             assert verify_invariants(
                 m, translate_same_language=translate_same_language
             ) == []
-            previous = expected
 
 
 def reference_pass(
     meeting: Meeting, new_speaker, *, time: float, translate_same_language: bool
 ) -> tuple[list[OrchestrationEvent], set[str]]:
-    """The O(N) pass: the required languages counted over the whole roster,
-    and every listener's delivery rebuilt, then diffed against the last.
+    """The O(N) pass: the required languages counted over the whole roster.
     Returns its events and the ids that hear the raw stream, found by a
     scan of the roster."""
     events: list[OrchestrationEvent] = []
@@ -679,6 +717,7 @@ def reference_pass(
         required = {lang for pid, lang in roster.items() if pid != new_speaker}
         if not translate_same_language or speaker_language not in required:
             required.discard(speaker_language)
+    outgoing = meeting.active_speaker
     meeting.active_speaker = new_speaker
     pipelines = meeting.pipelines
     for language in sorted(set(pipelines) - required):
@@ -710,24 +749,29 @@ def reference_pass(
         events.append(OrchestrationEvent(
             kind=EventKind.SPEAKER_BYPASSED, time=time,
             participant=new_speaker, language=speaker_language))
-    delivery = {
-        pid: pipelines[lang]
-        for pid, lang in roster.items()
-        if pid != new_speaker and lang in pipelines
-    }
-    previous = meeting.delivery
-    for pid in sorted(p for p, pipe in delivery.items() if previous.get(p) != pipe):
-        events.append(OrchestrationEvent(
-            kind=EventKind.ROUTE_ADDED, time=time,
-            language=roster[pid], pipeline_id=delivery[pid],
-            participant=pid))
-    meeting.delivery = delivery
+    for pid, lang in roster.items():
+        if pid == outgoing != new_speaker and lang in pipelines:
+            events.append(OrchestrationEvent(
+                kind=EventKind.ROUTE_ADDED, time=time, language=lang,
+                pipeline_id=pipelines[lang], participant=pid))
     return events, bypass
 
 
+def scanned_delivery(m: Meeting) -> dict[str, str]:
+    """Each listener's pipeline, found by a scan of the roster: every member
+    but the speaker whose language has a pipeline."""
+    return {pid: m.pipelines[lang] for pid, lang in m.participants.items()
+            if pid != m.active_speaker and lang in m.pipelines}
+
+
+def scanned_routes(m: Meeting) -> set[Route]:
+    delivery = scanned_delivery(m)
+    return {*(Route(SPEAKER_RAW, p) for p in delivery.values()),
+            *(Route(p, pid) for pid, p in delivery.items())}
+
+
 def state_of(m: Meeting) -> tuple:
-    return (m.active_speaker, m.delivery, m.pipelines, m.source_language,
-            m.pipeline_seq)
+    return (m.active_speaker, m.pipelines, m.source_language, m.pipeline_seq)
 
 
 class TestAgainstTheFullPass:
@@ -741,8 +785,7 @@ class TestAgainstTheFullPass:
     def test_events_and_state_match_the_full_pass(
         self, members, capacity, translate_same_language, data
     ):
-        # Both meetings read one roster; only the incremental pass takes its
-        # edits.
+        # Both meetings read one roster.
         m = make_meeting(members, capacity)
         reference = Meeting(participants=m.participants, pool_capacity=capacity)
         ids = [f"p{i}" for i in range(10)]
@@ -771,6 +814,9 @@ class TestAgainstTheFullPass:
                 m.participants = reference.participants = Roster(kept)
                 if speaker not in kept:
                     speaker = None
+            # between passes the derived views follow the edits
+            assert m.delivery == scanned_delivery(m)
+            assert m.routes == scanned_routes(m)
             # then the floor: kept, released or handed to anyone present
             speaker = data.draw(st.sampled_from(
                 [speaker, None, *sorted(m.participants)]))
@@ -785,3 +831,5 @@ class TestAgainstTheFullPass:
             assert events == expected
             assert state_of(m) == state_of(reference)
             assert m.bypass == hears_raw
+            assert m.delivery == scanned_delivery(reference)
+            assert m.routes == scanned_routes(reference)

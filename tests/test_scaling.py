@@ -1,0 +1,158 @@
+"""Scaling gates by counted work: one orchestration step costs the same at N
+and 10*N members.
+
+Each step is a roster edit, if any, and the ``update_orchestration`` pass
+after it, as ``run_scenario`` makes them, on a meeting of 40 languages and
+a pool of 32.  The count is every ``sys.setprofile`` event (Python calls and
+returns, C calls and returns) plus every ``sys.settrace`` line event, so a
+Python loop counts once per iteration even when its body calls nothing.
+Counts are compared within one interpreter run, never with stored numbers,
+so the gate holds on every Python version.
+
+Blind spot: work done inside one C call counts once, however much it does:
+``dict.fromkeys`` over a language's members, or ``set.copy`` of them, is
+one event at any roster size.  Wall-clock time would see it, but is too
+noisy to gate on here.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+from typing import Callable
+
+import pytest
+
+from streamring.core import Meeting, Roster
+from streamring.orchestrator import update_orchestration
+
+LANGUAGES = [f"l{i:02d}" for i in range(40)]
+POOL = 32
+SIZES = (500, 5000)  # N and 10*N
+
+
+def member(i: int) -> str:
+    """The id of member ``i``, who speaks ``LANGUAGES[i % 40]``."""
+    return f"p{i:06d}"
+
+
+SPEAKER = member(0)  # speaks l00
+
+
+def meeting_of(n: int, speaker: str | None = SPEAKER) -> Meeting:
+    """``n`` members spread evenly over the 40 languages, after a first pass
+    that gives ``speaker`` the floor: with l00 on the floor, l01-l32 hold
+    the 32 slots and l33-l39 fail to allocate."""
+    roster = Roster({member(i): LANGUAGES[i % 40] for i in range(n)})
+    meeting = Meeting(participants=roster, pool_capacity=POOL)
+    if speaker is not None:
+        update_orchestration(meeting, speaker)
+    return meeting
+
+
+def counted(step: Callable[[], object]) -> tuple[int, object]:
+    """The profile and line events of ``step()``, and what it returned."""
+    events = 0
+
+    def profile(frame, event, arg):
+        nonlocal events
+        events += 1
+
+    def trace(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return trace
+
+    gc.collect()
+    gc.disable()  # a collection could run finalizers inside the count
+    try:
+        sys.setprofile(profile)
+        sys.settrace(trace)
+        try:
+            result = step()
+        finally:
+            sys.settrace(None)
+            sys.setprofile(None)
+    finally:
+        gc.enable()
+    return events, result
+
+
+def join(m: Meeting):
+    m.participants["joiner"] = "l05"  # a served language
+    return update_orchestration(m, SPEAKER)[1]
+
+
+def leave(m: Meeting):
+    del m.participants[member(5)]
+    return update_orchestration(m, SPEAKER)[1]
+
+
+def language_change(m: Meeting):
+    m.participants[member(5)] = "l06"
+    return update_orchestration(m, SPEAKER)[1]
+
+
+def floor_taken(m: Meeting):
+    # 32 pipelines allocated on an empty pool, 7 languages failed
+    return update_orchestration(m, SPEAKER)[1]
+
+
+def hand_off_reusing(m: Meeting):
+    # to another l00 member: every pipeline is reused, none allocated
+    return update_orchestration(m, member(40))[1]
+
+
+def hand_off_allocating(m: Meeting):
+    # to an l01 member: l01's slot is released and l00, sorted first, takes it
+    return update_orchestration(m, member(1))[1]
+
+
+def hand_off_onto_a_full_pool(m: Meeting):
+    # to an l39 member, whose language held no slot: l00 fails to allocate
+    return update_orchestration(m, member(39))[1]
+
+
+def speaker_leaves(m: Meeting):
+    # the floor is released and every pipeline decommissioned
+    del m.participants[SPEAKER]
+    return update_orchestration(m, None)[1]
+
+
+STEPS = {
+    "join": (join, SPEAKER),
+    "leave": (leave, SPEAKER),
+    "language-change": (language_change, SPEAKER),
+    "floor-taken": (floor_taken, None),
+    "hand-off-reusing": (hand_off_reusing, SPEAKER),
+    "hand-off-allocating": (hand_off_allocating, SPEAKER),
+    "hand-off-onto-a-full-pool": (hand_off_onto_a_full_pool, SPEAKER),
+    "speaker-leaves": (speaker_leaves, SPEAKER),
+}
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_a_step_costs_the_same_at_n_and_ten_n(name):
+    step, speaker = STEPS[name]
+    counts, kinds = [], []
+    for n in SIZES:
+        m = meeting_of(n, speaker)
+        step(m)  # once on another meeting first, to fill the logging cache
+        m = meeting_of(n, speaker)
+        count, events = counted(lambda: step(m))
+        counts.append(count)
+        kinds.append(sorted(e.kind.value for e in events))
+    assert counts[0] == counts[1], f"{name}: {counts} events at N = {SIZES}"
+    assert kinds[0] == kinds[1]
+    assert len(kinds[0]) <= 2 * len(LANGUAGES)  # O(k + L), not O(N)
+
+
+def test_the_allocating_hand_off_makes_one_route_event():
+    m = meeting_of(SIZES[0])
+    events = hand_off_allocating(m)
+    kinds = [e.kind.value for e in events]
+    assert kinds.count("pipeline-decommissioned") == 1
+    assert kinds.count("pipeline-allocated") == 1
+    assert [(e.participant, e.language) for e in events
+            if e.kind.value == "route-added"] == [(SPEAKER, "l00")]
