@@ -159,6 +159,8 @@ def fit_auto(
     measurements: MeasurementSet, cold_start_extra: float = 0.0
 ) -> tuple[LatencyModel, FitDiagnostics]:
     """Fit both parametric forms and keep the one with lower RMSE."""
+    # a bad cold start fails every form alike: name it, not the fit
+    LatencyModel(FORM_AFFINE, b=1.0, cold_start_extra=cold_start_extra)
     candidates = []
     for form in (FORM_AFFINE, FORM_LOG):
         try:

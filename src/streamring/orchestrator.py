@@ -23,12 +23,13 @@ and the ids that hear the raw stream are derived on each read from those
 and the roster, so they reflect the current roster and pipelines even
 between passes, and a pass touches no member but the two speakers.
 
-A pass emits one event per pipeline it decommissions, reuses, allocates or
-fails to allocate, ``speaker-bypassed`` for the new speaker, and one
-``route-added`` for the outgoing speaker when their language has a live
-pipeline.  It emits nothing per listener: a listener's pipeline is the one
-of their language, so the per-language events say who hears what, and a
-pass's events number O(k + L) whatever the roster's size.
+A pass emits one event per pipeline it decommissions, allocates or fails
+to allocate, ``pipeline-reused`` per kept pipeline only when the floor or
+the source language moves, ``speaker-bypassed`` for the new speaker, and
+at most one ``route-added``, for the outgoing speaker.  It emits nothing
+per listener, so its events number O(k + L) whatever the roster's size; a
+membership pass, which keeps the floor and the source, visits in Python
+only the Δ languages it changes and the u still unserved: O(Δ + u).
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def update_orchestration(
 
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
+    # floor and source kept: a kept pipeline is no news, visit the rest
+    if previous == new_speaker and not reinitialized:
+        required.difference_update(pipelines)
     unserved: list[LanguageTag] = []
     for language in sorted(required):
         pipeline_id = pipelines.get(language)

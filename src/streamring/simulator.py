@@ -211,6 +211,14 @@ def _integer(value: object, name: str) -> int:
     raise ValidationError(f"{name} must be {expected}, got {value!r}")
 
 
+def _objects(value: object, name: str) -> list:
+    """``value``, checked to be an array of objects, by name and index."""
+    if not set(map(type, _typed(value, list, name))) <= {dict}:
+        for i, entry in enumerate(value):
+            _typed(entry, dict, f"{name}[{i}]")
+    return value
+
+
 def _participants(entries: list) -> list[tuple[str, str]]:
     """Each entry's (id, language), read and type-checked in bulk; when a
     value is not a ``str`` or the bulk read fails, read again field by
@@ -232,8 +240,9 @@ def _participants(entries: list) -> list[tuple[str, str]]:
 def scenario_from_json(data: dict) -> Scenario:
     """The scenario a JSON document describes.  A value of the wrong JSON
     type is rejected with the field's name, never coerced."""
+    _typed(data, dict, "the scenario")
     try:
-        participants = _participants(data["participants"])
+        participants = _participants(_objects(data["participants"], "participants"))
         events = [
             ScenarioEvent(
                 time=_number(e["time"], f"events[{i}].time"),
@@ -241,7 +250,7 @@ def scenario_from_json(data: dict) -> Scenario:
                 participant=_typed(e["participant"], str, f"events[{i}].participant"),
                 language=e.get("language"),
             )
-            for i, e in enumerate(data.get("events", []))
+            for i, e in enumerate(_objects(data.get("events", []), "events"))
         ]
         return Scenario(
             participants=participants,
@@ -591,7 +600,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
     for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),
                         (scenario.run_duration, None)]:
         if event is None:  # start or end, without a pass: the end closes all
-            turnover = False
             # a generator, not a list: the end is at the run's memory peak
             changes = (OrchestrationEvent(_DECOMMISSIONED, when, language)
                        for language in sorted(open_sessions))
@@ -620,14 +628,15 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 meeting, speaker, time=when,
                 translate_same_language=scenario.translate_same_language)
 
-        # speaker-bypassed and route-added fall through every test
+        # speaker-bypassed and route-added fall through every test; a pass
+        # reports pipeline-reused only when the floor or the source moved
         for change in changes:
             kind = change.kind
             if kind is _DECOMMISSIONED:
                 reopen_cold = None
             elif kind is _ALLOCATED:
                 reopen_cold = True
-            elif kind is _REUSED and (change.reinitialized or turnover):
+            elif kind is _REUSED:
                 reopen_cold = change.reinitialized
             else:
                 if kind is _ALLOCATION_FAILED:

@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -735,7 +736,13 @@ class TestSimulate:
             (lambda s: s["participants"][1].pop("language"),
              "malformed scenario JSON: 'language'"),
             (lambda s: s["participants"].__setitem__(1, ["B", "de"]),
-             "malformed scenario JSON: list indices must be integers"),
+             "participants[1] must be an object, got ['B', 'de']"),
+            (lambda s: s.update(participants="AB"),
+             "participants must be an array, got 'AB'"),
+            (lambda s: s.update(events={"time": 0.0}),
+             "events must be an array, got {'time': 0.0}"),
+            (lambda s: s["events"].append(3),
+             "events[1] must be an object, got 3"),
             # the participants are read in bulk first: the missing language
             # must not hide the id before it
             (lambda s: s["participants"].__setitem__(1, {"id": 5}),
@@ -749,7 +756,8 @@ class TestSimulate:
              "pool-float", "pool-bool", "run-bool", "time-bool", "unit-bool",
              "segment-bool", "segment-str", "translate-str", "id-int",
              "participant-language-int", "participant-language-missing",
-             "participant-not-object", "id-int-language-missing",
+             "participant-not-object", "participants-not-array",
+             "events-not-array", "event-not-object", "id-int-language-missing",
              "event-participant-int"],
     )
     def test_malformed_values_rejected(self, edit, message, tmp_path, capsys):
@@ -761,6 +769,31 @@ class TestSimulate:
         path.write_text(json.dumps(scenario))
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", [None, "affine", "log", "table"])
+    @pytest.mark.parametrize("cold, message", [
+        (-5, "cold_start_extra must be non-negative"),
+        (math.inf, "model parameters must be finite numbers"),
+        (math.nan, "model parameters must be finite numbers"),
+    ], ids=["negative", "infinite", "nan"])
+    def test_a_bad_fixture_cold_start_is_named_for_every_form(
+        self, form, cold, message, tmp_path, capsys
+    ):
+        # None is the default form, auto: both fits fail on the cold start
+        model = {"fixture": "A100", "cold_start_extra": cold}
+        if form is not None:
+            model["form"] = form
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps(two_party_scenario(model, 3.0)))
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_a_scenario_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
+        assert ("the scenario must be an object, got [1, 2]"
+                in capsys.readouterr().err)
 
     @UNCOERCED_MODELS
     def test_inline_model_values_never_coerced(self, edit, message, tmp_path, capsys):

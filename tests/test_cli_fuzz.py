@@ -40,6 +40,9 @@ ODD_VALUES = st.sampled_from(
 )
 
 LANGUAGES = ["en", "de", "fr", "ja"]
+#: Enough languages that a small pool leaves some unserved while roster
+#: edits change the rest.
+MANY_LANGUAGES = [f"x{i:02d}" for i in range(12)]
 KINDS = ["speaker-change", "join", "leave", "language-change"]
 
 FUZZ = settings(
@@ -232,6 +235,66 @@ OVERFLOWING_RUN = {
 def test_scenario_json(work, data):
     path = work / "scenario.json"
     path.write_bytes(data)
+    assert_clean_exit(["simulate", "--scenario", str(path), "--format", "json"])
+
+
+#: Thirteen members of twelve languages on a pool of two, then a join, a
+#: leave and language changes that keep the floor: each is a membership
+#: pass on a full pool with languages left unserved.
+FULL_POOL_EDITS = {
+    "participants": [{"id": f"p{i}", "language": MANY_LANGUAGES[i % 12]}
+                     for i in range(13)],
+    "pool_capacity": 2,
+    "latency_model": {"form": "affine", "params": {"a": 0.2, "b": 0.5}},
+    "segment_duration": 1.0,
+    "run_duration": 10.0,
+    "events": [
+        {"time": 0.0, "kind": "speaker-change", "participant": "p0"},
+        {"time": 1.0, "kind": "join", "participant": "p13", "language": "x05"},
+        {"time": 2.0, "kind": "leave", "participant": "p1"},
+        {"time": 3.0, "kind": "language-change", "participant": "p2",
+         "language": "x11"},
+        {"time": 4.0, "kind": "language-change", "participant": "p0",
+         "language": "x03"},
+    ],
+}
+
+
+@st.composite
+def crowded_pools(draw) -> dict:
+    """A scenario of 6-14 members over twelve languages on a pool of 0-3:
+    a first speaker at t = 0, then up to ten hand-offs and roster edits,
+    each join by a new id, so that most edits are membership passes on a
+    full pool with languages left unserved."""
+    n = draw(st.integers(6, 14))
+    run_duration = draw(st.floats(1.0, 60.0))
+    events = [{"time": 0.0, "kind": "speaker-change", "participant": "p0"}]
+    for time, kind, who, language in sorted(draw(st.lists(
+            st.tuples(st.floats(0.0, run_duration), st.sampled_from(KINDS),
+                      st.integers(0, n - 1), st.sampled_from(MANY_LANGUAGES)),
+            max_size=10))):
+        participant = f"j{len(events)}" if kind == "join" else f"p{who}"
+        events.append({"time": time, "kind": kind, "participant": participant,
+                       "language": language})
+    return {
+        "participants": [
+            {"id": f"p{i}", "language": draw(st.sampled_from(MANY_LANGUAGES))}
+            for i in range(n)
+        ],
+        "pool_capacity": draw(st.integers(0, 3)),
+        "latency_model": draw(models()),
+        "segment_duration": draw(st.one_of(st.just("auto"), st.floats(0.5, 10.0))),
+        "run_duration": run_duration,
+        "events": events,
+    }
+
+
+@FUZZ
+@example(scenario=FULL_POOL_EDITS)
+@given(scenario=crowded_pools())
+def test_roster_edits_while_languages_wait_for_a_slot(work, scenario):
+    path = work / "crowded.json"
+    path.write_bytes(_json(scenario))
     assert_clean_exit(["simulate", "--scenario", str(path), "--format", "json"])
 
 

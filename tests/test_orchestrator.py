@@ -221,8 +221,27 @@ class TestUpdateOrchestration:
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
         assert count(events, EventKind.ROUTE_ADDED) == 0
-        reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
-        assert len(reused) == 2 and not any(e.reinitialized for e in reused)
+        # the floor and the source stay put: no kept pipeline is reported
+        assert count(events, EventKind.PIPELINE_REUSED) == 0
+        assert m.source_language == LanguageTag("en")
+
+    def test_a_membership_pass_reports_only_the_languages_it_changes(self):
+        m = make_meeting({"A": "en", "B": "de", "C": "tr", "D": "ja"}, 3)
+        update_orchestration(m, "A")
+        m.participants["E"] = "fr"  # no slot left for fr
+        _, events = update_orchestration(m, "A")
+        assert [(e.kind, e.language) for e in events] == [
+            (EventKind.ALLOCATION_FAILED, LanguageTag("fr")),
+            (EventKind.SPEAKER_BYPASSED, LanguageTag("en")),
+        ]
+        del m.participants["C"]  # tr's slot goes to fr
+        _, events = update_orchestration(m, "A")
+        assert [(e.kind, e.language) for e in events] == [
+            (EventKind.PIPELINE_DECOMMISSIONED, LanguageTag("tr")),
+            (EventKind.PIPELINE_ALLOCATED, LanguageTag("fr")),
+            (EventKind.SPEAKER_BYPASSED, LanguageTag("en")),
+        ]
+        assert verify_invariants(m) == []
 
     def test_outgoing_speaker_gets_the_reused_identity_pipeline(self):
         m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
@@ -728,9 +747,12 @@ def reference_pass(
     meeting.source_language = speaker_language
     for language in sorted(required):
         if language in pipelines:
-            events.append(OrchestrationEvent(
-                kind=EventKind.PIPELINE_REUSED, time=time, language=language,
-                pipeline_id=pipelines[language], reinitialized=reinitialized))
+            # a kept pipeline is news only when the floor or the source moves
+            if outgoing != new_speaker or reinitialized:
+                events.append(OrchestrationEvent(
+                    kind=EventKind.PIPELINE_REUSED, time=time,
+                    language=language, pipeline_id=pipelines[language],
+                    reinitialized=reinitialized))
         elif meeting.free_slots <= 0:
             events.append(OrchestrationEvent(
                 kind=EventKind.ALLOCATION_FAILED, time=time, language=language))

@@ -1,13 +1,22 @@
 """Scaling gates by counted work: one orchestration step costs the same at N
-and 10*N members.
+and 10*N members, a membership pass the same at L and 10*L languages, and
+each scenario event the same in ``run_scenario`` and ``_check_scenario`` at
+N and 10*N members.
 
 Each step is a roster edit, if any, and the ``update_orchestration`` pass
 after it, as ``run_scenario`` makes them, on a meeting of 40 languages and
-a pool of 32.  The count is every ``sys.setprofile`` event (Python calls and
-returns, C calls and returns) plus every ``sys.settrace`` line event, so a
-Python loop counts once per iteration even when its body calls nothing.
-Counts are compared within one interpreter run, never with stored numbers,
-so the gate holds on every Python version.
+a pool of 32.  A membership pass (a join, a leave or a language change that
+keeps the floor) visits only the languages it changes and those still
+unserved, so it is also counted at 40 and 400 languages, with eight
+languages left without a pipeline.  A run's per-event work is the count of
+a run with a stretch of events less the count of the same run without it,
+so the checks and settlement that walk the roster once cancel out.
+
+The count is every ``sys.setprofile`` event (Python calls and returns, C
+calls and returns) plus every ``sys.settrace`` line event, so a Python loop
+counts once per iteration even when its body calls nothing.  Counts are
+compared within one interpreter run, never with stored numbers, so the gate
+holds on every Python version.
 
 Blind spot: work done inside one C call counts once, however much it does:
 ``dict.fromkeys`` over a language's members, or ``set.copy`` of them, is
@@ -25,6 +34,7 @@ import pytest
 
 from streamring.core import Meeting, Roster
 from streamring.orchestrator import update_orchestration
+from streamring.simulator import _check_scenario, run_scenario, scenario_from_json
 
 LANGUAGES = [f"l{i:02d}" for i in range(40)]
 POOL = 32
@@ -156,3 +166,114 @@ def test_the_allocating_hand_off_makes_one_route_event():
     assert kinds.count("pipeline-allocated") == 1
     assert [(e.participant, e.language) for e in events
             if e.kind.value == "route-added"] == [(SPEAKER, "l00")]
+
+
+#: Language counts L and 10*L for the membership passes, each with a pool
+#: of L - 8: the speaker's language and seven listener languages have no
+#: pipeline.
+LANGUAGE_COUNTS = (40, 400)
+
+
+def one_member_per_language(languages: int) -> Meeting:
+    """Member ``i`` speaks language ``i`` of ``languages``, and member 0
+    holds the floor: languages 1 to L - 8 hold the pool, the last seven
+    fail to allocate."""
+    roster = Roster({member(i): f"m{i:03d}" for i in range(languages)})
+    meeting = Meeting(participants=roster, pool_capacity=languages - 8)
+    update_orchestration(meeting, SPEAKER)
+    return meeting
+
+
+def join_a_served_language(m: Meeting):
+    m.participants["joiner"] = "m005"
+    return update_orchestration(m, SPEAKER)[1]
+
+
+def last_member_leaves(m: Meeting):
+    # m005 is released and the first unserved language takes its slot
+    del m.participants[member(5)]
+    return update_orchestration(m, SPEAKER)[1]
+
+
+def listener_language_change(m: Meeting):
+    # m005 loses its one member to m006, and its slot goes as on a leave
+    m.participants[member(5)] = "m006"
+    return update_orchestration(m, SPEAKER)[1]
+
+
+MEMBERSHIP_PASSES = {
+    "join": join_a_served_language,
+    "leave": last_member_leaves,
+    "language-change": listener_language_change,
+}
+
+
+@pytest.mark.parametrize("name", list(MEMBERSHIP_PASSES))
+def test_a_membership_pass_costs_the_same_at_l_and_ten_l(name):
+    step = MEMBERSHIP_PASSES[name]
+    counts, kinds = [], []
+    for languages in LANGUAGE_COUNTS:
+        step(one_member_per_language(languages))  # fills the logging cache
+        m = one_member_per_language(languages)
+        count, events = counted(lambda: step(m))
+        counts.append(count)
+        kinds.append(sorted(e.kind.value for e in events))
+    assert counts[0] == counts[1], (
+        f"{name}: {counts} events at L = {LANGUAGE_COUNTS}")
+    assert kinds[0] == kinds[1]
+    assert "pipeline-reused" not in kinds[0]
+
+
+def scenario(n: int, stretch: bool) -> dict:
+    """``n`` members over the 40 languages, pool 32, member 0 taking the
+    floor at t = 0; with ``stretch``, a hand-off of each kind, a join, a
+    leave and language changes follow, each at its own time."""
+    events = [{"time": 0.0, "kind": "speaker-change", "participant": SPEAKER}]
+    if stretch:
+        events += [
+            {"time": 1.0, "kind": "join", "participant": "joiner",
+             "language": "l05"},
+            {"time": 2.0, "kind": "language-change", "participant": member(5),
+             "language": "l39"},
+            {"time": 3.0, "kind": "speaker-change", "participant": member(40)},
+            {"time": 4.0, "kind": "speaker-change", "participant": member(1)},
+            {"time": 5.0, "kind": "leave", "participant": member(7)},
+            {"time": 6.0, "kind": "speaker-change", "participant": member(39)},
+            {"time": 7.0, "kind": "language-change", "participant": member(39),
+             "language": "l02"},
+            {"time": 8.0, "kind": "speaker-change", "participant": SPEAKER},
+        ]
+    return {
+        "participants": [{"id": member(i), "language": LANGUAGES[i % 40]}
+                         for i in range(n)],
+        "pool_capacity": POOL,
+        "latency_model": {"form": "affine", "params": {"a": 0.2, "b": 0.5}},
+        "segment_duration": 1.0,
+        "run_duration": 12.0,
+        "events": events,
+    }
+
+
+def per_stretch(call: Callable[[object], object]) -> list[int]:
+    """At each roster size, the count of ``call`` on the scenario with the
+    stretch of events less its count on the scenario without it."""
+    costs = []
+    for n in SIZES:
+        without = scenario_from_json(scenario(n, stretch=False))
+        with_stretch = scenario_from_json(scenario(n, stretch=True))
+        call(with_stretch)  # fills the caches a first call fills
+        costs.append(counted(lambda: call(with_stretch))[0]
+                     - counted(lambda: call(without))[0])
+    return costs
+
+
+def test_run_scenario_costs_the_same_per_event_at_n_and_ten_n():
+    costs = per_stretch(run_scenario)
+    assert costs[0] == costs[1], f"{costs} events at N = {SIZES}"
+
+
+def test_check_scenario_costs_the_same_per_event_at_n_and_ten_n():
+    # the stretch is valid: every one of its events is checked in full
+    assert _check_scenario(scenario_from_json(scenario(SIZES[0], True)))[0] == []
+    costs = per_stretch(_check_scenario)
+    assert costs[0] == costs[1], f"{costs} events at N = {SIZES}"
