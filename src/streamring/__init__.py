@@ -17,7 +17,6 @@ from .core import (
     Meeting,
     ValidationError,
     cost_naive,
-    cost_token,
 )
 from .latency import LatencyModel, load_model, save_model
 from .orchestrator import (
@@ -72,7 +71,6 @@ __all__ = [
     "ValidationError",
     "check_viability",
     "cost_naive",
-    "cost_token",
     "fit",
     "fit_auto",
     "load_bundled_measurements",

@@ -3,15 +3,14 @@
 A meeting has one active speaker and N-1 passive listeners.  Translating the
 speaker's stream needs one pipeline instance per *distinct* listener target
 language (cost C*k), not one per (viewer, speaker) pair (cost C*N*(N-1)).
-The two cost functions below quantify that collapse; the remaining types are
-the state the orchestrator transforms.
+``cost_naive`` gives the latter; the remaining types are the state the
+orchestrator transforms.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
@@ -29,13 +28,6 @@ class MeetingSizeError(ValidationError):
 
 class UnknownParticipantError(ValidationError):
     """An operation referenced a participant id not present in the meeting."""
-
-
-class DegenerateMeetingWarning(UserWarning):
-    """Cost query over an empty listener set (meeting of one)."""
-
-
-SPEAKER_RAW = "speaker-raw"
 
 
 class LanguageTag(str):
@@ -219,15 +211,13 @@ def _typed(value: object, kind: type, name: str):
     return value
 
 
-@dataclass(frozen=True)
-class Route:
-    """A media route: ``source`` is SPEAKER_RAW or a pipeline id (its output);
-    ``destination`` is a participant id or a pipeline id (its input).  The
-    two kinds of id are separate namespaces, so a participant may share a
-    pipeline's id and ``Route(p, p)`` can be a pipeline's output to them."""
-
-    source: str
-    destination: str
+def _field(entry: dict, key: str, at: str = "") -> object:
+    """``entry[key]``, or a ValidationError that names the missing field by
+    its path, ``at`` (such as ``"events[1]."``) then ``key``."""
+    try:
+        return entry[key]
+    except KeyError:
+        raise ValidationError(f"{at}{key} is missing") from None
 
 
 class Roster(MutableMapping[str, LanguageTag]):
@@ -321,9 +311,9 @@ class Meeting:
     from ``source_language``, the speaker's language at the last pass.
     ``raw_language`` is the language whose members hear the speaker's raw
     stream (None under identity translation or with no one on the floor).
-    Each listener's pipeline (``delivery``), the stream routes and the
-    ``bypass`` ids are derived from these on each read, never stored, so
-    they reflect the current roster and pipelines even between passes.
+    Each listener's pipeline (``delivery``) and the ``bypass`` ids are
+    derived from these on each read, never stored, so they reflect the
+    current roster and pipelines even between passes.
     ``delivery`` is no longer a constructor argument: ``Meeting(delivery=...)``
     raises a ``TypeError``.  A pass's events name pipelines, not listeners
     (see ``orchestrator``).
@@ -357,16 +347,6 @@ class Meeting:
                     for pid in ids_of(language)}
         delivery.pop(self.active_speaker, None)
         return delivery
-
-    @property
-    def routes(self) -> frozenset[Route]:
-        """``SPEAKER_RAW -> pipeline`` for each pipeline that feeds a
-        listener, and ``pipeline -> listener`` for each delivery."""
-        delivery = self.delivery
-        feeds = {Route(SPEAKER_RAW, p) for p in set(delivery.values())}
-        return frozenset(feeds).union(
-            Route(p, pid) for pid, p in delivery.items()
-        )
 
     @property
     def bypass(self) -> set[str]:
@@ -413,25 +393,3 @@ def cost_naive(n: int, cost: CostModel = CostModel()) -> float:
             f"the naive cost of a meeting of {n} at unit cost "
             f"{cost.unit_cost:g} overflows a float")
     return total
-
-
-def cost_token(
-    listener_languages: Iterable[str],
-    cost: CostModel = CostModel(),
-) -> tuple[int, float]:
-    """Cost under shared per-language pipelines: (k, C * k) with k the number
-    of distinct listener target languages.
-
-    An empty listener set is a degenerate meeting of one: returns (0, 0.0)
-    and emits a DegenerateMeetingWarning rather than failing, so simulations
-    can pass through single-participant states.
-    """
-    unique = set(map(LanguageTag, listener_languages))
-    k = len(unique)
-    if k == 0:
-        warnings.warn(
-            "cost_token over an empty listener set (meeting of one)",
-            DegenerateMeetingWarning,
-            stacklevel=2,
-        )
-    return k, cost.unit_cost * k

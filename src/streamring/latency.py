@@ -24,7 +24,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .core import ValidationError, _number, _typed, dump_json, read_json
+from .core import (
+    ValidationError, _field, _number, _typed, dump_json, read_json)
 
 FORM_AFFINE = "affine"
 FORM_LOG = "log"
@@ -169,12 +170,10 @@ def model_to_json(model: LatencyModel) -> dict:
 
 def model_from_json(data: dict) -> LatencyModel:
     """The model a JSON document describes.  A value of the wrong JSON type is
-    rejected with the field's name, never coerced."""
-    try:
-        form = data["form"]
-        params = _typed(data["params"], dict, "params")
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"model JSON missing field: {exc}") from None
+    rejected with the field's name, never coerced, and a missing field is
+    named by its path."""
+    form = _field(_typed(data, dict, "the model"), "form")
+    params = _typed(_field(data, "params"), dict, "params")
     if form not in _FORMS:
         raise ValidationError(f"unknown model form {form!r}")
     valid_range = data.get("valid_range")
@@ -189,16 +188,19 @@ def model_from_json(data: dict) -> LatencyModel:
             data.get("cold_start_extra", 0.0), "cold_start_extra"
         )
         if form == FORM_TABLE:
-            points = _typed(params["points"], list, "params.points")
-            kwargs["points"] = tuple(
-                (_number(t, f"params.points[{i}][0]"),
-                 _number(p, f"params.points[{i}][1]"))
-                for i, (t, p) in enumerate(points)
-            )
+            points = []
+            entries = _field(params, "points", "params.")
+            for i, point in enumerate(_typed(entries, list, "params.points")):
+                if not isinstance(point, list) or len(point) != 2:
+                    raise ValidationError(f"params.points[{i}] must be an array "
+                                          f"of two numbers, got {point!r}")
+                points.append((_number(point[0], f"params.points[{i}][0]"),
+                               _number(point[1], f"params.points[{i}][1]")))
+            kwargs["points"] = tuple(points)
         else:
-            kwargs["a"] = _number(params["a"], "params.a")
-            kwargs["b"] = _number(params["b"], "params.b")
-    except (TypeError, KeyError, ValueError) as exc:
+            kwargs["a"] = _number(_field(params, "a", "params."), "params.a")
+            kwargs["b"] = _number(_field(params, "b", "params."), "params.b")
+    except ValidationError as exc:
         raise ValidationError(f"malformed model: {exc}") from None
     return LatencyModel(**kwargs)
 

@@ -164,7 +164,10 @@ def schedule_stream(
     previous job has finished; the first job pays ``model.cold_start_extra``
     on top of p(duration).  A non-viable (p(T) >= T) configuration is not
     rejected — the lag shows up in the report, and ``check_viability``
-    flags it.  A finish time past the float range is a ValidationError.
+    flags it.  A finish time past the float range is a ValidationError, and
+    so is a startup delay whose float spacing exceeds 1e-9 of both T and
+    the first segment's p: a cold start that large would round the
+    schedule's lag away.
 
     Every full segment costs the same p(T), so the model is evaluated once
     per distinct duration (T and at most one shorter tail), in the order the
@@ -183,10 +186,16 @@ def schedule_stream(
         if processing is None:
             processing = costs[duration] = model.evaluate(duration)
         if not finishes:
+            first_p = processing
             processing += model.cold_start_extra
             # kept as the model's own output (not finish-start), so the
             # reported startup is p(T) with no rounding residue
             startup_delay = processing
+            if math.ulp(startup_delay) > 1e-9 * max(segment_duration, first_p):
+                raise ValidationError(
+                    f"the startup delay, {startup_delay:g} s, is too large for "
+                    f"{segment_duration:g} s segments: its float spacing exceeds "
+                    f"1e-9 of both T and the first segment's p, {first_p:g} s")
         free = start + processing
         starts.append(start)
         finishes.append(free)

@@ -51,6 +51,7 @@ from .core import (
     Meeting,
     Roster,
     ValidationError,
+    _field,
     _number,
     _typed,
     cost_naive,
@@ -230,42 +231,45 @@ def _participants(entries: list) -> list[tuple[str, str]]:
             return list(zip(ids, languages))
     except (LookupError, TypeError):
         pass
-    return [
-        (_typed(p["id"], str, f"participants[{i}].id"),
-         _typed(p["language"], str, f"participants[{i}].language"))
-        for i, p in enumerate(entries)
-    ]
+    rows = []
+    for i, p in enumerate(entries):
+        at = f"participants[{i}]."
+        rows.append((_typed(_field(p, "id", at), str, at + "id"),
+                     _typed(_field(p, "language", at), str, at + "language")))
+    return rows
+
+
+def _event(entry: dict, at: str) -> ScenarioEvent:
+    """The event ``entry``, whose fields are named from the path ``at``."""
+    return ScenarioEvent(
+        time=_number(_field(entry, "time", at), at + "time"),
+        kind=_field(entry, "kind", at),
+        participant=_typed(_field(entry, "participant", at), str, at + "participant"),
+        language=entry.get("language"),
+    )
 
 
 def scenario_from_json(data: dict) -> Scenario:
     """The scenario a JSON document describes.  A value of the wrong JSON
-    type is rejected with the field's name, never coerced."""
+    type is rejected with the field's name, never coerced, and a missing
+    field is named by its path."""
     _typed(data, dict, "the scenario")
-    try:
-        participants = _participants(_objects(data["participants"], "participants"))
-        events = [
-            ScenarioEvent(
-                time=_number(e["time"], f"events[{i}].time"),
-                kind=e["kind"],
-                participant=_typed(e["participant"], str, f"events[{i}].participant"),
-                language=e.get("language"),
-            )
-            for i, e in enumerate(_objects(data.get("events", []), "events"))
-        ]
-        return Scenario(
-            participants=participants,
-            pool_capacity=_integer(data["pool_capacity"], "pool_capacity"),
-            model_spec=_typed(data["latency_model"], dict, "latency_model"),
-            segment_duration=data["segment_duration"],
-            run_duration=_number(data["run_duration"], "run_duration"),
-            events=events,
-            unit_cost=_number(data.get("unit_cost", 1.0), "unit_cost"),
-            translate_same_language=_typed(
-                data.get("translate_same_language", False), bool,
-                "translate_same_language"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed scenario JSON: {exc}") from None
+    participants = _participants(
+        _objects(_field(data, "participants"), "participants"))
+    events = [_event(e, f"events[{i}].")
+              for i, e in enumerate(_objects(data.get("events", []), "events"))]
+    return Scenario(
+        participants=participants,
+        pool_capacity=_integer(_field(data, "pool_capacity"), "pool_capacity"),
+        model_spec=_typed(_field(data, "latency_model"), dict, "latency_model"),
+        segment_duration=_field(data, "segment_duration"),
+        run_duration=_number(_field(data, "run_duration"), "run_duration"),
+        events=events,
+        unit_cost=_number(data.get("unit_cost", 1.0), "unit_cost"),
+        translate_same_language=_typed(
+            data.get("translate_same_language", False), bool,
+            "translate_same_language"),
+    )
 
 
 def load_scenario(path) -> Scenario:

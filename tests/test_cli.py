@@ -734,7 +734,17 @@ class TestSimulate:
             (lambda s: s["participants"][1].update(language=5),
              "participants[1].language must be a string, got 5"),
             (lambda s: s["participants"][1].pop("language"),
-             "malformed scenario JSON: 'language'"),
+             "participants[1].language is missing"),
+            (lambda s: s["participants"][1].pop("id"),
+             "participants[1].id is missing"),
+            (lambda s: s["events"].append({"kind": "leave", "participant": "B"}),
+             "events[1].time is missing"),
+            (lambda s: s.pop("pool_capacity"), "pool_capacity is missing"),
+            (lambda s: s["latency_model"]["params"].pop("b"), "params.b is missing"),
+            (lambda s: s.update(latency_model={
+                "form": "table", "params": {"points": [[1, 0.5], {"t": 4, "p": 2}]}}),
+             "params.points[1] must be an array of two numbers, got "
+             "{'t': 4, 'p': 2}"),
             (lambda s: s["participants"].__setitem__(1, ["B", "de"]),
              "participants[1] must be an object, got ['B', 'de']"),
             (lambda s: s.update(participants="AB"),
@@ -756,6 +766,8 @@ class TestSimulate:
              "pool-float", "pool-bool", "run-bool", "time-bool", "unit-bool",
              "segment-bool", "segment-str", "translate-str", "id-int",
              "participant-language-int", "participant-language-missing",
+             "participant-id-missing", "event-time-missing", "pool-missing",
+             "model-b-missing", "model-point-object",
              "participant-not-object", "participants-not-array",
              "events-not-array", "event-not-object", "id-int-language-missing",
              "event-participant-int"],
@@ -787,6 +799,28 @@ class TestSimulate:
         path.write_text(json.dumps(two_party_scenario(model, 3.0)))
         assert run_cli(["simulate", "--scenario", str(path)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cold, code", [
+        (4e6, EXIT_OK), (1e15, EXIT_VALIDATION), (1e17, EXIT_VALIDATION)])
+    def test_a_cold_start_the_clock_cannot_resolve_is_rejected(
+        self, cold, code, tmp_path, capsys
+    ):
+        # tau = 1.7, so B's stall grows by 0.7 s a segment; at 1e17 the
+        # times are 16 s apart and the stall read 0.0
+        model = {"form": "affine", "params": {"a": 0.5, "b": 1.2},
+                 "cold_start_extra": cold}
+        scenario = dict(two_party_scenario(model, 1.0), run_duration=10.0)
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli(["simulate", "--scenario", str(path), "--format",
+                        "json"]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            stall = json.loads(captured.out)["listener_stalls"]["B"]
+            assert stall == pytest.approx(6.3, abs=1e-8)
+        else:
+            assert (f"the startup delay, {cold:g} s, is too large for 1 s "
+                    "segments" in captured.err)
 
     def test_a_scenario_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "array.json"
@@ -1472,6 +1506,19 @@ class TestPackageNamespace:
             obj = getattr(streamring, name)
             assert obj.__module__.startswith("streamring."), name
             assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+    def test_every_submodule_s_exported_names_resolve(self):
+        import importlib
+        import pkgutil
+
+        import streamring
+
+        names = [info.name for info in pkgutil.iter_modules(streamring.__path__)]
+        assert {"core", "orchestrator", "simulator"} <= set(names)
+        for module_name in names:
+            module = importlib.import_module(f"streamring.{module_name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"streamring.{module_name}.{name}"
 
     def test_star_import_and_dir_list_every_name(self):
         import streamring

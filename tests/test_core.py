@@ -7,7 +7,6 @@ import io
 import json
 import math
 import operator
-import random
 import tracemalloc
 
 import pytest
@@ -16,17 +15,13 @@ from hypothesis import strategies as st
 
 from streamring.core import (
     _BLOCK_ROWS,
-    SPEAKER_RAW,
     CostModel,
-    DegenerateMeetingWarning,
     LanguageTag,
     Meeting,
     MeetingSizeError,
     Roster,
-    Route,
     ValidationError,
     cost_naive,
-    cost_token,
     dump_json,
     dumps_json,
 )
@@ -38,11 +33,6 @@ def brute_force_pair_count(n: int) -> int:
     return sum(
         1 for viewer in range(n) for speaker in range(n) if viewer != speaker
     )
-
-
-def brute_force_unique_tags(tags: list[str]) -> int:
-    """Independent oracle: build the set of normalized tags and count it."""
-    return len({t.strip().lower() for t in tags})
 
 
 class TestLanguageTag:
@@ -97,53 +87,6 @@ class TestCostNaive:
         assert cost_naive(n, c) - cost_naive(n - 1, c) == 2 * (n - 1)
 
 
-class TestCostToken:
-    def test_single_language_best_case(self):
-        assert cost_token(["en"]) == (1, 1.0)
-
-    def test_duplicates_collapse(self):
-        tags = ["en", "de", "tr", "en"]
-        k, total = cost_token(tags)
-        assert k == brute_force_unique_tags(tags) == 3
-        assert total == 3.0
-
-    def test_all_distinct_worst_case(self):
-        tags = [f"l{i}" for i in range(9)]
-        assert cost_token(tags) == (9, 9.0)
-
-    def test_empty_listener_set_warns(self):
-        with pytest.warns(DegenerateMeetingWarning):
-            k, total = cost_token([])
-        assert (k, total) == (0, 0.0)
-
-    def test_accepts_raw_strings_and_tags(self):
-        k, _ = cost_token([LanguageTag("EN"), "en", "de"])
-        assert k == 2
-
-    @given(
-        st.lists(st.sampled_from(["en", "de", "tr", "fr"]), min_size=1, max_size=20)
-    )
-    def test_permutation_and_case_invariant(self, tags):
-        rng = random.Random(0)
-        shuffled = list(tags)
-        rng.shuffle(shuffled)
-        cased = [t.upper() if i % 2 else t for i, t in enumerate(shuffled)]
-        assert cost_token(tags) == cost_token(cased)
-
-    @given(
-        st.integers(min_value=2, max_value=60),
-        st.integers(min_value=1, max_value=8),
-        st.randoms(use_true_random=False),
-    )
-    def test_never_exceeds_reciprocal_of_n(self, n, n_langs, rng):
-        langs = [f"l{rng.randrange(n_langs)}" for _ in range(n - 1)]
-        c = CostModel(1.0)
-        _, token = cost_token(langs, c)
-        naive = cost_naive(n, c)
-        assert token <= c.unit_cost * (n - 1)
-        assert token / naive <= 1.0 / n + 1e-12
-
-
 class TestPoolAndPipelines:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValidationError):
@@ -154,7 +97,7 @@ class TestPoolAndPipelines:
         update_orchestration(m, "A")
         assert m.pipelines == {LanguageTag("de"): "pl0001"}
         assert verify_invariants(m) == []
-        assert m.routes == {Route(SPEAKER_RAW, "pl0001"), Route("pl0001", "pl0001")}
+        assert m.delivery == {"pl0001": "pl0001"}
 
 
 class TestMeeting:

@@ -396,6 +396,29 @@ class TestModelJson:
         with pytest.raises(ValidationError):
             model_from_json({"form": "table", "params": {"points": [[1, 2]]}})
 
+    @pytest.mark.parametrize("data, message", [
+        ({"form": "table", "params": {"points": [{"t": 1, "p": 2}, [2, 3]]}},
+         "params.points[0] must be an array of two numbers, got {'t': 1, 'p': 2}"),
+        ({"form": "table", "params": {"points": [[1, 2], "ab"]}},
+         "params.points[1] must be an array of two numbers, got 'ab'"),
+        ({"form": "table", "params": {"points": [[1, 2, 3], [2, 3]]}},
+         "params.points[0] must be an array of two numbers, got [1, 2, 3]"),
+        ({"form": "table", "params": {"points": [[1, 2], [2]]}},
+         "params.points[1] must be an array of two numbers, got [2]"),
+        ({"form": "table", "params": {}}, "params.points is missing"),
+        ({"form": "affine", "params": {"a": 1}}, "params.b is missing"),
+        ({"form": "log", "params": {"b": 1}}, "params.a is missing"),
+        ({"params": {"a": 1, "b": 1}}, "form is missing"),
+        ({"form": "affine"}, "params is missing"),
+        ([1, 2], "the model must be an object, got [1, 2]"),
+    ], ids=["point-object", "point-str", "point-triple", "point-single",
+            "points-missing", "b-missing", "a-missing", "form-missing",
+            "params-missing", "not-object"])
+    def test_malformed_field_is_named_by_its_path(self, data, message):
+        with pytest.raises(ValidationError) as caught:
+            model_from_json(data)
+        assert str(caught.value).endswith(message)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         m, _ = fit(fixture_set("A100"), "affine")

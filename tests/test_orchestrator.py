@@ -15,11 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamring.core import (
-    SPEAKER_RAW,
     LanguageTag,
     Meeting,
     Roster,
-    Route,
     UnknownParticipantError,
 )
 from streamring.orchestrator import (
@@ -91,10 +89,9 @@ class TestUpdateOrchestration:
         assert len(events) == 3
         de_pipe = m.pipelines[LanguageTag("de")]
         tr_pipe = m.pipelines[LanguageTag("tr")]
+        # each pipeline -> listener route, and the raw stream feeds exactly
+        # the pipelines that deliver to someone
         assert m.delivery == {"B": de_pipe, "C": de_pipe, "D": tr_pipe}
-        assert Route(source=de_pipe, destination="B") in m.routes
-        assert Route(source=de_pipe, destination="C") in m.routes
-        assert Route(source=SPEAKER_RAW, destination=de_pipe) in m.routes
         assert m.bypass == {"A"}
         assert verify_invariants(m) == []
 
@@ -140,7 +137,7 @@ class TestUpdateOrchestration:
         m = make_meeting({"A": "en", "B": "en"}, 4)
         _, events = update_orchestration(m, "A")
         assert m.pipelines == {}
-        assert m.routes == set()
+        assert m.delivery == {}
         assert m.bypass == {"A", "B"}
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert verify_invariants(m) == []
@@ -158,8 +155,8 @@ class TestUpdateOrchestration:
         # de < fr < tr: the two slots go to de and fr, tr reports failure
         assert set(m.pipelines) == {LanguageTag("de"), LanguageTag("fr")}
         assert langs_of(events, EventKind.ALLOCATION_FAILED) == {LanguageTag("tr")}
-        assert not any(r.destination == "C" for r in m.routes)
-        assert any(r.destination == "D" for r in m.routes)
+        assert m.delivery == {"B": m.pipelines[LanguageTag("de")],
+                              "D": m.pipelines[LanguageTag("fr")]}
         assert verify_invariants(m) == []
 
     def test_one_log_record_per_pass(self, caplog):
@@ -203,7 +200,7 @@ class TestUpdateOrchestration:
         update_orchestration(m, "A")
         _, events = update_orchestration(m, None)
         assert m.pipelines == {}
-        assert m.routes == set()
+        assert m.delivery == {}
         assert m.bypass == set()
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 1
         assert count(events, EventKind.SPEAKER_BYPASSED) == 0
@@ -213,10 +210,10 @@ class TestUpdateOrchestration:
     def test_idempotent_second_pass(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
         update_orchestration(m, "A")
-        routes_before = set(m.routes)
+        delivery_before = m.delivery
         map_before = dict(m.pipelines)
         _, events = update_orchestration(m, "A")
-        assert m.routes == routes_before
+        assert m.delivery == delivery_before
         assert m.pipelines == map_before
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
         assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
@@ -356,7 +353,6 @@ class TestVerifyInvariants:
         m = self._orchestrated()
         m.active_speaker = "B"
         assert "B" not in m.delivery
-        assert not any(r.destination == "B" for r in m.routes)
         assert verify_invariants(m) == [
             "the raw stream reaches language 'en', expected 'de'",
             "pipelines kept for unrequired languages: de",
@@ -409,7 +405,7 @@ class TestVerifyInvariants:
         m = self._orchestrated()
         pid = m.pipelines[LanguageTag("de")]
         update_orchestration(m, "B")
-        assert not any(pid in (r.source, r.destination) for r in m.routes)
+        assert pid not in m.delivery.values()
         # put back under its stale language, it is a pipeline kept for nothing
         m.pipelines[LanguageTag("de")] = pid
         assert "B" not in m.delivery
@@ -419,7 +415,7 @@ class TestVerifyInvariants:
     def test_under_allocation_with_free_slots(self):
         m = self._orchestrated()
         pid = m.pipelines.pop(LanguageTag("de"))
-        assert not any(pid in (r.source, r.destination) for r in m.routes)
+        assert pid not in m.delivery.values()
         assert "B" not in m.delivery
         assert verify_invariants(m) == [
             "1 pipelines for 2 required languages with free slots remaining"]
@@ -539,13 +535,13 @@ class TestProperties:
         update_orchestration(m, speaker)
         snapshot = (
             dict(m.pipelines),
-            set(m.routes),
+            m.delivery,
             set(m.bypass),
         )
         _, events = update_orchestration(m, speaker)
         assert (
             dict(m.pipelines),
-            set(m.routes),
+            m.delivery,
             set(m.bypass),
         ) == snapshot
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
@@ -611,28 +607,6 @@ def scratch_delivery(
         and (translate_same_language or language != speaker_language)
         and language in m.pipelines
     }
-
-
-def rebuilt_routes(
-    m: Meeting, speaker, translate_same_language: bool
-) -> set[Route]:
-    """The route set a full rebuild over the sorted roster produces."""
-    routes: set[Route] = set()
-    if speaker is None:
-        return routes
-    speaker_language = m.participants[speaker]
-    for pid in sorted(m.participants):
-        language = m.participants[pid]
-        if pid == speaker:
-            continue
-        if not translate_same_language and language == speaker_language:
-            continue
-        if language not in m.pipelines:
-            continue
-        pipeline_id = m.pipelines[language]
-        routes.add(Route(source=SPEAKER_RAW, destination=pipeline_id))
-        routes.add(Route(source=pipeline_id, destination=pid))
-    return routes
 
 
 # mixed case: tags that differ only in case must share one index entry
@@ -713,9 +687,6 @@ class TestRosterIndex:
             assert added == ([outgoing] if outgoing in expected
                              and outgoing != speaker else [])
             assert m.delivery == expected
-            assert m.routes == rebuilt_routes(
-                m, speaker, translate_same_language
-            )
             assert verify_invariants(
                 m, translate_same_language=translate_same_language
             ) == []
@@ -786,12 +757,6 @@ def scanned_delivery(m: Meeting) -> dict[str, str]:
             if pid != m.active_speaker and lang in m.pipelines}
 
 
-def scanned_routes(m: Meeting) -> set[Route]:
-    delivery = scanned_delivery(m)
-    return {*(Route(SPEAKER_RAW, p) for p in delivery.values()),
-            *(Route(p, pid) for pid, p in delivery.items())}
-
-
 def state_of(m: Meeting) -> tuple:
     return (m.active_speaker, m.pipelines, m.source_language, m.pipeline_seq)
 
@@ -838,7 +803,6 @@ class TestAgainstTheFullPass:
                     speaker = None
             # between passes the derived views follow the edits
             assert m.delivery == scanned_delivery(m)
-            assert m.routes == scanned_routes(m)
             # then the floor: kept, released or handed to anyone present
             speaker = data.draw(st.sampled_from(
                 [speaker, None, *sorted(m.participants)]))
@@ -854,4 +818,3 @@ class TestAgainstTheFullPass:
             assert state_of(m) == state_of(reference)
             assert m.bypass == hears_raw
             assert m.delivery == scanned_delivery(reference)
-            assert m.routes == scanned_routes(reference)

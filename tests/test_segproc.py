@@ -246,6 +246,24 @@ class TestColdStart:
         assert jobs[1].finish_at - jobs[1].start_at == pytest.approx(p)
         assert report.stall_count == 0  # startup absorbs the extra
 
+    def test_a_cold_start_the_clock_cannot_resolve_is_rejected(self):
+        # tau = 1.7: at a cold start of 1e15 s the times are 0.125 s apart
+        def lagging(cold: float) -> LatencyModel:
+            return LatencyModel(form="affine", a=0.5, b=1.2, cold_start_extra=cold)
+
+        with pytest.raises(ValidationError, match=(
+                r"the startup delay, 1e\+15 s, is too large for 1 s segments: "
+                r"its float spacing exceeds 1e-9 of both T and the first "
+                r"segment's p, 1.7 s")):
+            schedule_stream(StreamSpec(10.0), lagging(1e15), 1.0)
+        # 4.7e-10 s apart: still resolved, and the lag still shows
+        _, report = schedule_stream(StreamSpec(10.0), lagging(4e6), 1.0)
+        assert report.stall_total == pytest.approx(9 * 0.7, abs=1e-8)
+        # without a cold start, a p far above T sets the scale itself
+        huge = LatencyModel(form="affine", a=1e300, b=0.0)
+        _, report = schedule_stream(StreamSpec(10.0), huge, 1.0)
+        assert report.startup_delay == 1e300
+
 
 class TestOracleReplay:
     def test_live_schedule_matches_trace(self):
