@@ -78,13 +78,15 @@ def dump_json(payload: object, fh: TextIO) -> None:
     the newline and indent, then pads the brackets.  The C encoder escapes
     ``\\n`` inside strings, so a literal newline can only be a separator.  A
     list of dicts (such as a report's ``samples``) is written in blocks of
-    ``_BLOCK_ROWS`` rows.  A block whose rows share one non-empty set of
-    ``str`` keys and hold only scalars is encoded by columns, one C call
-    per column for the heads of its runs of one object (see ``_table``),
-    interleaved with the key prefixes row by row; any other block is
-    written row by row.  Both encoders write a ``LanguageTag`` as its
-    string.  A value that is not exactly a JSON type or a tag (a tuple, an
-    ``int`` subclass), or a dict with a key that is not a ``str``, is
+    ``_BLOCK_ROWS`` rows, each block cut into runs of one row object (a
+    report's consecutive equal ``samples`` rows are one dict), and each
+    run's head encoded once.  If the heads share one non-empty set of
+    ``str`` keys and hold only scalars, they are encoded by columns, one C
+    call per column for the heads of its runs of one object (see
+    ``_table``), interleaved with the key prefixes row by row; any other
+    block is written row by row.  Both encoders write a ``LanguageTag`` as
+    its string.  A value that is not exactly a JSON type or a tag (a tuple,
+    an ``int`` subclass), or a dict with a key that is not a ``str``, is
     rendered by ``json.dumps`` where it stands, its newlines replaced by
     the current newline and indent.
     """
@@ -99,10 +101,18 @@ def dumps_json(payload: object) -> str:
     return "".join(pieces)
 
 
+#: Each item separator's encoder, built on its first use.  An encoder
+#: keeps no state between calls, so one serves every caller.
+_ENCODERS: dict[str, Callable[[object], str]] = {}
+
+
 def _flat(container: object, nl: str) -> str:
     """``container`` in the C encoder, items separated by ``,`` + ``nl``."""
-    encoder = json.JSONEncoder(sort_keys=True, separators=("," + nl, ": "))
-    return encoder.encode(container)
+    encode = _ENCODERS.get(nl)
+    if encode is None:
+        encode = _ENCODERS[nl] = json.JSONEncoder(
+            sort_keys=True, separators=("," + nl, ": ")).encode
+    return encode(container)
 
 
 def _types(values: Iterable[object]) -> set[type]:
@@ -137,9 +147,13 @@ def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
     opener = "[" + inner
     for start in range(0, len(value), _BLOCK_ROWS):
         block = value[start:start + _BLOCK_ROWS]
-        text = _table(block, inner) if items == {dict} else None
-        if text is not None:
-            write(opener + text)
+        texts = None
+        if items == {dict}:  # a run of one row object is encoded once
+            starts, heads = _runs(block)
+            texts = _table(heads, inner)
+        if texts is not None:
+            write(opener + ("," + inner).join(
+                _repeated(texts, starts, len(block))))
             opener = "," + inner
         else:
             for item in block:
@@ -149,17 +163,34 @@ def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
     write(nl + "]")
 
 
-def _table(rows: list, nl: str) -> Optional[str]:
-    """The dicts ``rows`` at the depth whose newline and indent are ``nl``,
-    separated by ``,`` + ``nl``, or None unless they share the first row's
+def _runs(items: list) -> tuple[list[int], list]:
+    """Where each run of one object in ``items`` starts, and its first
+    item, found by identity in C: ``0``, ``0.0``, ``False`` and ``-0.0``
+    are equal but write differently, so values are never compared."""
+    starts = [0, *compress(count(1), map(is_not, items[1:], items))]
+    if len(starts) == len(items):  # every run is one item
+        return starts, items
+    return starts, list(map(items.__getitem__, starts))
+
+
+def _repeated(texts: list[str], starts: list[int], size: int) -> Iterable[str]:
+    """Each run head's text in ``texts`` once per item of its run, the runs
+    starting at ``starts`` and the last one ending at ``size``."""
+    if len(starts) == size:
+        return texts
+    lengths = map(sub, [*starts[1:], size], starts)
+    return chain.from_iterable(map(repeat, texts, lengths))
+
+
+def _table(rows: list, nl: str) -> Optional[list[str]]:
+    """The text of each of the dicts ``rows`` at the depth whose newline
+    and indent are ``nl``, or None unless they share the first row's
     non-empty set of ``str`` keys and hold only scalars.
 
-    A column is cut into runs of one object, found by identity in C, and
-    each run's text is made once: ``0``, ``0.0``, ``False`` and ``-0.0``
-    are equal but write differently, so values are never compared.  A
-    column that is one object in every row joins the fixed key text around
-    it; any other column encodes its run heads in one C call and repeats
-    each head's text over its run."""
+    A column is cut into runs of one object and each run's text is made
+    once.  A column that is one object in every row joins the fixed key
+    text around it; any other column encodes its run heads in one C call
+    and repeats each head's text over its run."""
     keys = rows[0].keys()
     if _types(keys) != {str} or set(map(len, rows)) != {len(keys)}:
         return None
@@ -172,8 +203,7 @@ def _table(rows: list, nl: str) -> Optional[str]:
             column = list(map(itemgetter(name), rows))
         except KeyError:
             return None
-        starts = [0, *compress(count(1), map(is_not, column[1:], column))]
-        heads = list(map(column.__getitem__, starts))
+        starts, heads = _runs(column)
         if not _types(heads) <= _SCALARS:  # a run's cells are its head
             return None
         fixed += opener + _flat(name, field) + ": "
@@ -181,13 +211,12 @@ def _table(rows: list, nl: str) -> Optional[str]:
         if len(heads) == 1:
             fixed += _flat(heads[0], "\n")
             continue
-        lengths = map(sub, [*starts[1:], len(column)], starts)
         parts.append(repeat(fixed))
-        parts.append(chain.from_iterable(
-            map(repeat, _flat(heads, "\n")[1:-1].split(",\n"), lengths)))
+        parts.append(_repeated(
+            _flat(heads, "\n")[1:-1].split(",\n"), starts, len(rows)))
         fixed = ""
     parts.append(repeat(fixed + nl + "}", len(rows)))
-    return ("," + nl).join(map("".join, zip(*parts)))
+    return list(map("".join, zip(*parts)))
 
 
 def _number(value: object, name: str, expected: str = "a number") -> float:

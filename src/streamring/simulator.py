@@ -158,7 +158,8 @@ class MetricsSeries:
     """The report's tables, their rows the dicts ``report_to_json``
     publishes: ``samples`` keyed as ``METRICS_CSV_HEADER``, and per session
     when it opened, for which language, how long its listeners waited and
-    whether the pipeline started cold."""
+    whether the pipeline started cold.  Consecutive equal ``samples`` rows
+    at one boundary time are one dict, so copy a row before changing it."""
 
     samples: list[dict] = field(default_factory=list)
     listener_stalls: dict[str, float] = field(default_factory=dict)
@@ -514,8 +515,9 @@ def _apply(roster: Roster, event: ScenarioEvent) -> None:
 # ---------------------------------------------------------------------------
 # The event loop
 
-#: Most ``samples`` rows one run may make, at about 0.40 KB each at the
-#: run's peak, while the report is built; writing it adds a bounded amount.
+#: Most ``samples`` rows one run may make, at about 0.40 KB per distinct
+#: row and 0.09 KB per repeat of the row before it at the run's peak, while
+#: the report is built; writing it adds a bounded amount.
 #: A run whose estimate passes it is rejected before it starts, and a
 #: session whose boundaries would pass it ends the run.
 MAX_SAMPLE_ROWS = 1_500_000
@@ -716,17 +718,27 @@ def run_scenario(scenario: Scenario) -> RunReport:
     entries.sort(key=itemgetter(2))
     entries.sort(key=itemgetter(1))
     entries.sort(key=itemgetter(0))
+    # Only a state point, which makes a new row, changes k and the costs,
+    # and only a stall changes stalls_cum: so a zero-stall boundary at the
+    # previous row's own time object (a session sharing its turn's
+    # schedule) repeats that row.
     k, token, naive, fails = points[0][3]
     stalls_cum = 0.0
+    samples = series.samples
+    row: dict = {"time_s": None}
     for when, priority, _, payload in entries:
         if priority == 1:
             k, token, naive, fails = payload  # type: ignore[misc]
         elif payload:  # a zero stall keeps the bits, so rows share the float
             stalls_cum += payload  # type: ignore[operator]
-        series.samples.append({
+        elif when is row["time_s"]:
+            samples.append(row)
+            continue
+        row = {
             "time_s": when, "k": k, "token_cost": token, "naive_cost": naive,
             "alloc_failures": fails, "stalls_cum": stalls_cum,
-        })
+        }
+        samples.append(row)
 
     k_integral = token_integral = naive_integral = 0.0
     for (when, _, _, (k, token, naive, _)), nxt in zip(points, points[1:]):
@@ -827,7 +839,9 @@ def sweep_cost(
 def report_to_json(report: RunReport) -> dict:
     """The report as its JSON document.  ``samples``, ``listener_stalls``
     and ``turn_startups`` are the report's own list and dict objects, not
-    copies: changing one changes the other."""
+    copies: changing one changes the other.  Consecutive equal ``samples``
+    rows are one dict, which ``dump_json`` encodes once per run, so copy a
+    row before changing it."""
     return {
         "scenario_digest": report.scenario_digest,
         "resolved_segment_duration": report.resolved_segment_duration,

@@ -234,6 +234,27 @@ def _samples(rows: int) -> dict:
         for i in range(rows)]}
 
 
+#: Rows equal to each other but each written differently, then rows that
+#: differ in ``t``.
+_ZERO_ROWS = [{"t": 0.5, "z": z, "k": 3} for z in (0, 0.0, -0.0, False)]
+_ROWS = _ZERO_ROWS + [{"t": i / 7, "z": 1, "k": 3} for i in range(4)]
+#: Rows that send their block row by row: another key set, a list cell.
+_ODD_ROWS = [{"t": 0.5, "k": 3}, {"t": 0.5, "z": [0, -0.0], "k": 3}]
+
+
+@st.composite
+def _runs_of(draw, rows, odd=None):
+    """A table of runs of one row object each, drawn from ``rows``, the
+    runs short or about a block long; with ``odd``, one run of it at a
+    drawn place."""
+    length = st.integers(1, 3) | st.integers(_BLOCK_ROWS - 8, _BLOCK_ROWS + 8)
+    runs = draw(st.lists(st.tuples(st.sampled_from(rows), length),
+                         min_size=1, max_size=8))
+    if odd is not None:
+        runs.insert(draw(st.integers(0, len(runs))), (odd, draw(length)))
+    return [row for row, size in runs for _ in range(size)]
+
+
 class TestDumpsJson:
     """``dumps_json`` and ``dump_json`` against their oracle,
     ``json.dumps(sort_keys=True, indent=2)``: exact JSON types take the
@@ -297,6 +318,22 @@ class TestDumpsJson:
         zeros = [0, 0.0, False, -0.0] * 80
         _assert_renders({"samples": [
             {"i": i, "t": i / 7, "z": z} for i, z in enumerate(zeros)]})
+
+    @example([_ROWS[0]] * 5 + _ROWS[1:])  # a run at the start
+    @example(_ROWS[:3] + [_ROWS[3]] * 5 + _ROWS[4:])  # in the middle
+    @example(_ROWS[:-1] + [_ROWS[-1]] * 5)  # at the end
+    @example(_ROWS[4:] * 63 + [_ROWS[0]] * 9 + _ROWS)  # across a block's end
+    @example([row for row in _ZERO_ROWS for _ in "abc"])  # equal, not merged
+    @given(_runs_of(_ROWS))
+    def test_runs_of_one_row_object(self, table):
+        _assert_renders({"samples": table})
+
+    @example([*_ROWS[:2], _ODD_ROWS[0], _ODD_ROWS[0], *[_ROWS[2]] * 4])
+    @example([*[_ROWS[5]] * 300, _ODD_ROWS[1], *[_ROWS[-1]] * 3])
+    @given(st.sampled_from(_ODD_ROWS).flatmap(
+        lambda odd: _runs_of(_ROWS, odd)))
+    def test_repeated_rows_in_a_block_written_row_by_row(self, table):
+        _assert_renders({"samples": table})
 
     @example({10: 1, 9: 2})
     @example({"rows": [{"level": _Level.HIGH}, {"level": 2}], "pair": (1, [2.5])})

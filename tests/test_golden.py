@@ -26,6 +26,10 @@ tests/golden/calibrate_A100.model.json``, which also writes that model file,
 and ``topt_A100.json`` is the standard output of ``streamring topt --model
 tests/golden/calibrate_A100.model.json --continuous --format json``.
 
+Each simulated scenario's ``<name>.csv`` is the same command's output
+with ``--format csv``: the ``samples`` table as the CSV writer reads it, by
+value.
+
 A refactor must reproduce them byte for byte; a change that is meant to alter
 a report regenerates the file with that command and says why.
 """
@@ -52,15 +56,27 @@ SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", list(SCENARIOS))
-def test_simulate_json_matches_golden(name, tmp_path, capsys):
-    out = tmp_path / f"{name}.json"
+def simulated(name: str, fmt: str, tmp_path: Path) -> bytes:
+    """The bytes ``simulate --format fmt --out`` writes for ``name``."""
+    out = tmp_path / f"{name}.{fmt}"
     code = main(
         ["simulate", "--scenario", str(SCENARIOS[name]),
-         "--format", "json", "--out", str(out)]
+         "--format", fmt, "--out", str(out)]
     )
     assert code == EXIT_OK
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_simulate_json_matches_golden(name, tmp_path, capsys):
+    golden = GOLDEN_DIR / f"{name}.json"
+    assert simulated(name, "json", tmp_path) == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_simulate_csv_matches_golden(name, tmp_path, capsys):
+    golden = GOLDEN_DIR / f"{name}.csv"
+    assert simulated(name, "csv", tmp_path) == golden.read_bytes()
 
 
 def test_calibrate_and_topt_json_match_golden(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Scaling gates by counted work: one orchestration step costs the same at N
 and 10*N members, a membership pass the same at L and 10*L languages, and
 each scenario event the same in ``run_scenario`` and ``_check_scenario`` at
-N and 10*N members.
+N and 10*N members, and a table block the same to write whether each of its
+distinct rows is repeated 4 or 30 times.
 
 Each step is a roster edit, if any, and the ``update_orchestration`` pass
 after it, as ``run_scenario`` makes them, on a meeting of 40 languages and
@@ -20,8 +21,10 @@ holds on every Python version.
 
 Blind spot: work done inside one C call counts once, however much it does:
 ``dict.fromkeys`` over a language's members, or ``set.copy`` of them, is
-one event at any roster size.  Wall-clock time would see it, but is too
-noisy to gate on here.
+one event at any roster size, and the JSON writer's C calls over a block's
+rows count the same for 32 rows as for 240.  So the writer's gate holds
+against per-row Python work, not against C work per repeated row.
+Wall-clock time would see it, but is too noisy to gate on here.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable
 
 import pytest
 
-from streamring.core import Meeting, Roster
+from streamring.core import _BLOCK_ROWS, Meeting, Roster, dumps_json
 from streamring.orchestrator import update_orchestration
 from streamring.simulator import _check_scenario, run_scenario, scenario_from_json
 
@@ -277,3 +280,17 @@ def test_check_scenario_costs_the_same_per_event_at_n_and_ten_n():
     assert _check_scenario(scenario_from_json(scenario(SIZES[0], True)))[0] == []
     costs = per_stretch(_check_scenario)
     assert costs[0] == costs[1], f"{costs} events at N = {SIZES}"
+
+
+def test_a_run_of_one_row_object_is_written_once():
+    # 8 distinct rows, each repeated 4 or 30 times, in one block
+    rows = [{"time_s": i / 7, "k": i % 3, "token_cost": float(i % 3),
+             "naive_cost": 132.0, "alloc_failures": 0, "stalls_cum": i / 9}
+            for i in range(8)]
+    counts = []
+    for repeats in (4, 30):
+        table = [row for row in rows for _ in range(repeats)]
+        assert len(table) <= _BLOCK_ROWS
+        dumps_json(table)  # fills the writer's encoders
+        counts.append(counted(lambda: dumps_json(table))[0])
+    assert counts[0] == counts[1], f"{counts} events at 4 and 30 repeats"

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -781,6 +782,57 @@ class TestStallsCum:
             assert len({id(row["stalls_cum"]) for row in samples}) == 1
         else:
             assert samples[-1]["stalls_cum"] > 0.0
+
+
+class TestRepeatedRows:
+    """At tau < 1 the sessions of one turn share a schedule and stall by 0,
+    so their rows at each shared boundary are equal in every field: the
+    report holds each run of them as one dict, which the writer encodes
+    once.  A state point always makes a new row."""
+
+    def scenario(self) -> Scenario:
+        return Scenario(
+            participants=[("A", "en"), ("B", "de"), ("C", "fr"), ("D", "es"),
+                          ("E", "it")],
+            pool_capacity=8,
+            model_spec={"form": "affine", "params": {"a": 0.1, "b": 0.5},
+                        "cold_start_extra": 0.25},
+            segment_duration=1.0,  # tau = 0.6
+            run_duration=12.5,
+            events=[
+                # de, fr, es and it share the first turn's schedule, and
+                # en, fr, es and it the second's
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=5.0, kind="speaker-change", participant="B"),
+                # pt opens mid-turn, on a schedule of its own
+                ScenarioEvent(time=8.25, kind="join", participant="F",
+                              language="pt"),
+            ],
+        )
+
+    def test_a_run_of_equal_rows_is_one_dict(self):
+        report = run_scenario(self.scenario())
+        assert report.total_stall_seconds == 0.0
+        samples = report.series.samples
+        pairs = list(zip(samples, samples[1:]))
+        for before, after in pairs:
+            # equal rows at two time objects: a boundary, then a state point
+            assert (before is after) == (
+                before == after and before["time_s"] is after["time_s"])
+        runs = [len(list(run)) for _, run in groupby(samples, key=id)]
+        assert len(set(map(id, samples))) == len(runs)  # none recurs later
+        assert max(runs) == 4 and len(samples) > 2 * len(runs) > 40
+
+    def test_rows_equal_the_per_entry_rows(self):
+        scenario = self.scenario()
+        payload = report_to_json(run_scenario(scenario))
+        expected = per_session_report(scenario)  # a new dict per entry
+        assert len(payload["samples"]) == len(expected["samples"])
+        for row, fresh in zip(payload["samples"], expected["samples"]):
+            assert json.dumps(row, sort_keys=True) == json.dumps(
+                fresh, sort_keys=True)
+        assert dumps_json(payload) == json.dumps(
+            expected, sort_keys=True, indent=2)
 
 
 def replayed_violations(scenario: Scenario) -> list[str]:
