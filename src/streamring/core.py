@@ -343,8 +343,8 @@ class Meeting:
     Each listener's pipeline (``delivery``) and the ``bypass`` ids are
     derived from these on each read, never stored, so they reflect the
     current roster and pipelines even between passes.
-    ``delivery`` is no longer a constructor argument: ``Meeting(delivery=...)``
-    raises a ``TypeError``.  A pass's events name pipelines, not listeners
+    ``delivery`` is a read-only property: ``Meeting(delivery=...)`` raises
+    a ``TypeError``.  A pass's events name pipelines, not listeners
     (see ``orchestrator``).
     """
 

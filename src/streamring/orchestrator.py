@@ -18,10 +18,10 @@ A pass costs O(k + L), never a scan of the roster: the required languages
 come from the roster's language index in O(L), and the meeting stores only
 the live pipelines and the one language that hears the raw stream
 (``raw_language``).  Each listener's pipeline (``Meeting.delivery``, a
-read-only property, no longer a constructor argument) and the ids that
-hear the raw stream are derived on each read from those and the roster, so
-they reflect the current roster and pipelines even between passes, and a
-pass touches no member but the two speakers.
+read-only property, so ``Meeting(delivery=...)`` raises a ``TypeError``)
+and the ids that hear the raw stream are derived on each read from those
+and the roster, so they reflect the current roster and pipelines even
+between passes, and a pass touches no member but the two speakers.
 
 A pass emits one event per pipeline it decommissions, allocates or fails
 to allocate, ``pipeline-reused`` per kept pipeline only when the floor or

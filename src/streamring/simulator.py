@@ -25,7 +25,8 @@ adds its startup, its listeners' stalls and its segment samples to the
 report, and each step ends with a state point; after the loop come only two
 sorts and the aggregate integrals.  The sessions of one turn open and close
 together, so they share one schedule: each distinct (open time, warmth)
-among the sessions closing at one instant is scheduled once.
+among the sessions one step closes is scheduled once.  A state point's
+``alloc_failures`` is the count of the run's allocation warnings so far.
 
 Same-timestamp events apply in a fixed order — leaves, joins, language
 changes, speaker changes, each by participant id — which makes reports
@@ -60,7 +61,10 @@ from .core import (
 )
 from .latency import FORM_TABLE, LatencyModel, model_from_json
 from .orchestrator import (
-    EventKind,
+    _ALLOCATED,
+    _ALLOCATION_FAILED,
+    _DECOMMISSIONED,
+    _REUSED,
     OrchestrationEvent,
     required_languages,
     update_orchestration,
@@ -522,11 +526,6 @@ def _apply(roster: Roster, event: ScenarioEvent) -> None:
 #: session whose boundaries would pass it ends the run.
 MAX_SAMPLE_ROWS = 1_500_000
 
-# bound once, as in the orchestrator (see its note on ``EventKind.X``)
-_ALLOCATED = EventKind.PIPELINE_ALLOCATED
-_REUSED = EventKind.PIPELINE_REUSED
-_DECOMMISSIONED = EventKind.PIPELINE_DECOMMISSIONED
-_ALLOCATION_FAILED = EventKind.ALLOCATION_FAILED
 _SPEAKER_CHANGE = ScenarioEventKind.SPEAKER_CHANGE
 
 
@@ -576,16 +575,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
     # (time, 1, "", sample columns), join them after the loop
     entries: list[tuple[float, int, str, object]] = []
     points: list[tuple[float, int, str, tuple[int, float, float, int]]] = []
-    failures = 0
+    failed: list[str] = []  # allocation warnings, reported after ``warnings``
 
     warm_model = (model if model.cold_start_extra == 0.0
                   else replace(model, cold_start_extra=0.0))
-    # The sessions of one turn open and close together and differ only in
-    # language, so each distinct (started_at, cold) among the sessions
-    # closing at ``closing_at`` is scheduled once.  Time only moves forward,
-    # so the cache is dropped when the close time moves on.
-    schedules: dict[tuple[float, bool], tuple[float, float, list, list]] = {}
-    closing_at: Optional[float] = None
     stalls = series.listener_stalls
     roster = meeting.participants
     # Each close appends its stall to its language's ledger.  A listener is
@@ -602,9 +595,13 @@ def run_scenario(scenario: Scenario) -> RunReport:
             if charges:  # a close charged them, if only a zero stall
                 stalls[pid] = reduce(add, charges, stalls.get(pid, 0.0))
 
-    # ``+ 0.0`` makes an event at -0.0 report as one at 0.0
+    # ``+ 0.0`` makes an event at -0.0 report as one at 0.0.  The sessions
+    # of one turn open and close together and differ only in language, so
+    # each distinct (started_at, cold) among the sessions a step closes is
+    # scheduled once.
     for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),
                         (scenario.run_duration, None)]:
+        schedules: dict[tuple[float, bool], tuple[float, float, list, list]] = {}
         if event is None:  # start or end, without a pass: the end closes all
             # a generator, not a list: the end is at the run's memory peak
             changes = (OrchestrationEvent(_DECOMMISSIONED, when, language)
@@ -646,8 +643,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 reopen_cold = change.reinitialized
             else:
                 if kind is _ALLOCATION_FAILED:
-                    failures += 1
-                    warnings.append(
+                    failed.append(
                         f"allocation failed for language {change.language} at "
                         f"t={when:g} s (pool capacity {meeting.pool_capacity})")
                 continue
@@ -659,9 +655,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 continue
             # the one place a session closes
             started_at, cold = opened
-            if closing_at != when:
-                closing_at = when
-                schedules.clear()
             schedule = schedules.get(opened)
             if schedule is None:
                 jobs, play = schedule_stream(StreamSpec(when - started_at),
@@ -693,9 +686,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
         naive = cost_naive(n, cost) if n >= 2 else 0.0
         if points and points[-1][0] == when:
             del points[-1]
-        points.append((when, 1, "", (k, cost.unit_cost * k, naive, failures)))
+        points.append((when, 1, "", (k, cost.unit_cost * k, naive, len(failed))))
 
-    schedules.clear()  # no close follows; free them before the samples
     if total_stall == math.inf:  # each listener's share is at most this
         raise ValidationError(
             f"the stalls of {segment_duration:g} s segments under the "
@@ -755,7 +747,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         mean_k=k_integral / scenario.run_duration,
         total_stall_seconds=total_stall,
         cost_ratio=token_integral / naive_integral if naive_integral > 0 else 0.0,
-        warnings=tuple(warnings),
+        warnings=(*warnings, *failed),
     )
 
 

@@ -1,0 +1,186 @@
+"""The mutation gate: each named mutant of ``src/`` must fail the tests
+named for it, and the no-op control must pass them all.
+
+    python tests/mutants.py
+
+For each mutant, the runner copies ``src/`` to a temporary directory,
+requires the mutant's old text exactly once in its file, applies the edit
+and runs the named pytest node ids on the copy (``PYTHONPATH`` set to it,
+the temporary directory as the working directory, so hypothesis keeps the
+failing examples it finds there).  A mutant is caught when pytest exits 1,
+a test failed; any other outcome, such as a module that no longer imports
+or a node id that does not exist, fails the gate.
+The control runs every node id of the table, so each is checked to exist
+and to pass on the unmutated code.  The exit status is 0 when every mutant
+is caught and the control passes, and 1 otherwise.  It needs only the
+standard library, pytest and the test suite's own dependencies.
+
+``tests/test_mutants.py`` checks in tier-1 that each old text occurs
+exactly once, so a refactor that moves a mutated line must update its
+entry here in the same change.  An equivalent mutant, one that gives the
+same reports as the code, is never listed; those left out:
+
+* ``when is row["time_s"]`` as ``==`` in ``run_scenario``'s sample loop:
+  boundary times are positive floats, so equal times are the same row's;
+* ``reduce(add, ...)`` as ``sum(...)`` in ``settle``: ``sum()`` adds floats
+  left to right on Python 3.10 and 3.11, as ``reduce`` does, and only
+  compensates from 3.12 on.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, from the repository root
+
+
+SIMULATOR = "streamring/simulator.py"
+GOLDEN = "tests/test_golden.py::test_simulate_json_matches_golden"
+SESSIONS = ("tests/test_simulator.py::TestSharedSchedules::"
+            "test_every_session_matches_its_own_schedule")
+LEDGER = ("tests/test_simulator.py::TestListenerLedger::"
+          "test_charges_match_one_charge_per_close")
+EXHAUSTIVE = ("tests/test_simulator_exhaustive.py::"
+              "test_every_small_meeting_matches_per_session_scheduling"
+              "[shared-listener]")
+_LOOP = ("    for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),\n"
+         "                        (scenario.run_duration, None)]:\n")
+_SCHEDULES = ("        schedules: dict[tuple[float, bool], "
+              "tuple[float, float, list, list]] = {}\n")
+
+MUTANTS = (
+    Mutant("control: no edit", SIMULATOR,
+           "MAX_SAMPLE_ROWS = 1_500_000", "MAX_SAMPLE_ROWS = 1_500_000", ()),
+    # a step's shared schedules
+    Mutant("schedule table hoisted out of the step", SIMULATOR,
+           _LOOP + _SCHEDULES, _SCHEDULES[4:] + _LOOP,
+           (SESSIONS,)),
+    # failures counted by their warnings (the churn_stalls_6 golden's first
+    # warning is its viability warning)
+    Mutant("alloc_failures read as len(warnings)", SIMULATOR,
+           "naive, len(failed))", "naive, len(warnings))",
+           (f"{GOLDEN}[churn_stalls_6]",)),
+    Mutant("allocation warnings before the others", SIMULATOR,
+           "warnings=(*warnings, *failed)", "warnings=(*failed, *warnings)",
+           (f"{GOLDEN}[churn_stalls_6]",)),
+    # the run loop's rules
+    Mutant("warm and cold swapped on reopen", SIMULATOR,
+           "open_sessions[language] = (when, reopen_cold)",
+           "open_sessions[language] = (when, not reopen_cold)",
+           (SESSIONS,)),
+    Mutant("a reused pipeline's warmth inverted", SIMULATOR,
+           "reopen_cold = change.reinitialized",
+           "reopen_cold = not change.reinitialized",
+           (SESSIONS,)),
+    Mutant("end-of-run closes dropped", SIMULATOR,
+           "for language in sorted(open_sessions))", "for language in ())",
+           (SESSIONS,)),
+    # the order moves only the stall total's last bits
+    Mutant("end-of-run closes in insertion order", SIMULATOR,
+           "for language in sorted(open_sessions))",
+           "for language in list(open_sessions))", (EXHAUSTIVE,)),
+    Mutant("end-of-run closes in reverse language order", SIMULATOR,
+           "for language in sorted(open_sessions))",
+           "for language in sorted(open_sessions, reverse=True))",
+           (EXHAUSTIVE,)),
+    Mutant("a same-instant state point appended", SIMULATOR,
+           "if points and points[-1][0] == when:", "if False:",
+           (f"{GOLDEN}[churn_stalls_6]",)),
+    # the listener ledger
+    Mutant("the end charges the speaker", SIMULATOR,
+           "difference(since, (meeting.active_speaker,))",
+           "difference(since)",
+           (f"{GOLDEN}[handoff_3]",)),
+    Mutant("no restart for the outgoing speaker", SIMULATOR,
+           "since[previous] = len(ledger.get(roster[previous], ()))",
+           "pass",
+           (f"{LEDGER}[listener-takes-the-floor-and-hands-it-back]",)),
+    Mutant("since.get for since.pop", SIMULATOR,
+           "since.pop(pid, 0)", "since.get(pid, 0)",
+           (f"{GOLDEN}[churn_stalls_6]",)),
+    Mutant("a reading given to a speaker who changes language", SIMULATOR,
+           "if pid in roster and pid != meeting.active_speaker:",
+           "if pid in roster:",
+           (f"{LEDGER}[speaker-changes-language-then-leaves]",)),
+    Mutant("no guard for an empty slice", SIMULATOR,
+           "if charges:", "if True:",
+           (f"{LEDGER}[late-join]",)),
+    Mutant("no reading for a join", SIMULATOR,
+           "if pid in roster and pid != meeting.active_speaker:",
+           "if pid in roster and pid != meeting.active_speaker"
+           " and event.kind is not ScenarioEventKind.JOIN:",
+           (SESSIONS,)),
+    # runs of one row object, in the report and in the writer
+    Mutant("row runs cut by != instead of identity", "streamring/core.py",
+           "map(is_not, items[1:], items)",
+           "map(lambda a, b: a != b, items[1:], items)",
+           ("tests/test_core.py::TestDumpsJson::test_runs_of_one_row_object",)),
+    Mutant("the row repeated before a stall is added", SIMULATOR,
+           "        elif payload:  # a zero stall keeps the bits, so rows share the float\n"
+           "            stalls_cum += payload  # type: ignore[operator]\n"
+           "        elif when is row[\"time_s\"]:\n"
+           "            samples.append(row)\n"
+           "            continue\n",
+           "        elif when is row[\"time_s\"]:\n"
+           "            samples.append(row)\n"
+           "            continue\n"
+           "        elif payload:\n"
+           "            stalls_cum += payload  # type: ignore[operator]\n",
+           (f"{GOLDEN}[churn_stalls_6]",)),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """``"caught"``, ``"passed"`` or what else befell ``mutant``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", source,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = source / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"old text found {text.count(mutant.old)} times"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        tests = mutant.tests or dict.fromkeys(
+            node for m in MUTANTS for node in m.tests)
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *(str(ROOT / node) for node in tests)],
+            cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=dict(os.environ,
+                     PYTHONPATH=os.pathsep.join([str(source), str(ROOT)])),
+        ).returncode
+    return {0: "passed", 1: "caught"}.get(code, f"pytest exit code {code}")
+
+
+def main() -> int:
+    failures = 0
+    started = time.perf_counter()
+    for mutant in MUTANTS:
+        clock = time.perf_counter()
+        outcome = run(mutant)
+        wanted = "passed" if mutant.old == mutant.new else "caught"
+        failures += outcome != wanted
+        print(f"{'ok  ' if outcome == wanted else 'FAIL'} {mutant.name}: "
+              f"{outcome} ({time.perf_counter() - clock:.1f} s)", flush=True)
+    print(f"{failures} failed, in {time.perf_counter() - started:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

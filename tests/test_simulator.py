@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
@@ -661,9 +662,11 @@ class TestSweep:
 
 
 class TestSharedSchedules:
-    """Sessions that open and close at the same times with the same warmth
-    share one ``schedule_stream`` result; each still gets its own startup,
-    listener charges and segment boundaries."""
+    """Each distinct (open time, warmth) among the sessions one step closes
+    is scheduled once: those sessions share one ``schedule_stream`` result,
+    and each still gets its own startup, listener charges and segment
+    boundaries.  Two events at one instant are two steps, so sessions of one
+    (open time, warmth) that their two passes close are scheduled twice."""
 
     MODEL = {"form": "affine", "params": {"a": 0.8, "b": 0.5},
              "cold_start_extra": 1.25}
@@ -713,7 +716,26 @@ class TestSharedSchedules:
             model = replace(model, cold_start_extra=0.0)
         return schedule_stream(StreamSpec(closed - opened), model, 1.0)
 
-    def test_one_schedule_per_distinct_session(self, monkeypatch):
+    def same_instant(self) -> Scenario:
+        """At t = 10 G (es) leaves and B (en) takes the floor: the leave's
+        pass closes es and the hand-off's de and fr, all opened cold at 0."""
+        return replace(self.scenario(), events=[
+            ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+            ScenarioEvent(time=10.0, kind="leave", participant="G"),
+            ScenarioEvent(time=10.0, kind="speaker-change", participant="B"),
+        ])
+
+    SAME_INSTANT_SESSIONS = [
+        (0.0, 10.0, "es", True, []),  # G has left when es closes
+        (0.0, 10.0, "de", True, ["C"]),
+        (0.0, 10.0, "fr", True, ["D"]),
+        (10.0, 30.0, "de", False, ["C"]),
+        (10.0, 30.0, "fr", False, ["D"]),
+    ]
+
+    def counted_calls(self, monkeypatch, scenario: Scenario):
+        """The run's report and the (duration, cold start) of each
+        ``schedule_stream`` call it made."""
         calls = []
         original = simulator.schedule_stream
 
@@ -722,15 +744,30 @@ class TestSharedSchedules:
             return original(stream, model, segment_duration)
 
         monkeypatch.setattr(simulator, "schedule_stream", counted)
-        report = run_scenario(self.scenario())
+        return run_scenario(scenario), calls
+
+    def test_one_schedule_per_distinct_session(self, monkeypatch):
+        report, calls = self.counted_calls(monkeypatch, self.scenario())
         distinct = {(o, c, cold) for o, c, _, cold, _ in self.SESSIONS}
         assert len(report.series.turn_startups) == len(self.SESSIONS) == 11
         assert len(calls) == len(distinct) == 6
 
+    def test_one_schedule_per_step_at_one_instant(self, monkeypatch):
+        report, calls = self.counted_calls(monkeypatch, self.same_instant())
+        assert len(report.series.turn_startups) == 5
+        # (0 -> 10, cold) once in the leave's step and once in the hand-off's
+        assert calls.count((10.0, 1.25)) == 2
+        assert calls.count((20.0, 0.0)) == 1
+        assert len(calls) == 3
+
     def test_every_session_matches_its_own_schedule(self):
-        report = run_scenario(self.scenario())
+        self.check_sessions(self.scenario(), self.SESSIONS)
+        self.check_sessions(self.same_instant(), self.SAME_INSTANT_SESSIONS)
+
+    def check_sessions(self, scenario: Scenario, sessions: list) -> None:
+        report = run_scenario(scenario)
         startups, stalls, boundaries = [], {}, []
-        for opened, closed, language, cold, listeners in self.SESSIONS:
+        for opened, closed, language, cold, listeners in sessions:
             jobs, play = self.direct(opened, closed, cold)
             assert play.stall_total > 0.0
             startups.append({"time": opened, "language": language,
@@ -746,7 +783,7 @@ class TestSharedSchedules:
         assert report.series.listener_stalls == stalls
 
         # every boundary's stall, in report order, is the next sample's step
-        times = (0.0, 5.0, 10.0, 14.0, 17.0, 20.0, 30.0)
+        times = {0.0, scenario.run_duration, *(e.time for e in scenario.events)}
         states = [(t, 1, "", 0.0) for t in times]
         rows = sorted(boundaries + states, key=lambda row: row[:3])
         stalls_cum, expected = 0.0, []
@@ -1209,6 +1246,28 @@ class TestProperties:
             per_session_report(scenario)
         )
 
+    @given(scenario=st.one_of(meetings(), larger_meetings()))
+    @settings(max_examples=200, deadline=None)
+    def test_alloc_failures_counts_the_allocation_warnings(self, scenario):
+        """A row's ``alloc_failures`` is the number of allocation warnings
+        at its time or before.  A segment boundary at an event's time
+        belongs to the interval that ends there, so it sorts before that
+        time's state point and counts only the warnings before it."""
+        assume(not validate_scenario(scenario))
+        report = run_scenario(scenario)
+        pattern = re.compile(r"allocation failed for language \S+ at "
+                             r"t=(\S+) s \(pool capacity \d+\)")
+        failed = [float(m[1]) for m in map(pattern.fullmatch, report.warnings)
+                  if m]
+        assert failed == sorted(failed)
+        samples = report.series.samples
+        for row, after in zip(samples, [*samples[1:], None]):
+            when = row["time_s"]
+            last = after is None or after["time_s"] != when  # a state point
+            assert row["alloc_failures"] == sum(
+                t < when or (last and t == when) for t in failed)
+        assert samples[-1]["alloc_failures"] == len(failed)
+
 
 class TestListenerLedger:
     """A close records its stall on its language's ledger, and a member is
@@ -1306,3 +1365,61 @@ class TestListenerLedger:
             assert calls[0] <= len(closed)
             counts.append(calls[0])
         assert counts[0] == counts[1]
+
+
+class TestPinnedDefects:
+    """Today's report defects, pinned with exact values so that the change
+    that mends one must update its test on purpose.  Each names the
+    ROADMAP item that mends it."""
+
+    def test_handoff_3_charges_no_one_who_listened_before_taking_the_floor(self):
+        # ROADMAP item 6 (hand-off attribution): B listens to de during A's
+        # turns, but is settled before each hand-off's closes, so B is never
+        # charged
+        report = run_scenario(load_scenario(SCENARIO_DIR / "handoff_3.json"))
+        assert report.series.listener_stalls == {"A": 0.0, "C": 0.0}
+
+    def test_a_new_speakers_session_reaches_no_one(self):
+        # ROADMAP item 6 (hand-off attribution): the de session of A's turn
+        # stalls 6.3 s, which counts in the total but is charged to no one
+        scenario = Scenario(
+            participants=[("A", "en"), ("B", "de"), ("C", "fr")],
+            pool_capacity=4,
+            model_spec={"form": "affine", "params": {"a": 0.5, "b": 1.2}},
+            segment_duration=2.0,
+            run_duration=32.0,
+            events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=16.0, kind="speaker-change", participant="B"),
+            ],
+        )
+        report = run_scenario(scenario)
+        assert report.total_stall_seconds == 25.19999999999999
+        assert report.series.listener_stalls == {
+            "A": 6.299999999999997, "C": 12.599999999999994}
+
+    def test_a_boundary_after_its_sessions_close(self):
+        # ROADMAP item 6 (a boundary after its session's close): the last
+        # sample falls after the run's end
+        scenario = two_party(
+            model_spec={"form": "affine", "params": {"a": 0.05, "b": 0.5}},
+            segment_duration=0.2,
+            run_duration=0.7,
+            events=[ScenarioEvent(time=0.1, kind="speaker-change",
+                                  participant="A")],
+        )
+        report = run_scenario(scenario)
+        assert [row["time_s"] for row in report.series.samples] == [
+            0.0, 0.1, 0.30000000000000004, 0.5, 0.7, 0.7000000000000001]
+
+    def test_a_language_left_unserved_fails_once_per_pass(self):
+        # ROADMAP item 7 (one failure record per unserved interval): each of
+        # the four passes at t = 11 warns about ja again, and alloc_failures
+        # counts every warning of that instant
+        report = run_scenario(
+            load_scenario(GOLDEN_DIR / "churn_stalls_6.scenario.json"))
+        assert report.warnings.count(
+            "allocation failed for language ja at t=11 s (pool capacity 2)") == 4
+        counts = [(row["time_s"], row["alloc_failures"])
+                  for row in report.series.samples if 9 <= row["time_s"] <= 11]
+        assert counts[-3:] == [(11.0, 7), (11.0, 7), (11.0, 14)]
