@@ -21,12 +21,16 @@ The report is written in one loop over the run's steps: its start, each
 event and its end.  An event's step runs an orchestration pass; the end
 closes the sessions still open, in language order, as if their pipelines
 were decommissioned.  Every session closes at one place in the loop, which
-adds its startup, its listeners' stalls and its segment samples to the
-report, and each step ends with a state point; after the loop come only two
-sorts and the aggregate integrals.  The sessions of one turn open and close
-together, so they share one schedule: each distinct (open time, warmth)
-among the sessions one step closes is scheduled once.  A state point's
-``alloc_failures`` is the count of the run's allocation warnings so far.
+adds its startup and its listeners' stalls to the report, and each step
+ends with a state point.  The sessions of one turn open and close together,
+so they share one schedule: each distinct (open time, warmth) among the
+sessions one step closes is scheduled once, and its segment boundaries are
+kept once, with the languages of the sessions that closed on it.  After the
+loop, a sort by time orders those boundaries and the state points; at a
+time two schedules share, the boundaries are split into one per language,
+in language order.  Then come the rows, where a zero-stall boundary gives
+its languages one row.  A state point's ``alloc_failures`` is the count of
+the run's allocation warnings so far.
 
 Same-timestamp events apply in a fixed order — leaves, joins, language
 changes, speaker changes, each by participant id — which makes reports
@@ -42,8 +46,8 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
-from itertools import repeat
-from operator import add, itemgetter
+from itertools import compress, count, islice, repeat
+from operator import add, eq, itemgetter
 from typing import Optional, Union
 
 from .core import (
@@ -520,10 +524,11 @@ def _apply(roster: Roster, event: ScenarioEvent) -> None:
 # The event loop
 
 #: Most ``samples`` rows one run may make, at about 0.40 KB per distinct
-#: row and 0.09 KB per repeat of the row before it at the run's peak, while
+#: row and 0.01 KB per repeat of the row before it at the run's peak, while
 #: the report is built; writing it adds a bounded amount.
 #: A run whose estimate passes it is rejected before it starts, and a
-#: session whose boundaries would pass it ends the run.
+#: session whose boundaries would pass it ends the run: each session counts
+#: its own boundaries, though its turn's sessions share them.
 MAX_SAMPLE_ROWS = 1_500_000
 
 _SPEAKER_CHANGE = ScenarioEventKind.SPEAKER_CHANGE
@@ -538,6 +543,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         raise ScenarioError(
             "invalid scenario:\n" + "\n".join(f"  - {v}" for v in violations)
         )
+    digest = scenario_digest(scenario)  # before the report holds its rows
     segment_duration, warnings = resolve_segment_duration(
         model, scenario.segment_duration
     )
@@ -571,10 +577,12 @@ def run_scenario(scenario: Scenario) -> RunReport:
     # a plain running total in close order, as sum() adds on 3.10 and 3.11:
     # sum() compensates from 3.12 on, which would change the last bits
     total_stall = 0.0
-    # (time, 0, language, stall) per segment boundary; the state points,
-    # (time, 1, "", sample columns), join them after the loop
-    entries: list[tuple[float, int, str, object]] = []
-    points: list[tuple[float, int, str, tuple[int, float, float, int]]] = []
+    # (time, stall, the languages of the sessions that share it) per
+    # schedule boundary; the state points, (time, None, sample columns),
+    # join them after the loop
+    entries: list[tuple[float, Optional[float], object]] = []
+    points: list[tuple[float, None, tuple[int, float, float, int]]] = []
+    boundaries = 0  # of every session closed so far, shared or not
     failed: list[str] = []  # allocation warnings, reported after ``warnings``
 
     warm_model = (model if model.cold_start_extra == 0.0
@@ -601,7 +609,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     # scheduled once.
     for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),
                         (scenario.run_duration, None)]:
-        schedules: dict[tuple[float, bool], tuple[float, float, list, list]] = {}
+        schedules: dict[tuple[float, bool], tuple[float, float, list, list, list]] = {}
         if event is None:  # start or end, without a pass: the end closes all
             # a generator, not a list: the end is at the run's memory peak
             changes = (OrchestrationEvent(_DECOMMISSIONED, when, language)
@@ -663,10 +671,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 schedule = schedules[opened] = (
                     play.startup_delay, play.stall_total,
                     [started_at + job.available_at for job in jobs],
-                    [job.stall for job in jobs])
+                    [job.stall for job in jobs], [])
                 del jobs, play  # keep only the two float columns
-            startup_delay, stall_total, times, boundary_stalls = schedule
-            if len(entries) + len(times) + state_rows > MAX_SAMPLE_ROWS:
+            startup_delay, stall_total, times, _, names = schedule
+            boundaries += len(times)
+            if boundaries + state_rows > MAX_SAMPLE_ROWS:
                 raise ValidationError(
                     f"the report would pass the limit of {MAX_SAMPLE_ROWS} "
                     f"sample rows (simulator.MAX_SAMPLE_ROWS) when the "
@@ -677,8 +686,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
             })
             total_stall += stall_total
             ledger.setdefault(language, []).append(stall_total)
-            entries.extend(
-                zip(times, repeat(0), repeat(language), boundary_stalls))
+            names.append(language)
+        for _, _, times, boundary_stalls, names in schedules.values():
+            names.sort()
+            entries.extend(zip(times, boundary_stalls, repeat(names)))
 
         # the sample columns (k, token_cost, naive_cost, alloc_failures); a
         # later pass at the same time supersedes the earlier state
@@ -686,7 +697,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         naive = cost_naive(n, cost) if n >= 2 else 0.0
         if points and points[-1][0] == when:
             del points[-1]
-        points.append((when, 1, "", (k, cost.unit_cost * k, naive, len(failed))))
+        points.append((when, None, (k, cost.unit_cost * k, naive, len(failed))))
 
     if total_stall == math.inf:  # each listener's share is at most this
         raise ValidationError(
@@ -703,47 +714,74 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     series.turn_startups.sort(key=itemgetter("time", "language"))
 
-    # at equal times a boundary belongs to the interval that is ending, so it
-    # sorts before the state change.  (time, priority, language) order as
-    # stable sorts by one key each, least significant first: no key tuples.
-    entries.extend(points)
-    entries.sort(key=itemgetter(2))
-    entries.sort(key=itemgetter(1))
+    # Where two schedules put a boundary at one time, their languages
+    # interleave: that run becomes an entry per language, in language order
+    # (a stable sort: within one language, in close order).
     entries.sort(key=itemgetter(0))
+    times = list(map(itemgetter(0), entries))
+    ordered: list = []
+    done = 0
+    for start in compress(count(), map(eq, times, islice(times, 1, None))):
+        if start < done:
+            continue  # inside the last run
+        stop = start + 2
+        while stop < len(times) and times[stop] == times[start]:
+            stop += 1
+        ordered += entries[done:start]
+        ordered += sorted([(when, stall, (name,))
+                           for when, stall, names in entries[start:stop]
+                           for name in names], key=itemgetter(2))
+        done = stop
+    # at equal times a boundary belongs to the interval that is ending, so
+    # the stable sort keeps it before the state change
+    ordered += entries[done:]
+    ordered += points
+    ordered.sort(key=itemgetter(0))
+    entries = ordered
+    del times
     # Only a state point, which makes a new row, changes k and the costs,
     # and only a stall changes stalls_cum: so a zero-stall boundary at the
-    # previous row's own time object (a session sharing its turn's
-    # schedule) repeats that row.
-    k, token, naive, fails = points[0][3]
+    # previous row's own time object (a schedule's other languages) repeats
+    # that row.
+    k, token, naive, fails = points[0][2]
     stalls_cum = 0.0
     samples = series.samples
     row: dict = {"time_s": None}
-    for when, priority, _, payload in entries:
-        if priority == 1:
-            k, token, naive, fails = payload  # type: ignore[misc]
-        elif payload:  # a zero stall keeps the bits, so rows share the float
-            stalls_cum += payload  # type: ignore[operator]
-        elif when is row["time_s"]:
-            samples.append(row)
+    for when, stall, names in entries:
+        if stall:  # each language adds the stall and has a row of its own
+            for _ in names:
+                stalls_cum += stall
+                row = {
+                    "time_s": when, "k": k, "token_cost": token,
+                    "naive_cost": naive, "alloc_failures": fails,
+                    "stalls_cum": stalls_cum,
+                }
+                samples.append(row)
+            continue
+        if stall is None:  # a state point: ``names`` holds its columns
+            k, token, naive, fails = names
+            names = ("",)
+        elif when is row["time_s"]:  # a zero stall keeps the bits
+            samples += repeat(row, len(names))
             continue
         row = {
             "time_s": when, "k": k, "token_cost": token, "naive_cost": naive,
             "alloc_failures": fails, "stalls_cum": stalls_cum,
         }
-        samples.append(row)
+        samples += repeat(row, len(names))
 
     k_integral = token_integral = naive_integral = 0.0
-    for (when, _, _, (k, token, naive, _)), nxt in zip(points, points[1:]):
+    for (when, _, (k, token, naive, _)), nxt in zip(points, points[1:]):
         dt = nxt[0] - when
         k_integral += k * dt
         token_integral += token * dt
         naive_integral += naive * dt
 
     return RunReport(
-        scenario_digest=scenario_digest(scenario),
+        scenario_digest=digest,
         resolved_segment_duration=segment_duration,
         series=series,
-        max_k=max(point[3][0] for point in points),
+        max_k=max(point[2][0] for point in points),
         mean_k=k_integral / scenario.run_duration,
         total_stall_seconds=total_stall,
         cost_ratio=token_integral / naive_integral if naive_integral > 0 else 0.0,

@@ -58,10 +58,12 @@ LEDGER = ("tests/test_simulator.py::TestListenerLedger::"
 EXHAUSTIVE = ("tests/test_simulator_exhaustive.py::"
               "test_every_small_meeting_matches_per_session_scheduling"
               "[shared-listener]")
+TIED = ("tests/test_simulator.py::TestTiedBoundaries::"
+        "test_rows_interleave_by_language")
 _LOOP = ("    for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),\n"
          "                        (scenario.run_duration, None)]:\n")
 _SCHEDULES = ("        schedules: dict[tuple[float, bool], "
-              "tuple[float, float, list, list]] = {}\n")
+              "tuple[float, float, list, list, list]] = {}\n")
 
 MUTANTS = (
     Mutant("control: no edit", SIMULATOR,
@@ -131,17 +133,34 @@ MUTANTS = (
            "map(lambda a, b: a != b, items[1:], items)",
            ("tests/test_core.py::TestDumpsJson::test_runs_of_one_row_object",)),
     Mutant("the row repeated before a stall is added", SIMULATOR,
-           "        elif payload:  # a zero stall keeps the bits, so rows share the float\n"
-           "            stalls_cum += payload  # type: ignore[operator]\n"
-           "        elif when is row[\"time_s\"]:\n"
-           "            samples.append(row)\n"
-           "            continue\n",
-           "        elif when is row[\"time_s\"]:\n"
-           "            samples.append(row)\n"
+           "    for when, stall, names in entries:\n"
+           "        if stall:  # each language adds the stall and has a row of its own\n",
+           "    for when, stall, names in entries:\n"
+           "        if when is row[\"time_s\"]:\n"
+           "            samples += repeat(row, len(names))\n"
            "            continue\n"
-           "        elif payload:\n"
-           "            stalls_cum += payload  # type: ignore[operator]\n",
-           (f"{GOLDEN}[churn_stalls_6]",)),
+           "        if stall:\n",
+           (f"{TIED}[tau-1.3]",)),
+    # one entry per shared schedule boundary
+    Mutant("tied boundaries kept in schedule order", SIMULATOR,
+           "for name in names], key=itemgetter(2))",
+           "for name in names], key=lambda entry: 0)",
+           (f"{TIED}[tau-1.3]",)),
+    Mutant("a shared zero-stall boundary repeats its row once too often",
+           SIMULATOR,
+           "        samples += repeat(row, len(names))\n\n",
+           "        samples += repeat(row, len(names) + (len(names) > 1))\n\n",
+           ("tests/test_simulator.py::TestRepeatedRows::"
+            "test_rows_equal_the_per_entry_rows",)),
+    Mutant("the in-run row limit counted once per schedule", SIMULATOR,
+           "                del jobs, play  # keep only the two float columns\n"
+           "            startup_delay, stall_total, times, _, names = schedule\n"
+           "            boundaries += len(times)\n",
+           "                del jobs, play  # keep only the two float columns\n"
+           "                boundaries += len(schedule[2])\n"
+           "            startup_delay, stall_total, times, _, names = schedule\n",
+           ("tests/test_cli.py::TestSimulate::"
+            "test_sample_rows_bounded[languages3-21-fr]",)),
 )
 
 

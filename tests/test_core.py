@@ -140,6 +140,9 @@ class TestMeeting:
         assert roster.languages() == {"en", "de", "fr"}
         assert roster.ids_of(LanguageTag("en")) == {"a"}
 
+    def test_roster_repr_shows_its_members_by_normalized_tag(self):
+        assert repr(Roster({"a": " EN", "b": "de"})) == "Roster({'a': 'en', 'b': 'de'})"
+
     def test_pipeline_ids_are_sequential(self):
         m = Meeting(participants={"a": "en"}, pool_capacity=1)
         assert m.new_pipeline_id() == "pl0001"

@@ -240,6 +240,30 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(mset, "affine")  # negative slope is outside the model family
 
+    def test_durations_too_close_to_tell_apart(self):
+        # the squared deviations of 1e-200 and 2e-200 from their mean
+        # underflow to 0
+        mset = MeasurementSet(label="x")
+        mset.add(1e-200, 1.0)
+        mset.add(2e-200, 2.0)
+        with pytest.raises(ValidationError, match="affine form: x is constant"):
+            fit(mset, "affine")
+
+    def test_fit_auto_passes_insufficient_data_on(self):
+        mset = MeasurementSet(label="x")
+        mset.add(1.0, 2.0)
+        with pytest.raises(InsufficientDataError, match="got 1"):
+            fit_auto(mset)
+
+    def test_fit_auto_with_no_admissible_form(self):
+        # falling latencies: both forms fit a negative slope
+        mset = MeasurementSet(label="x")
+        for t, p in [(1.0, 5.0), (2.0, 3.0), (3.0, 1.0)]:
+            mset.add(t, p)
+        with pytest.raises(ValidationError,
+                           match="no admissible parametric fit for this data"):
+            fit_auto(mset)
+
     def test_fit_rejects_table_form(self):
         with pytest.raises(ValidationError):
             fit(fixture_set("A100"), "table")
@@ -287,6 +311,12 @@ class TestViabilitySolvers:
     def test_continuous_log_never_viable(self):
         m = LatencyModel(form="log", a=1000.0, b=1.0)
         assert t_opt_continuous(m) is None
+
+    def test_continuous_viable_down_to_the_search_floor(self):
+        # p(t) < t at every t the walk down tries, from 300 s halved while
+        # above 1e-6 s: the smallest one it tried is returned
+        m = LatencyModel(form="log", a=1e-7, b=1e-9)
+        assert t_opt_continuous(m) == 600.0 / 2**29  # 1.12e-6 s
 
     def test_continuous_table(self):
         model = table_model(fixture_set("T4"))

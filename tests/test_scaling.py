@@ -1,8 +1,10 @@
 """Scaling gates by counted work: one orchestration step costs the same at N
 and 10*N members, a membership pass the same at L and 10*L languages, and
 each scenario event the same in ``run_scenario`` and ``_check_scenario`` at
-N and 10*N members, and a table block the same to write whether each of its
-distinct rows is repeated 4 or 30 times.
+N and 10*N members, each segment boundary of a turn the same in
+``run_scenario`` whether 4 or 32 listener languages share it, and a table
+block the same to write whether each of its distinct rows is repeated 4 or
+30 times.
 
 Each step is a roster edit, if any, and the ``update_orchestration`` pass
 after it, as ``run_scenario`` makes them, on a meeting of 40 languages and
@@ -280,6 +282,35 @@ def test_check_scenario_costs_the_same_per_event_at_n_and_ten_n():
     assert _check_scenario(scenario_from_json(scenario(SIZES[0], True)))[0] == []
     costs = per_stretch(_check_scenario)
     assert costs[0] == costs[1], f"{costs} events at N = {SIZES}"
+
+
+def one_turn(languages: int, seconds: float) -> dict:
+    """A speaker and one listener in each of ``languages`` other languages,
+    a pool for all of them, and one turn of ``seconds`` at T = 1 s and tau =
+    0.7: every session shares the turn's schedule of ``seconds`` boundaries,
+    and none stalls."""
+    return {
+        "participants": [{"id": member(i), "language": f"m{i:03d}"}
+                         for i in range(languages + 1)],
+        "pool_capacity": languages,
+        "latency_model": {"form": "affine", "params": {"a": 0.2, "b": 0.5}},
+        "segment_duration": 1.0,
+        "run_duration": seconds,
+        "events": [{"time": 0.0, "kind": "speaker-change",
+                    "participant": SPEAKER}],
+    }
+
+
+def test_a_shared_boundary_costs_the_same_at_4_and_32_languages():
+    # per-boundary work: the count at 2M boundaries less the count at M
+    costs = []
+    for languages in (4, 32):
+        short, long = (scenario_from_json(one_turn(languages, seconds))
+                       for seconds in (40.0, 80.0))
+        run_scenario(long)  # fills the caches a first call fills
+        costs.append(counted(lambda: run_scenario(long))[0]
+                     - counted(lambda: run_scenario(short))[0])
+    assert costs[0] == costs[1], f"{costs} events at 4 and 32 languages"
 
 
 def test_a_run_of_one_row_object_is_written_once():

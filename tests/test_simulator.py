@@ -872,6 +872,48 @@ class TestRepeatedRows:
             expected, sort_keys=True, indent=2)
 
 
+class TestTiedBoundaries:
+    """Two schedules can put a boundary at one float time: here de, fr and
+    it open at t = 0 and es at t = 2, and with T = 1 s their boundaries
+    coincide from t = 3 on.  At such a time the rows go in language order,
+    de, es, fr, it, so the two schedules' languages interleave, and
+    ``stalls_cum`` adds the stalls in that order."""
+
+    def scenario(self, a: float) -> Scenario:
+        return Scenario(
+            participants=[("A", "en"), ("B", "de"), ("C", "fr"), ("E", "it")],
+            pool_capacity=8,
+            model_spec={"form": "affine", "params": {"a": a, "b": 0.5},
+                        "cold_start_extra": 1.25},
+            segment_duration=1.0,
+            run_duration=10.0,
+            events=[
+                ScenarioEvent(time=0.0, kind="speaker-change", participant="A"),
+                ScenarioEvent(time=2.0, kind="join", participant="D",
+                              language="es"),
+            ],
+        )
+
+    @pytest.mark.parametrize("a, stalled", [(0.8, True), (0.1, False)],
+                             ids=["tau-1.3", "tau-0.6"])
+    def test_rows_interleave_by_language(self, a, stalled):
+        scenario = self.scenario(a)
+        report = run_scenario(scenario)
+        assert (report.total_stall_seconds > 0.0) == stalled
+        samples = report.series.samples
+        expected = per_session_report(scenario)["samples"]
+        assert len(samples) == len(expected)
+        for row, fresh in zip(samples, expected):
+            assert row == fresh
+            assert float.hex(row["stalls_cum"]) == float.hex(fresh["stalls_cum"])
+        # the tie: four rows at t = 3, one per listener language
+        assert [row["time_s"] for row in samples].count(3.0) == 4
+        # a new dict on a stall or a new time object, else the row before
+        for before, after in zip(samples, samples[1:]):
+            assert (before is after) == (
+                before == after and before["time_s"] is after["time_s"])
+
+
 def replayed_violations(scenario: Scenario) -> list[str]:
     """The roster and event checks of ``validate_scenario`` as an independent
     replay over language strings, one branch per event kind."""
