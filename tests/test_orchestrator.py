@@ -10,6 +10,7 @@ after every transition.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,8 +41,11 @@ def oracle_required(
     return langs
 
 
-def make_meeting(members: dict[str, str], capacity: int) -> Meeting:
-    return Meeting(participants=members, pool_capacity=capacity)
+def make_meeting(
+    members: dict[str, str], capacity: int, translate_same_language: bool = False
+) -> Meeting:
+    return Meeting(participants=members, pool_capacity=capacity,
+                   translate_same_language=translate_same_language)
 
 
 def count(events, kind: EventKind) -> int:
@@ -60,9 +64,10 @@ class TestRequiredLanguages:
     def test_same_language_filter(self):
         m = make_meeting({"A": "en", "B": "en"}, 4)
         assert required_languages(m, "A") == set()
-        assert required_languages(m, "A", translate_same_language=True) == {
-            LanguageTag("en")
-        }
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4, True)
+        assert required_languages(m, "A") == {LanguageTag("en"), LanguageTag("de")}
+        # a lone speaker of their language gets no identity pipeline
+        assert required_languages(m, "C") == {LanguageTag("en")}
 
     def test_multiple_languages(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
@@ -143,11 +148,12 @@ class TestUpdateOrchestration:
         assert verify_invariants(m) == []
 
     def test_identity_translation_flag(self):
-        m = make_meeting({"A": "en", "B": "en"}, 4)
-        update_orchestration(m, "A", translate_same_language=True)
+        m = make_meeting({"A": "en", "B": "en"}, 4, translate_same_language=True)
+        update_orchestration(m, "A")
         assert set(m.pipelines) == {LanguageTag("en")}
+        assert m.raw_language is None
         assert m.bypass == {"A"}
-        assert verify_invariants(m, translate_same_language=True) == []
+        assert verify_invariants(m) == []
 
     def test_scarcity_fails_lexicographically_last(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr", "D": "fr"}, 2)
@@ -241,10 +247,10 @@ class TestUpdateOrchestration:
         assert verify_invariants(m) == []
 
     def test_outgoing_speaker_gets_the_reused_identity_pipeline(self):
-        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
-        update_orchestration(m, "A", translate_same_language=True)
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4, True)
+        update_orchestration(m, "A")
         en_pipe = m.pipelines[LanguageTag("en")]
-        _, events = update_orchestration(m, "C", translate_same_language=True)
+        _, events = update_orchestration(m, "C")
         assert m.delivery == {"A": en_pipe, "B": en_pipe}
         added = [e for e in events if e.kind is EventKind.ROUTE_ADDED]
         assert [(e.participant, e.pipeline_id) for e in added] == [("A", en_pipe)]
@@ -259,6 +265,18 @@ class TestUpdateOrchestration:
         assert m.delivery == {"C": de_pipe, "D": de_pipe}
         with pytest.raises(TypeError):
             Meeting(participants={"A": "en"}, pool_capacity=1, delivery={})
+
+    def test_raw_language_is_derived_from_the_source_and_the_mode(self):
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
+        update_orchestration(m, "A")
+        assert m.raw_language == LanguageTag("en")
+        m.translate_same_language = True
+        assert m.raw_language is None
+        assert m.bypass == {"A"}
+        with pytest.raises(AttributeError):
+            m.raw_language = LanguageTag("en")
+        with pytest.raises(TypeError):
+            Meeting(participants={"A": "en"}, pool_capacity=1, raw_language=None)
 
     def test_a_join_pass_reads_no_member_of_the_speakers_language(self):
         m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
@@ -346,37 +364,54 @@ class TestVerifyInvariants:
 
     def test_speaker_consuming_a_pipeline(self):
         # the speaker is never delivered, even from an identity pipeline
-        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
-        update_orchestration(m, "A", translate_same_language=True)
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4, True)
+        update_orchestration(m, "A")
         assert set(m.delivery) == {"B", "C"}
         # a speaker stored without a pass, whose language has a pipeline
         m = self._orchestrated()
         m.active_speaker = "B"
         assert "B" not in m.delivery
         assert verify_invariants(m) == [
-            "the raw stream reaches language 'en', expected 'de'",
+            "the pipelines translate from 'en', expected 'de'",
             "pipelines kept for unrequired languages: de",
         ]
 
     def test_raw_stream_to_another_language(self):
         m = self._orchestrated()
-        m.raw_language = LanguageTag("de")
-        assert "the raw stream reaches language 'de', expected 'en'" in (
+        m.source_language = LanguageTag("de")
+        assert m.bypass == {"A", "B"}
+        assert "the pipelines translate from 'de', expected 'en'" in (
             verify_invariants(m))
 
     def test_raw_stream_under_identity_translation(self):
-        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4)
-        update_orchestration(m, "A", translate_same_language=True)
-        assert verify_invariants(m, translate_same_language=True) == []
-        m.raw_language = LanguageTag("en")
-        assert "the raw stream reaches language 'en', expected None" in (
-            verify_invariants(m, translate_same_language=True))
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4, True)
+        update_orchestration(m, "A")
+        assert verify_invariants(m) == []
+        assert m.bypass == {"A"}
+        m.source_language = LanguageTag("de")
+        assert m.bypass == {"A"}  # no raw stream reaches de either
+        assert verify_invariants(m) == [
+            "the pipelines translate from 'de', expected 'en'"]
+
+    def test_stale_source_under_identity_translation(self):
+        # A changes language with no pass since: no raw stream is misrouted,
+        # yet every pipeline still translates from en
+        m = make_meeting({"A": "en", "B": "en", "C": "de"}, 4, True)
+        update_orchestration(m, "A")
+        m.participants["A"] = "fr"
+        assert m.bypass == {"A"}
+        expected = ["the pipelines translate from 'en', expected 'fr'"]
+        assert verify_invariants(m) == expected
+        # the keyword is ignored, and warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_invariants(m, translate_same_language=False) == expected
 
     def test_raw_stream_left_on_after_the_speaker_leaves(self):
         m = self._orchestrated()
         del m.participants["A"]
         m.active_speaker = None  # no pass since
-        assert "the raw stream reaches language 'en', expected None" in (
+        assert "the pipelines translate from 'en', expected None" in (
             verify_invariants(m))
 
     def test_speaker_who_left_with_no_pass_since(self):
@@ -385,7 +420,7 @@ class TestVerifyInvariants:
         del m.participants["A"]
         assert verify_invariants(m) == [
             "active speaker 'A' is not a member",
-            "the raw stream reaches language 'en', expected None",
+            "the pipelines translate from 'en', expected None",
             "pipelines kept for unrequired languages: de",
         ]
 
@@ -451,10 +486,10 @@ class TestVerifyInvariants:
         m = make_meeting({"A": "en", "B": "de", "C": "de"}, 2)
         update_orchestration(m, "A")
         assert verify_invariants(m) == []
-        m.raw_language = LanguageTag("de")
+        m.source_language = LanguageTag("de")
         assert m.bypass == {"A", "B", "C"}
         assert verify_invariants(m) == [
-            "the raw stream reaches language 'de', expected 'en'"]
+            "the pipelines translate from 'de', expected 'en'"]
 
     def test_over_capacity(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 2)
@@ -652,7 +687,7 @@ class TestRosterIndex:
         self, members, capacity, translate_same_language, data
     ):
         # Roster edits in place, as the simulator makes them, then a pass.
-        m = make_meeting(members, capacity)
+        m = make_meeting(members, capacity, translate_same_language)
         speaker = None
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
             op = data.draw(
@@ -679,17 +714,13 @@ class TestRosterIndex:
                 if pid == speaker:
                     speaker = None
             outgoing = m.active_speaker
-            _, events = update_orchestration(
-                m, speaker, translate_same_language=translate_same_language
-            )
+            _, events = update_orchestration(m, speaker)
             expected = scratch_delivery(m, speaker, translate_same_language)
             added = [e.participant for e in events if e.kind is EventKind.ROUTE_ADDED]
             assert added == ([outgoing] if outgoing in expected
                              and outgoing != speaker else [])
             assert m.delivery == expected
-            assert verify_invariants(
-                m, translate_same_language=translate_same_language
-            ) == []
+            assert verify_invariants(m) == []
 
 
 def reference_pass(
@@ -772,8 +803,9 @@ class TestAgainstTheFullPass:
     def test_events_and_state_match_the_full_pass(
         self, members, capacity, translate_same_language, data
     ):
-        # Both meetings read one roster.
-        m = make_meeting(members, capacity)
+        # Both meetings read one roster; the reference is told the mode
+        # by argument, not by the field under test.
+        m = make_meeting(members, capacity, translate_same_language)
         reference = Meeting(participants=m.participants, pool_capacity=capacity)
         ids = [f"p{i}" for i in range(10)]
         speaker = None
@@ -806,10 +838,7 @@ class TestAgainstTheFullPass:
             # then the floor: kept, released or handed to anyone present
             speaker = data.draw(st.sampled_from(
                 [speaker, None, *sorted(m.participants)]))
-            _, events = update_orchestration(
-                m, speaker, time=float(step),
-                translate_same_language=translate_same_language,
-            )
+            _, events = update_orchestration(m, speaker, time=float(step))
             expected, hears_raw = reference_pass(
                 reference, speaker, time=float(step),
                 translate_same_language=translate_same_language,

@@ -48,6 +48,7 @@ from streamring.simulator import (
     run_scenario,
     save_scenario,
     scenario_digest,
+    scenario_from_json,
     scenario_to_json,
     sweep_cost,
     validate_scenario,
@@ -559,6 +560,9 @@ class TestScenarioFiles:
         again = load_scenario(path)
         assert again == scenario
         assert scenario_digest(again) == scenario_digest(scenario)
+        # a library caller's tag, a str subclass, is read field by field
+        tagged = two_party(participants=[("A", LanguageTag("en")), ("B", "de")])
+        assert scenario_from_json(scenario_to_json(tagged)) == tagged
 
     @pytest.mark.parametrize(
         "source",
@@ -988,6 +992,7 @@ def per_session_report(scenario: Scenario) -> dict:
     meeting = Meeting(
         participants=dict(scenario.participants),
         pool_capacity=scenario.pool_capacity,
+        translate_same_language=scenario.translate_same_language,
     )
     warm = replace(model, cold_start_extra=0.0)
     series = MetricsSeries()
@@ -1025,10 +1030,7 @@ def per_session_report(scenario: Scenario) -> dict:
             states.append(point)
 
     def orchestrate(when, speaker, turnover):
-        _, events = update_orchestration(
-            meeting, speaker, time=when,
-            translate_same_language=scenario.translate_same_language,
-        )
+        _, events = update_orchestration(meeting, speaker, time=when)
         for event in events:
             if event.kind is EventKind.PIPELINE_DECOMMISSIONED:
                 close(event.language, when)
