@@ -340,7 +340,10 @@ class Meeting:
     the only record of live pipelines: a pipeline is live exactly while the
     map names it, and pool occupancy is derived from the map's size.  Every
     live pipeline translates from ``source_language``, the speaker's
-    language at the last pass (None with no one on the floor).
+    language at the last pass (None with no one on the floor), and
+    ``unserved`` holds the required languages that pass left without a
+    pipeline; only ``update_orchestration`` writes either, and ``unserved``
+    is no constructor argument.
     ``raw_language``, each listener's pipeline (``delivery``) and the
     ``bypass`` ids are read-only properties, derived from these on each
     read, never stored, so they reflect the current roster and pipelines
@@ -355,6 +358,7 @@ class Meeting:
     pipelines: dict[LanguageTag, str] = field(default_factory=dict)
     source_language: Optional[LanguageTag] = None
     pipeline_seq: int = 0
+    unserved: frozenset[LanguageTag] = field(default=frozenset(), init=False)
 
     def __post_init__(self) -> None:
         if self.pool_capacity < 0:

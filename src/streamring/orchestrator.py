@@ -9,14 +9,17 @@ The transition is deterministic: languages are visited in normalized
 lexicographic order, stale pipelines are released before new ones are
 allocated (so scarce slots reach newly required languages), and a full pool
 produces an allocation-failed event for the affected language instead of
-aborting the pass.  Listeners who share the speaker's language receive the
-raw stream via bypass unless the meeting's ``translate_same_language`` mode
-gives them an identity pipeline.  Decommissioning a pipeline drops its
-entry from ``Meeting.pipelines``, the one record of live pipelines.
+aborting the pass; the error is logged once per unserved interval, by the
+pass that leaves the language unserved after one that did not.  Listeners
+who share the speaker's language receive the raw stream via bypass unless
+the meeting's ``translate_same_language`` mode gives them an identity
+pipeline.  Decommissioning a pipeline drops its entry from
+``Meeting.pipelines``, the one record of live pipelines.
 
 A pass costs O(k + L), never a scan of the roster: the required languages
 come from the roster's language index in O(L), and a pass stores only the
-speaker, the live pipelines and their source language.  The language that
+speaker, the live pipelines, their source language and the required
+languages left without one (``Meeting.unserved``).  The language that
 hears the raw stream (``Meeting.raw_language``), each listener's pipeline
 (``Meeting.delivery``) and the ids that hear the raw stream are read-only
 properties, derived on each read from those, the mode and the roster, so
@@ -159,14 +162,15 @@ def update_orchestration(
             events.append(_event((
                 _ALLOCATED, time, language, pipelines[language], None, False)))
 
-    if unserved:
-        # one record per pass, not per language: a LogRecord is built for
-        # each call even when no handler will emit it
-        logger.error(
-            "no free pipeline slot for languages %s (capacity %d)",
-            ", ".join(unserved),
-            meeting.pool_capacity,
-        )
+    # one record per unserved interval, not per pass: a LogRecord is built
+    # for each call even when no handler will emit it
+    kept = meeting.unserved
+    if unserved or kept:
+        meeting.unserved = frozenset(unserved)
+        opened = [language for language in unserved if language not in kept]
+        if opened:
+            logger.error("no free pipeline slot for languages %s (capacity %d)",
+                         ", ".join(opened), meeting.pool_capacity)
 
     if new_speaker is not None:
         events.append(_event((
@@ -189,9 +193,10 @@ def verify_invariants(
     Returns human-readable violation descriptions; an empty list means the
     state is consistent.  Violations are data, not errors: the checker never
     raises on bad state.  It checks what a pass stores (the speaker,
-    ``source_language``, ``pipelines`` and the pool) and costs O(k + L):
-    ``raw_language`` and each listener's pipeline are derived from those,
-    the meeting's mode and the roster, so they have nothing to check.
+    ``source_language``, ``pipelines``, ``unserved`` and the pool) and
+    costs O(k + L): ``raw_language`` and each listener's pipeline are
+    derived from those, the meeting's mode and the roster, so they have
+    nothing to check.
     ``translate_same_language`` is ignored, the meeting holding the mode;
     it is accepted, without a warning, for the benchmark's checked pass.
     """
@@ -231,4 +236,13 @@ def verify_invariants(
         )
     if len(set(pipelines.values())) != len(pipelines):
         violations.append("a pipeline id serves more than one language")
+
+    # 3. The unserved record: the required languages without a pipeline.
+    unserved = required - mapped
+    if meeting.unserved != unserved:
+        violations.append(
+            f"languages recorded as unserved: "
+            f"{', '.join(sorted(meeting.unserved)) or 'none'}, expected "
+            f"{', '.join(sorted(unserved)) or 'none'}"
+        )
     return violations

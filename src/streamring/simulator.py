@@ -610,6 +610,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),
                         (scenario.run_duration, None)]:
         schedules: dict[tuple[float, bool], tuple[float, float, list, list, list]] = {}
+        suffix = None  # of this step's allocation warnings, made at the first
         if event is None:  # start or end, without a pass: the end closes all
             # a generator, not a list: the end is at the run's memory peak
             changes = (OrchestrationEvent(_DECOMMISSIONED, when, language)
@@ -649,9 +650,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
                 reopen_cold = change.reinitialized
             else:
                 if kind is _ALLOCATION_FAILED:
+                    if suffix is None:
+                        suffix = (f" at t={when:g} s "
+                                  f"(pool capacity {meeting.pool_capacity})")
                     failed.append(
-                        f"allocation failed for language {change.language} at "
-                        f"t={when:g} s (pool capacity {meeting.pool_capacity})")
+                        "allocation failed for language " + change.language + suffix)
                 continue
             language = change.language
             opened = open_sessions.pop(language, None)

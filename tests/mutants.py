@@ -187,6 +187,23 @@ MUTANTS = (
             "test_stale_source_under_identity_translation",
             f"{ORCHESTRATION}TestVerifyInvariants::"
             "test_listener_moved_onto_the_raw_stream")),
+    # one log record per unserved interval
+    Mutant("log on every pass that fails", ORCHESTRATOR,
+           "opened = [language for language in unserved if language not in kept]",
+           "opened = unserved",
+           (f"{ORCHESTRATION}TestUpdateOrchestration::"
+            "test_one_log_record_per_unserved_interval",
+            "tests/test_scaling.py::test_a_membership_pass_that_opens_no_"
+            "interval_builds_no_log_record[40-join]",
+            "tests/test_simulator.py::TestMembershipDynamics::"
+            "test_an_unserved_language_is_logged_once_per_interval")),
+    Mutant("verify_invariants' unserved check removed", ORCHESTRATOR,
+           "    if meeting.unserved != unserved:\n",
+           "    if False:\n",
+           (f"{ORCHESTRATION}TestVerifyInvariants::"
+            "test_unserved_record_out_of_step",
+            f"{ORCHESTRATION}TestVerifyInvariants::"
+            "test_listener_fed_another_language")),
 )
 
 

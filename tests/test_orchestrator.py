@@ -10,6 +10,7 @@ after every transition.
 from __future__ import annotations
 
 import itertools
+import logging
 import warnings
 
 import pytest
@@ -28,6 +29,8 @@ from streamring.orchestrator import (
     update_orchestration,
     verify_invariants,
 )
+
+logger = logging.getLogger("streamring.orchestrator")
 
 # -- brute-force oracle -----------------------------------------------------
 
@@ -165,19 +168,54 @@ class TestUpdateOrchestration:
                               "D": m.pipelines[LanguageTag("fr")]}
         assert verify_invariants(m) == []
 
-    def test_one_log_record_per_pass(self, caplog):
+    def test_one_log_record_per_unserved_interval(self, caplog):
+        # pool 1: each step's pass, the languages its record names (none:
+        # no record) and the languages it leaves unserved, which its
+        # allocation-failed events name at every pass
         m = make_meeting({"A": "en", "B": "ja", "C": "tr", "D": "fr", "E": "de"}, 1)
-        with caplog.at_level("ERROR", logger="streamring.orchestrator"):
-            _, events = update_orchestration(m, "A")
-        failed = [e.language for e in events if e.kind is EventKind.ALLOCATION_FAILED]
-        assert failed == [LanguageTag(code) for code in ("fr", "ja", "tr")]
-        assert [r.getMessage() for r in caplog.records] == [
-            "no free pipeline slot for languages fr, ja, tr (capacity 1)"
+
+        def join(pid, language):
+            m.participants[pid] = language
+            return m.active_speaker
+
+        def leave(pid):
+            del m.participants[pid]
+            return m.active_speaker
+
+        steps = [
+            # the interval opens: de takes the slot, three languages fail
+            (lambda: "A", "fr, ja, tr", "fr ja tr"),
+            # a membership pass keeps them unserved: no record
+            (lambda: join("F", "ja"), None, "fr ja tr"),
+            # a hand-off to tr's one speaker drops tr from the required set
+            # and opens en
+            (lambda: "C", "en", "en fr ja"),
+            # de's one member leaves and en, first in order, takes the slot
+            (lambda: leave("E"), None, "fr ja"),
+            # back to A: en's slot goes to fr, and tr is required again
+            (lambda: "A", "tr", "ja tr"),
+            # fr's one member leaves and ja is served: partly served
+            (lambda: leave("D"), None, "tr"),
+            # tr's one member leaves: the interval closes
+            (lambda: leave("C"), None, ""),
+            # and reopens when tr is required again
+            (lambda: join("C", "tr"), "tr", "tr"),
+            # releasing the floor closes every interval
+            (lambda: None, None, ""),
+            (lambda: "A", "tr", "tr"),
         ]
-        caplog.clear()
-        with caplog.at_level("ERROR", logger="streamring.orchestrator"):
-            update_orchestration(m, None)  # nothing required, nothing logged
-        assert caplog.records == []
+        for index, (step, named, unserved) in enumerate(steps):
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="streamring.orchestrator"):
+                _, events = update_orchestration(m, step())
+            assert [r.getMessage() for r in caplog.records] == (
+                [] if named is None else
+                [f"no free pipeline slot for languages {named} (capacity 1)"]
+            ), index
+            assert [e.language for e in events
+                    if e.kind is EventKind.ALLOCATION_FAILED] == unserved.split()
+            assert m.unserved == {LanguageTag(code) for code in unserved.split()}
+            assert verify_invariants(m) == []
 
     def test_failed_language_retried_after_slot_frees(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr", "D": "fr"}, 2)
@@ -374,6 +412,7 @@ class TestVerifyInvariants:
         assert verify_invariants(m) == [
             "the pipelines translate from 'en', expected 'de'",
             "pipelines kept for unrequired languages: de",
+            "languages recorded as unserved: none, expected en",
         ]
 
     def test_raw_stream_to_another_language(self):
@@ -424,6 +463,19 @@ class TestVerifyInvariants:
             "pipelines kept for unrequired languages: de",
         ]
 
+    def test_unserved_record_out_of_step(self):
+        # fr fails to allocate: the record holds exactly the required
+        # languages without a pipeline
+        m = make_meeting({"A": "en", "B": "de", "C": "fr"}, 1)
+        update_orchestration(m, "A")
+        assert m.unserved == {LanguageTag("fr")}
+        m.unserved = frozenset()
+        assert verify_invariants(m) == [
+            "languages recorded as unserved: none, expected fr"]
+        m.unserved = frozenset({LanguageTag("de"), LanguageTag("fr")})
+        assert verify_invariants(m) == [
+            "languages recorded as unserved: de, fr, expected fr"]
+
     def test_duplicate_pipeline_for_language(self):
         m = self._orchestrated()
         pipeline_map = m.pipelines
@@ -453,7 +505,9 @@ class TestVerifyInvariants:
         assert pid not in m.delivery.values()
         assert "B" not in m.delivery
         assert verify_invariants(m) == [
-            "1 pipelines for 2 required languages with free slots remaining"]
+            "1 pipelines for 2 required languages with free slots remaining",
+            "languages recorded as unserved: none, expected de",
+        ]
 
     def test_listener_fed_another_language(self):
         # fr failed to allocate, so C is undelivered until C switches to de
@@ -463,6 +517,11 @@ class TestVerifyInvariants:
         assert m.delivery == {"B": "pl0001"}
         m.participants["C"] = "de"
         assert m.delivery == {"B": "pl0001", "C": "pl0001"}
+        # fr is no longer required, but only a pass rewrites the record
+        assert verify_invariants(m) == [
+            "languages recorded as unserved: fr, expected none"]
+        update_orchestration(m, "A")
+        assert m.unserved == frozenset()
         assert verify_invariants(m) == []
         # a pipeline map that feeds fr the de pipeline
         m.participants["C"] = "fr"
@@ -728,7 +787,8 @@ def reference_pass(
 ) -> tuple[list[OrchestrationEvent], set[str]]:
     """The O(N) pass: the required languages counted over the whole roster.
     Returns its events and the ids that hear the raw stream, found by a
-    scan of the roster."""
+    scan of the roster, and stores the required languages left without a
+    pipeline as ``meeting.unserved``."""
     events: list[OrchestrationEvent] = []
     roster = meeting.participants
     required: set[LanguageTag] = set()
@@ -763,6 +823,8 @@ def reference_pass(
             events.append(OrchestrationEvent(
                 kind=EventKind.PIPELINE_ALLOCATED, time=time,
                 language=language, pipeline_id=pipelines[language]))
+    meeting.unserved = frozenset(
+        lang for lang in required if lang not in pipelines)
     bypass: set[str] = set()
     if new_speaker is not None:
         bypass.add(new_speaker)
@@ -789,7 +851,19 @@ def scanned_delivery(m: Meeting) -> dict[str, str]:
 
 
 def state_of(m: Meeting) -> tuple:
-    return (m.active_speaker, m.pipelines, m.source_language, m.pipeline_seq)
+    return (m.active_speaker, m.pipelines, m.source_language, m.pipeline_seq,
+            m.unserved)
+
+
+class ErrorMessages(logging.Handler):
+    """The messages of the error records that reach it, in order."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
 
 
 class TestAgainstTheFullPass:
@@ -838,12 +912,23 @@ class TestAgainstTheFullPass:
             # then the floor: kept, released or handed to anyone present
             speaker = data.draw(st.sampled_from(
                 [speaker, None, *sorted(m.participants)]))
-            _, events = update_orchestration(m, speaker, time=float(step))
+            handler = ErrorMessages()
+            logger.addHandler(handler)
+            try:
+                _, events = update_orchestration(m, speaker, time=float(step))
+            finally:
+                logger.removeHandler(handler)
+            unserved = reference.unserved
             expected, hears_raw = reference_pass(
                 reference, speaker, time=float(step),
                 translate_same_language=translate_same_language,
             )
             assert events == expected
+            # one record, naming the languages unserved since this pass
+            opened = ", ".join(sorted(reference.unserved - unserved))
+            assert handler.messages == ([
+                f"no free pipeline slot for languages {opened} "
+                f"(capacity {capacity})"] if opened else [])
             assert state_of(m) == state_of(reference)
             assert m.bypass == hears_raw
             assert m.delivery == scanned_delivery(reference)

@@ -11,9 +11,11 @@ after it, as ``run_scenario`` makes them, on a meeting of 40 languages and
 a pool of 32.  A membership pass (a join, a leave or a language change that
 keeps the floor) visits only the languages it changes and those still
 unserved, so it is also counted at 40 and 400 languages, with eight
-languages left without a pipeline.  A run's per-event work is the count of
-a run with a stretch of events less the count of the same run without it,
-so the checks and settlement that walk the roster once cancel out.
+languages left without a pipeline; at both counts, such a pass that opens
+no unserved interval builds no ``LogRecord``.  A run's per-event work is
+the count of a run with a stretch of events less the count of the same run
+without it, so the checks and settlement that walk the roster once cancel
+out.
 
 The count is every ``sys.setprofile`` event (Python calls and returns, C
 calls and returns) plus every ``sys.settrace`` line event, so a Python loop
@@ -32,6 +34,7 @@ Wall-clock time would see it, but is too noisy to gate on here.
 from __future__ import annotations
 
 import gc
+import logging
 import sys
 from typing import Callable
 
@@ -227,6 +230,29 @@ def test_a_membership_pass_costs_the_same_at_l_and_ten_l(name):
         f"{name}: {counts} events at L = {LANGUAGE_COUNTS}")
     assert kinds[0] == kinds[1]
     assert "pipeline-reused" not in kinds[0]
+
+
+@pytest.mark.parametrize("name", list(MEMBERSHIP_PASSES))
+@pytest.mark.parametrize("languages", LANGUAGE_COUNTS)
+def test_a_membership_pass_that_opens_no_interval_builds_no_log_record(
+        languages, name, monkeypatch):
+    # the first pass opens seven unserved intervals in one record; a
+    # membership pass that keeps them, or serves one, builds none
+    messages = []
+    make_record = logging.Logger.makeRecord
+
+    def counting(self, *args, **kwargs):
+        record = make_record(self, *args, **kwargs)
+        messages.append(record.getMessage())
+        return record
+
+    monkeypatch.setattr(logging.Logger, "makeRecord", counting)
+    m = one_member_per_language(languages)
+    unserved = ", ".join(f"m{i:03d}" for i in range(languages - 7, languages))
+    assert messages == [f"no free pipeline slot for languages {unserved} "
+                        f"(capacity {languages - 8})"]
+    MEMBERSHIP_PASSES[name](m)
+    assert len(messages) == 1
 
 
 def scenario(n: int, stretch: bool) -> dict:

@@ -444,6 +444,21 @@ class TestMembershipDynamics:
         assert [(t["time"], t["language"], t["cold"]) for t in startups] == [
             (0.0, "de", True), (0.0, "fr", True), (9.0, "fr", False)]
 
+    def test_an_unserved_language_is_logged_once_per_interval(self, caplog):
+        # ja is unserved from its first member's join at 3.5 s until the
+        # floor is released at 17.5 s, and again from 20 s until that member
+        # leaves at 31.1 s: two records, while the report still warns once
+        # per pass, four times at t = 11 alone (ROADMAP item 7)
+        with caplog.at_level("ERROR", logger="streamring.orchestrator"):
+            report = run_scenario(
+                load_scenario(GOLDEN_DIR / "churn_stalls_6.scenario.json"))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"no free pipeline slot for languages {code} (capacity 2)"
+            for code in ("zh", "ja", "es", "fr", "de", "ja", "tr")]
+        assert report.warnings.count(
+            "allocation failed for language ja at t=11 s (pool capacity 2)") == 4
+        assert sum("language ja " in w for w in report.warnings) == 11
+
 
 class TestLaggingModel:
     def test_stalls_accrue_to_listener(self):
