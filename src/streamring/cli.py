@@ -311,9 +311,8 @@ def cmd_topt(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    with _relay_warnings():
-        report = run_scenario(scenario)
+    with _relay_warnings():  # the scenario is freed before rendering
+        report = run_scenario(load_scenario(args.scenario))
     payload = report_to_json(report)
     samples = payload["samples"]
     if args.csv is not None:

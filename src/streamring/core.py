@@ -63,9 +63,10 @@ def read_json(path) -> object:
 _SCALARS = frozenset({str, LanguageTag, int, float, bool, type(None)})
 
 
-#: Rows of a table encoded together.  A block's per-value and per-row
-#: strings are freed once the block is written, so rendering a table takes
-#: memory that does not grow with its length.
+#: Items of a list, such as a table's rows, encoded together.  A block's
+#: per-value and per-row strings are freed before its joined text is
+#: written, and that text before the next block is encoded, so rendering a
+#: list takes memory that does not grow with its length.
 _BLOCK_ROWS = 256
 
 
@@ -74,13 +75,14 @@ def dump_json(payload: object, fh: TextIO) -> None:
     byte for byte, each piece as soon as it is made, like ``json.dump``.
 
     Any ``indent`` makes ``json.dumps`` use its pure-Python encoder, so this
-    encodes each container of scalars in one C call whose item separator is
-    the newline and indent, then pads the brackets.  The C encoder escapes
+    encodes each dict of scalars in one C call whose item separator is the
+    newline and indent, then pads the braces.  The C encoder escapes
     ``\\n`` inside strings, so a literal newline can only be a separator.  A
-    list of dicts (such as a report's ``samples``) is written in blocks of
-    ``_BLOCK_ROWS`` rows, each block cut into runs of one row object (a
-    report's consecutive equal ``samples`` rows are one dict), and each
-    run's head encoded once.  If the heads share one non-empty set of
+    list is written in blocks of ``_BLOCK_ROWS`` items: a block of scalars
+    (such as a report's ``warnings``) in one such C call, and a block of
+    dicts (such as a report's ``samples``) cut into runs of one row object (a
+    report's consecutive equal ``samples`` rows are one dict), each run's
+    head encoded once.  If the heads share one non-empty set of
     ``str`` keys and hold only scalars, they are encoded by columns, one C
     call per column for the heads of its runs of one object (see
     ``_table``), interleaved with the key prefixes row by row; any other
@@ -132,7 +134,7 @@ def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
         return
     inner = nl + "  "
     items = _types(value.values() if kind is dict else value)
-    if items <= _SCALARS:
+    if kind is dict and items <= _SCALARS:
         text = _flat(value, inner)
         write(text[0] + inner + text[1:-1] + nl + text[-1])
         return
@@ -146,21 +148,31 @@ def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
         return
     opener = "[" + inner
     for start in range(0, len(value), _BLOCK_ROWS):
-        block = value[start:start + _BLOCK_ROWS]
-        texts = None
-        if items == {dict}:  # a run of one row object is encoded once
-            starts, heads = _runs(block)
-            texts = _table(heads, inner)
-        if texts is not None:
-            write(opener + ("," + inner).join(
-                _repeated(texts, starts, len(block))))
+        stop = start + _BLOCK_ROWS
+        text = None  # the last block's text is freed first
+        if items <= _SCALARS:
+            text = _flat(value[start:stop], inner)[1:-1]
+        elif items == {dict}:  # a run of one row object is encoded once
+            text = _rows(value[start:stop], inner)
+        if text is not None:
+            write(opener)
+            write(text)
             opener = "," + inner
         else:
-            for item in block:
+            for item in value[start:stop]:
                 write(opener)
                 _write(item, inner, write)
                 opener = "," + inner
     write(nl + "]")
+
+
+def _rows(block: list, nl: str) -> Optional[str]:
+    """The dicts ``block`` in ``_table``'s texts, joined by ``,`` + ``nl``,
+    or None when ``_table`` declines them; the row texts die on return."""
+    starts, heads = _runs(block)
+    texts = _table(heads, nl)
+    return None if texts is None else ("," + nl).join(
+        _repeated(texts, starts, len(block)))
 
 
 def _runs(items: list) -> tuple[list[int], list]:

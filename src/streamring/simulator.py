@@ -51,6 +51,7 @@ from operator import add, eq, itemgetter
 from typing import Optional, Union
 
 from .core import (
+    _BLOCK_ROWS,
     CostModel,
     LanguageTag,
     Meeting,
@@ -291,30 +292,50 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write("\n")
 
 
+#: The canonical encoder, and one whose item separator ``",\n"`` is only
+#: ever a separator: the C encoder escapes a newline inside a string.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_CELLS = json.JSONEncoder(sort_keys=True, separators=(",\n", ":")).encode
+
+
 def scenario_digest(scenario: Scenario) -> str:
     """The SHA-256 of the scenario's canonical JSON, ``json.dumps(
-    scenario_to_json(scenario), sort_keys=True, separators=(",", ":"))``.
-
-    The participants, most of a large scenario, are not built as dicts for
-    the encoder to sort: the ids and the languages are each encoded in one
-    C call, split on the item separator ``",\\n"`` (the C encoder escapes
-    a newline inside a string) and joined into the fixed
-    ``{"id":…,"language":…}`` text."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    cells = json.JSONEncoder(sort_keys=True, separators=(",\n", ":")).encode
+    scenario_to_json(scenario), sort_keys=True, separators=(",", ":"))``,
+    fed to the hash a key at a time and the participants ``_BLOCK_ROWS``
+    at a time, so that it takes memory that does not grow with them."""
+    digest = hashlib.sha256()
     pairs = scenario.participants
-    ids = cells([pid for pid, _ in pairs])[1:-1].split(",\n")
-    languages = cells([lang for _, lang in pairs])[1:-1].split(",\n")
-    if len(ids) == len(languages) == len(pairs):
-        people = '[{"id":' + '},{"id":'.join(map(
-            add, map(add, ids, repeat(',"language":')), languages)) + "}]"
-    else:  # no participants, or a value that holds two or more items
-        people = encode([{"id": pid, "language": lang} for pid, lang in pairs])
     data = scenario_to_json(replace(scenario, participants=[]))
-    canonical = ",".join(
-        encode(key) + ":" + (people if key == "participants" else encode(value))
-        for key, value in sorted(data.items()))
-    return hashlib.sha256(("{" + canonical + "}").encode("utf-8")).hexdigest()
+    opener = "{"
+    for key, value in sorted(data.items()):
+        head = opener + _CANONICAL(key) + ":"
+        opener = ","
+        if key != "participants":
+            digest.update((head + _CANONICAL(value)).encode())
+            continue
+        digest.update((head + "[").encode())
+        separator = ""
+        for start in range(0, len(pairs), _BLOCK_ROWS):
+            digest.update((separator + _people(
+                pairs[start:start + _BLOCK_ROWS])).encode())
+            separator = ","
+        digest.update(b"]")
+    digest.update(b"}")
+    return digest.hexdigest()
+
+
+def _people(pairs: list) -> str:
+    """The participants ``pairs`` as canonical JSON, without the brackets:
+    the ids and the languages each encoded in one C call, split into cells
+    and joined into the fixed ``{"id":…,"language":…}`` text; or, when a
+    value splits into more than one cell, encoded as dicts."""
+    ids, languages = (_CELLS(column)[1:-1].split(",\n")
+                      for column in zip(*pairs))
+    if len(ids) == len(languages) == len(pairs):
+        return '{"id":' + '},{"id":'.join(map(
+            add, map(add, ids, repeat(',"language":')), languages)) + "}"
+    return _CANONICAL([{"id": pid, "language": lang}
+                       for pid, lang in pairs])[1:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ EXHAUSTIVE = ("tests/test_simulator_exhaustive.py::"
               "[shared-listener]")
 TIED = ("tests/test_simulator.py::TestTiedBoundaries::"
         "test_rows_interleave_by_language")
+FREED = ("tests/test_cli.py::TestSimulate::"
+         "test_scenario_is_freed_before_the_report_is_written")
 _LOOP = ("    for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),\n"
          "                        (scenario.run_duration, None)]:\n")
 _SCHEDULES = ("        schedules: dict[tuple[float, bool], "
@@ -204,6 +206,18 @@ MUTANTS = (
             "test_unserved_record_out_of_step",
             f"{ORCHESTRATION}TestVerifyInvariants::"
             "test_listener_fed_another_language")),
+    # what a simulate call holds: the scenario only until its run returns,
+    # the digest's text a block of participants at a time
+    Mutant("the CLI keeps the scenario while rendering", "streamring/cli.py",
+           "report = run_scenario(load_scenario(args.scenario))",
+           "report = run_scenario(scenario := load_scenario(args.scenario))",
+           tuple(f"{FREED}[{output}]"
+                 for output in ("json-out", "csv-format", "csv-flag"))),
+    Mutant("the digest drops the separator between participant blocks",
+           SIMULATOR, '            separator = ","\n',
+           '            separator = ""\n',
+           ("tests/test_simulator.py::TestScenarioFiles::"
+            "test_digest_is_the_same_across_block_seams[257]",)),
 )
 
 

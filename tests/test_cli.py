@@ -19,6 +19,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -627,9 +628,10 @@ class TestSimulate:
             self, tmp_path, monkeypatch):
         # README's two-person case (T = 1 s, affine a = 0.1, b = 0.5) with
         # 19 997 boundary rows and two state rows, under a budget of 20 000,
-        # from cli.main to the written report.  Measured peaks: 8.36 MB on
-        # Python 3.11 (bound 9.25 MB), 10.36 MB on 3.10 (bound 11.05 MB),
-        # 8.23 MB on 3.12 and 8.48 MB on 3.13.
+        # from cli.main to the written report.  Measured peaks: 7.94 MB on
+        # Python 3.11 under pytest (bound 9.25 MB); outside pytest, 8.11 MB
+        # on 3.11, 10.16 MB on 3.10 (bound 11.05 MB), 8.34 MB on 3.12 and
+        # 8.76 MB on 3.13.  The run, not the rendering, sets them.
         budget = 20_000
         per_row = 500 if sys.version_info < (3, 11) else 410  # README's figures
         scenario = two_party_scenario(
@@ -657,6 +659,33 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert run_cli(argv) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("output, writer", [
+        (["--format", "json", "--out", "report.json"], "dump_json"),
+        (["--format", "csv"], "_write_csv"),
+        (["--csv", "metrics.csv", "--quiet"], "_write_csv"),
+    ], ids=["json-out", "csv-format", "csv-flag"])
+    def test_scenario_is_freed_before_the_report_is_written(
+            self, output, writer, tmp_path, monkeypatch, capsys):
+        # only a weak reference to the scenario outlives its loading
+        scenarios, held = [], []
+        load, write = cli.load_scenario, getattr(cli, writer)
+
+        def loading(path):
+            scenario = load(path)
+            scenarios.append(weakref.ref(scenario))
+            return scenario
+
+        def writing(*args):
+            held.append(scenarios[0]() is not None)
+            return write(*args)
+
+        monkeypatch.setattr(cli, "load_scenario", loading)
+        monkeypatch.setattr(cli, writer, writing)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json")]
+        assert run_cli(argv + output) == EXIT_OK
+        assert held == [False]
 
     def test_unknown_participant_event_listed(self, tmp_path, capsys):
         scenario = {
@@ -1438,6 +1467,26 @@ class TestEntryPoint:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, f"[{EXIT_RUNTIME}, "
                                                      f"{EXIT_RUNTIME}] True\n")
+
+    def test_reader_gone_at_the_flush_in_this_process(self, monkeypatch,
+                                                      capsys):
+        # the first flush finds the reader gone; fd 1 is this process's
+        class Gone(io.StringIO):
+            flushes = 0
+
+            def flush(self):
+                self.flushes += 1
+                if self.flushes == 1:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = Gone()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        inode = os.fstat(1).st_ino
+        code = main(["sweep", "--n", "2:3", "--assignment", "distinct",
+                     "--format", "json"])
+        assert (code, stdout.flushes, os.fstat(1).st_ino) == (
+            EXIT_RUNTIME, 2, inode)
+        assert capsys.readouterr().err == ""
 
 
 class TestImportBoundary:

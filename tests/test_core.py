@@ -287,6 +287,10 @@ class TestDumpsJson:
         odd = [{"%": i, "%s": i / 3, '"': '"},\n      {"', "\n": "%d", "k": True}
                for i in range(3 * _BLOCK_ROWS + 1)]
         _assert_renders({"samples": odd})
+        # a list of scalars of more than two blocks, one C call per block
+        scalars = [(f'",\n    "{i}', i / 7, None, i % 2 == 0, LanguageTag("en"),
+                    -0.0, math.nan)[i % 7] for i in range(2 * _BLOCK_ROWS + 5)]
+        _assert_renders({"warnings": scalars, "samples": rows[:3]})
 
     def test_runs_are_cut_by_identity_not_equality(self):
         # each cell equals the one before it but is another object
@@ -346,11 +350,15 @@ class TestDumpsJson:
 
     def test_writing_a_table_takes_memory_that_does_not_grow_with_it(
             self, tmp_path):
-        # Past the payload itself, the peak is one block's strings: 228 KiB
-        # at both sizes on Python 3.11, where the whole text is 1.7 and
-        # 6.6 MiB.
+        # Past the payload itself, the peak is one block's strings: 128 KiB
+        # at both sizes on Python 3.11, where the whole text of the table and
+        # as many warnings is 2.3 and 9.4 MiB.  With the warnings encoded
+        # whole, it was 2.1 MiB at 10**4 rows.
         for rows in (10**4, 4 * 10**4):
             payload = _samples(rows)
+            payload["warnings"] = [f"allocation failed for language l{i % 40}"
+                                   f" at t={i} s (pool capacity 32)"
+                                   for i in range(rows)]
             tracemalloc.start()
             try:
                 with open(tmp_path / "out.json", "w", encoding="utf-8") as fh:

@@ -24,6 +24,7 @@ from streamring import simulator
 from streamring.calibration import fit
 from streamring.cli import _write_csv
 from streamring.core import (
+    _BLOCK_ROWS,
     CostModel,
     LanguageTag,
     Meeting,
@@ -72,6 +73,13 @@ def two_party(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def canonical_digest(scenario: Scenario) -> str:
+    """The SHA-256 of the canonical JSON text, built whole."""
+    canonical = json.dumps(
+        scenario_to_json(scenario), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def expected_uniform_k(pool: int, n: int) -> float:
@@ -611,10 +619,25 @@ class TestScenarioFiles:
         segment_duration=st.floats() | st.just("auto"),
     ))
     def test_digest_hashes_the_canonical_json(self, scenario):
-        canonical = json.dumps(
-            scenario_to_json(scenario), sort_keys=True, separators=(",", ":"))
-        assert scenario_digest(scenario) == hashlib.sha256(
-            canonical.encode("utf-8")).hexdigest()
+        assert scenario_digest(scenario) == canonical_digest(scenario)
+
+    @pytest.mark.parametrize("size, odd", [
+        (0, False), (1, False), (255, False), (256, False), (257, False),
+        (600, False), (257, True), (600, True),
+    ], ids=["0", "1", "255", "256", "257", "600", "257-odd", "600-odd"])
+    def test_digest_is_the_same_across_block_seams(self, size, odd):
+        # The participants are hashed _BLOCK_ROWS at a time, and the goldens'
+        # rosters are smaller than one block.  Each id and language needs
+        # escaping, and one holds the item separator the fast path splits
+        # on.  An odd roster holds a library caller's value that splits into
+        # two cells in its second block, which alone is encoded as dicts.
+        awkward = ['"', "\\", "\n", '",\n"', "\u00fc", "\u65e5\u672c"]
+        participants = [(f"{awkward[i % 6]}{i}", awkward[(i + 1) % 6])
+                        for i in range(size)]
+        if odd:
+            participants[_BLOCK_ROWS] = ("odd", ["de", "fr"])
+        scenario = two_party(participants=participants)
+        assert scenario_digest(scenario) == canonical_digest(scenario)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "s.json"
