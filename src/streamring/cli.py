@@ -37,8 +37,9 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .core import CostModel, ValidationError, dump_json
 from .latency import FORM_AFFINE, FORM_LOG, load_model, model_to_json, save_model
@@ -46,6 +47,7 @@ from .segproc import StreamSpec
 from .simulator import (
     METRICS_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    RunReport,
     load_scenario,
     report_to_json,
     run_scenario,
@@ -161,7 +163,7 @@ def _write_output(fmt: str, payload: object, header: Sequence[str],
 
 def _finish(
     args: argparse.Namespace,
-    human: list[str],
+    human: Iterable[str],
     payload: object,
     header: Sequence[str],
     records: list[dict],
@@ -170,18 +172,27 @@ def _finish(
     """Route one command's results: ``--out`` gets the machine rendering
     (``--format`` or the command's default), bare ``--format`` replaces the
     stdout summary, otherwise the summary prints unless ``--quiet``.  The
-    CSV rendering is the table ``records``, which lies inside ``payload``."""
+    CSV rendering is the table ``records``, which lies inside ``payload``.
+    The summary ``human`` is iterated only to print it, a line at a time,
+    after the ``--out`` file is written and closed."""
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_output(args.format or out_default, payload, header,
                           records, fh)
         if not args.quiet:
-            print("\n".join(human + [f"wrote {args.out}"]))
+            _print(chain(human, [f"wrote {args.out}"]))
     elif args.format is not None:
         _write_output(args.format, payload, header, records, sys.stdout)
     elif not args.quiet:
-        print("\n".join(human))
+        _print(human)
     return EXIT_OK
+
+
+def _print(lines: Iterable[str]) -> None:
+    """Write each of ``lines`` to stdout, ended by a newline."""
+    write = sys.stdout.write
+    for line in lines:
+        write(line + "\n")
 
 
 @contextlib.contextmanager
@@ -318,21 +329,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8") as fh:
             _write_csv(METRICS_CSV_HEADER, samples, fh)
+    return _finish(args, _summary(args, report), payload, METRICS_CSV_HEADER,
+                   samples)
+
+
+def _summary(args: argparse.Namespace, report: RunReport) -> Iterator[str]:
+    """``simulate``'s stdout summary, a line at a time: one per warning."""
     startups = report.series.turn_startups
     cold = sum(1 for t in startups if t["cold"])
-    human = [
-        f"scenario: {args.scenario}  (digest {report.scenario_digest[:12]})",
-        f"segment duration: {report.resolved_segment_duration:g} s",
-        f"pipelines: max k={report.max_k}  time-weighted mean k={report.mean_k:.4f}",
-        f"cost ratio (concurrent/counterfactual): {report.cost_ratio:.6g}",
-        f"turn startups: {len(startups)} ({cold} cold)",
-        f"stall seconds: {report.total_stall_seconds:.6g}",
-    ]
+    yield f"scenario: {args.scenario}  (digest {report.scenario_digest[:12]})"
+    yield f"segment duration: {report.resolved_segment_duration:g} s"
+    yield f"pipelines: max k={report.max_k}  time-weighted mean k={report.mean_k:.4f}"
+    yield f"cost ratio (concurrent/counterfactual): {report.cost_ratio:.6g}"
+    yield f"turn startups: {len(startups)} ({cold} cold)"
+    yield f"stall seconds: {report.total_stall_seconds:.6g}"
     for warning in report.warnings:
-        human.append(f"warning: {warning}")
+        yield f"warning: {warning}"
     if args.csv is not None:
-        human.append(f"metrics csv: {args.csv}")
-    return _finish(args, human, payload, METRICS_CSV_HEADER, samples)
+        yield f"metrics csv: {args.csv}"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Iterator, Mapping, MutableMapping
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import is_not, itemgetter, sub
 from typing import AbstractSet, Callable, Iterable, Optional, TextIO
 
@@ -63,11 +64,15 @@ def read_json(path) -> object:
 _SCALARS = frozenset({str, LanguageTag, int, float, bool, type(None)})
 
 
-#: Items of a list, such as a table's rows, encoded together.  A block's
-#: per-value and per-row strings are freed before its joined text is
-#: written, and that text before the next block is encoded, so rendering a
-#: list takes memory that does not grow with its length.
+#: Items of a list, such as a table's rows, or keys of a dict of scalars,
+#: encoded together.  A block's per-value strings are freed before its text
+#: is written, and that text before the next block is encoded, so rendering
+#: a list or a map takes memory that does not grow with its length.
 _BLOCK_ROWS = 256
+
+#: Pieces one block of a table is written in (see ``_rows``): a fixed count,
+#: so that the Python work per block does not grow with its runs' lengths.
+_PIECES = 2
 
 
 def dump_json(payload: object, fh: TextIO) -> None:
@@ -75,9 +80,11 @@ def dump_json(payload: object, fh: TextIO) -> None:
     byte for byte, each piece as soon as it is made, like ``json.dump``.
 
     Any ``indent`` makes ``json.dumps`` use its pure-Python encoder, so this
-    encodes each dict of scalars in one C call whose item separator is the
-    newline and indent, then pads the braces.  The C encoder escapes
-    ``\\n`` inside strings, so a literal newline can only be a separator.  A
+    encodes a dict of scalars in C calls whose item separator is the
+    newline and indent, one per block of ``_BLOCK_ROWS`` sorted keys (such
+    as a report's ``listener_stalls``), then pads the braces.  The C
+    encoder escapes ``\\n`` inside strings, so a literal newline can only be
+    a separator.  An empty list or dict is written by the C encoder too.  A
     list is written in blocks of ``_BLOCK_ROWS`` items: a block of scalars
     (such as a report's ``warnings``) in one such C call, and a block of
     dicts (such as a report's ``samples``) cut into runs of one row object (a
@@ -85,7 +92,8 @@ def dump_json(payload: object, fh: TextIO) -> None:
     head encoded once.  If the heads share one non-empty set of
     ``str`` keys and hold only scalars, they are encoded by columns, one C
     call per column for the heads of its runs of one object (see
-    ``_table``), interleaved with the key prefixes row by row; any other
+    ``_table``), interleaved with the key prefixes row by row, and the
+    block is written in up to ``_PIECES`` pieces (see ``_rows``); any other
     block is written row by row.  Both encoders write a ``LanguageTag`` as
     its string.  A value that is not exactly a JSON type or a tag (a tuple,
     an ``int`` subclass), or a dict with a key that is not a ``str``, is
@@ -123,56 +131,78 @@ def _types(values: Iterable[object]) -> set[type]:
 
 def _write(value: object, nl: str, write: Callable[[str], object]) -> None:
     """Pass ``value``, at the depth whose newline and indent are ``nl``, to
-    ``write`` in pieces."""
+    ``write`` in pieces: a dict of scalars and a list each a block of
+    ``_BLOCK_ROWS`` sorted keys or items at a time, a table block in
+    ``_rows``' pieces, each freed before the next is made."""
     kind = type(value)
-    if kind in _SCALARS:
-        write(_flat(value, nl))
+    if kind in _SCALARS or not value and (kind is list or kind is dict):
+        write(_flat(value, nl))  # an empty list or dict is "[]" or "{}"
         return
-    # a tuple, an int subclass, a key that is not a str, or an empty container
-    if not (kind is list or kind is dict and _types(value) == {str}) or not value:
+    if not (kind is list or kind is dict and _types(value) == {str}):
+        # a tuple, an int subclass or a key that is not a str
         write(json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
         return
     inner = nl + "  "
-    items = _types(value.values() if kind is dict else value)
-    if kind is dict and items <= _SCALARS:
-        text = _flat(value, inner)
-        write(text[0] + inner + text[1:-1] + nl + text[-1])
-        return
     if kind is dict:
         opener = "{" + inner
-        for key in sorted(value):
-            write(opener + _flat(key, inner) + ": ")
-            _write(value[key], inner, write)
-            opener = "," + inner
+        keys = sorted(value)
+        if _types(value.values()) <= _SCALARS:  # one C call per block of keys
+            for start in range(0, len(keys), _BLOCK_ROWS):
+                block = keys[start:start + _BLOCK_ROWS]
+                write(opener)
+                write(_flat(dict(zip(block, map(value.__getitem__, block))),
+                            inner)[1:-1])
+                opener = "," + inner
+        else:
+            for key in keys:
+                write(opener + _flat(key, inner) + ": ")
+                _write(value[key], inner, write)
+                opener = "," + inner
         write(nl + "}")
         return
     opener = "[" + inner
+    items = _types(value)
     for start in range(0, len(value), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        text = None  # the last block's text is freed first
-        if items <= _SCALARS:
-            text = _flat(value[start:stop], inner)[1:-1]
-        elif items == {dict}:  # a run of one row object is encoded once
-            text = _rows(value[start:stop], inner)
-        if text is not None:
+        block = value[start:start + _BLOCK_ROWS]
+        if items <= _SCALARS:  # one C call per block
             write(opener)
-            write(text)
-            opener = "," + inner
-        else:
-            for item in value[start:stop]:
+            write(_flat(block, inner)[1:-1])
+        elif not (items == {dict} and _rows(block, inner, opener, write)):
+            for item in block:
                 write(opener)
                 _write(item, inner, write)
                 opener = "," + inner
+        opener = "," + inner
     write(nl + "]")
 
 
-def _rows(block: list, nl: str) -> Optional[str]:
-    """The dicts ``block`` in ``_table``'s texts, joined by ``,`` + ``nl``,
-    or None when ``_table`` declines them; the row texts die on return."""
-    starts, heads = _runs(block)
+def _rows(block: list, nl: str, opener: str,
+          write: Callable[[str], object]) -> bool:
+    """Write ``opener``, then the dicts ``block`` in ``_table``'s texts,
+    joined by ``,`` + ``nl``; or write nothing and return False when
+    ``_table`` declines them.
+
+    The texts are written in at most ``_PIECES`` pieces, one ``write``
+    each, cut where the run of one row object holding the piece's share of
+    the rows' count starts: a piece holds its share plus at most one run,
+    and its row texts, its joined text and what ``write`` makes of it are
+    freed before the next piece is made."""
+    edges, heads = _runs(block)
     texts = _table(heads, nl)
-    return None if texts is None else ("," + nl).join(
-        _repeated(texts, starts, len(block)))
+    if texts is None:
+        return False
+    size = len(block)
+    edges.append(size)
+    cuts = [0, *(bisect_left(edges, size * q // _PIECES)
+                 for q in range(1, _PIECES)), len(heads)]
+    write(opener)
+    lead = ()  # each later piece starts with the separator
+    for first, stop in zip(cuts, cuts[1:]):
+        if first < stop:
+            write(("," + nl).join(chain(lead, _repeated(
+                islice(texts, stop - first), edges[first:stop + 1]))))
+            lead = ("",)
+    return True
 
 
 def _runs(items: list) -> tuple[list[int], list]:
@@ -185,24 +215,25 @@ def _runs(items: list) -> tuple[list[int], list]:
     return starts, list(map(items.__getitem__, starts))
 
 
-def _repeated(texts: list[str], starts: list[int], size: int) -> Iterable[str]:
-    """Each run head's text in ``texts`` once per item of its run, the runs
-    starting at ``starts`` and the last one ending at ``size``."""
-    if len(starts) == size:
+def _repeated(texts: Iterable[str], edges: list[int]) -> Iterable[str]:
+    """Each text of ``texts`` once per item of its run, the runs bounded by
+    consecutive ``edges``."""
+    if edges[-1] - edges[0] == len(edges) - 1:  # every run is one item
         return texts
-    lengths = map(sub, [*starts[1:], size], starts)
-    return chain.from_iterable(map(repeat, texts, lengths))
+    return chain.from_iterable(map(repeat, texts, map(sub, edges[1:], edges)))
 
 
-def _table(rows: list, nl: str) -> Optional[list[str]]:
+def _table(rows: list, nl: str) -> Optional[Iterator[str]]:
     """The text of each of the dicts ``rows`` at the depth whose newline
-    and indent are ``nl``, or None unless they share the first row's
-    non-empty set of ``str`` keys and hold only scalars.
+    and indent are ``nl``, in order, or None unless they share the first
+    row's non-empty set of ``str`` keys and hold only scalars.
 
     A column is cut into runs of one object and each run's text is made
     once.  A column that is one object in every row joins the fixed key
     text around it; any other column encodes its run heads in one C call
-    and repeats each head's text over its run."""
+    and repeats each head's text over its run.  The columns are encoded
+    here, but a row's text is joined from them only when the iterator
+    reaches it, so the rows' texts never exist all at once."""
     keys = rows[0].keys()
     if _types(keys) != {str} or set(map(len, rows)) != {len(keys)}:
         return None
@@ -224,11 +255,11 @@ def _table(rows: list, nl: str) -> Optional[list[str]]:
             fixed += _flat(heads[0], "\n")
             continue
         parts.append(repeat(fixed))
-        parts.append(_repeated(
-            _flat(heads, "\n")[1:-1].split(",\n"), starts, len(rows)))
+        starts.append(len(rows))
+        parts.append(_repeated(_flat(heads, "\n")[1:-1].split(",\n"), starts))
         fixed = ""
     parts.append(repeat(fixed + nl + "}", len(rows)))
-    return list(map("".join, zip(*parts)))
+    return map("".join, zip(*parts))
 
 
 def _number(value: object, name: str, expected: str = "a number") -> float:

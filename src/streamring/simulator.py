@@ -292,10 +292,9 @@ def save_scenario(scenario: Scenario, path) -> None:
         fh.write("\n")
 
 
-#: The canonical encoder, and one whose item separator ``",\n"`` is only
-#: ever a separator: the C encoder escapes a newline inside a string.
+#: The canonical encoder, and what it makes of a ``str``.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_CELLS = json.JSONEncoder(sort_keys=True, separators=(",\n", ":")).encode
+_STRING = json.encoder.encode_basestring_ascii
 
 
 def scenario_digest(scenario: Scenario) -> str:
@@ -326,16 +325,17 @@ def scenario_digest(scenario: Scenario) -> str:
 
 def _people(pairs: list) -> str:
     """The participants ``pairs`` as canonical JSON, without the brackets:
-    the ids and the languages each encoded in one C call, split into cells
+    each id and language encoded as a JSON string in C, a column at a time,
     and joined into the fixed ``{"id":…,"language":…}`` text; or, when a
-    value splits into more than one cell, encoded as dicts."""
-    ids, languages = (_CELLS(column)[1:-1].split(",\n")
-                      for column in zip(*pairs))
-    if len(ids) == len(languages) == len(pairs):
+    value is not a ``str`` (a subclass is one), encoded as dicts."""
+    ids, languages = zip(*pairs)
+    try:
         return '{"id":' + '},{"id":'.join(map(
-            add, map(add, ids, repeat(',"language":')), languages)) + "}"
-    return _CANONICAL([{"id": pid, "language": lang}
-                       for pid, lang in pairs])[1:-1]
+            add, map(add, map(_STRING, ids), repeat(',"language":')),
+            map(_STRING, languages))) + "}"
+    except TypeError:  # a value that is not a str
+        return _CANONICAL([{"id": pid, "language": lang}
+                           for pid, lang in pairs])[1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,14 @@ _SPEAKER_CHANGE = ScenarioEventKind.SPEAKER_CHANGE
 def run_scenario(scenario: Scenario) -> RunReport:
     """Execute the scenario deterministically and report the metrics series
     plus aggregates.  Raises ScenarioError listing all structural violations
-    when the scenario is malformed."""
+    when the scenario is malformed.
+
+    The run reads the scenario only before its loop: its numbers, its
+    digest, and the roster and ordered events that checking built.  Then it
+    drops its reference, so that a scenario no caller holds, as in
+    ``run_scenario(load_scenario(path))``, is freed before the report is
+    built (from Python 3.11 on, which moves a call's arguments into the
+    callee's frame; on 3.10 the caller holds it until the call returns)."""
     violations, model, members, events, listeners = _check_scenario(scenario)
     if violations:
         raise ScenarioError(
@@ -567,6 +574,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
     segment_duration, warnings = resolve_segment_duration(
         model, scenario.segment_duration
     )
+    run_duration, pool_capacity = scenario.run_duration, scenario.pool_capacity
+    cost = CostModel(unit_cost=scenario.unit_cost)
+    meeting = Meeting(participants=members, pool_capacity=pool_capacity,
+                      translate_same_language=scenario.translate_same_language)
+    del scenario  # its last read: one no caller holds is freed here
     viability = check_viability(model, segment_duration)
     if not viability.viable:
         warnings.append(
@@ -575,12 +587,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
         )
 
     # a state point at the start, at the end and at each event time, at most
-    state_rows = len({0.0, scenario.run_duration, *(e.time for e in events)})
+    state_rows = len({0.0, run_duration, *(e.time for e in events)})
     # each language holding a pipeline adds about a row per segment; a
     # longer stream than the segment limit fails on its own when scheduled
-    languages = min(scenario.pool_capacity, listeners)
-    chunks = math.ceil(min(scenario.run_duration / segment_duration,
-                           MAX_SEGMENTS))
+    languages = min(pool_capacity, listeners)
+    chunks = math.ceil(min(run_duration / segment_duration, MAX_SEGMENTS))
     rows = languages * chunks + state_rows
     if rows > MAX_SAMPLE_ROWS:
         raise ValidationError(
@@ -588,10 +599,6 @@ def run_scenario(scenario: Scenario) -> RunReport:
             f"listener languages x {chunks} segments of {segment_duration:g} "
             f"s, plus {state_rows} state rows), past the limit of "
             f"{MAX_SAMPLE_ROWS} (simulator.MAX_SAMPLE_ROWS)")
-
-    cost = CostModel(unit_cost=scenario.unit_cost)
-    meeting = Meeting(participants=members, pool_capacity=scenario.pool_capacity,
-                      translate_same_language=scenario.translate_same_language)
 
     series = MetricsSeries()
     open_sessions: dict[LanguageTag, tuple[float, bool]] = {}  # started_at, cold
@@ -629,7 +636,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     # each distinct (started_at, cold) among the sessions a step closes is
     # scheduled once.
     for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),
-                        (scenario.run_duration, None)]:
+                        (run_duration, None)]:
         schedules: dict[tuple[float, bool], tuple[float, float, list, list, list]] = {}
         suffix = None  # of this step's allocation warnings, made at the first
         if event is None:  # start or end, without a pass: the end closes all
@@ -804,7 +811,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         resolved_segment_duration=segment_duration,
         series=series,
         max_k=max(point[2][0] for point in points),
-        mean_k=k_integral / scenario.run_duration,
+        mean_k=k_integral / run_duration,
         total_stall_seconds=total_stall,
         cost_ratio=token_integral / naive_integral if naive_integral > 0 else 0.0,
         warnings=(*warnings, *failed),

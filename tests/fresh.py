@@ -8,6 +8,9 @@ runs, from the repository root:
 
 * ``streamring.cli simulate`` on each golden scenario, as JSON and as CSV,
   compared byte for byte with ``tests/golden/<name>.json`` and ``.csv``;
+* the same on ``churn_stalls_6`` as JSON with the summary printed: the file
+  must match its golden, and standard output must hold one ``warning:``
+  line per warning of the report and end with ``wrote <path>``;
 * ``streamring.cli calibrate --label A100``, whose report and model file
   are compared with ``tests/golden/calibrate_A100.json`` and
   ``calibrate_A100.model.json``, then ``topt --continuous`` on that model
@@ -75,6 +78,20 @@ def differs(made: Path, golden: Path) -> Optional[str]:
     return f"differs from {golden.relative_to(ROOT)} at byte {at}"
 
 
+def summarized(stdout: Path, out: Path) -> Optional[str]:
+    """None if ``stdout`` holds a ``warning:`` line for each warning of the
+    report ``out``, in order, and ends with ``wrote <out>``; otherwise what
+    is missing."""
+    lines = stdout.read_text(encoding="utf-8").splitlines()
+    warnings = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    if [line for line in lines if line.startswith("warning: ")] != [
+            f"warning: {warning}" for warning in warnings]:
+        return f"the summary does not list the {len(warnings)} warnings"
+    if lines[-1:] != [f"wrote {out}"]:
+        return f"the summary does not end with 'wrote {out}'"
+    return None
+
+
 def checks(python: str, tmp: Path):
     """Each check's name and outcome, None when it passed, in order."""
     cli = {"PYTHONPATH": str(ROOT / "src")}
@@ -88,6 +105,14 @@ def checks(python: str, tmp: Path):
                 "-m", "streamring.cli", "simulate", "--scenario", str(scenario),
                 "--format", fmt, "--out", str(out), "--quiet"], cli) or differs(
                     out, GOLDEN / f"{name}.{fmt}")
+
+    name = "churn_stalls_6"
+    out, summary = tmp / f"{name}.summarized.json", tmp / "summary.txt"
+    yield f"simulate {name} json with its summary", run(python, [
+        "-m", "streamring.cli", "simulate", "--scenario",
+        str(GOLDEN / f"{name}.scenario.json"), "--format", "json", "--out",
+        str(out)], cli, summary) or differs(
+            out, GOLDEN / f"{name}.json") or summarized(summary, out)
 
     model, report = tmp / "model.json", tmp / "calibrate.json"
     yield "calibrate A100", run(python, [

@@ -687,6 +687,79 @@ class TestSimulate:
         assert run_cli(argv + output) == EXIT_OK
         assert held == [False]
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 the caller's stack holds a call's arguments "
+               "until it returns, so the run cannot free the scenario")
+    def test_scenario_is_freed_before_the_first_pass(
+            self, tmp_path, monkeypatch, capsys):
+        # the run drops the scenario once it has read it, before its loop
+        scenarios, held = [], []
+        load, update = cli.load_scenario, simulator.update_orchestration
+
+        def loading(path):
+            scenario = load(path)
+            scenarios.append(weakref.ref(scenario))
+            return scenario
+
+        def updating(*args, **kwargs):
+            held.append(scenarios[0]() is not None)
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_scenario", loading)
+        monkeypatch.setattr(simulator, "update_orchestration", updating)
+        argv = ["simulate", "--scenario", str(SCENARIO_DIR / "handoff_3.json"),
+                "--format", "json", "--out", str(tmp_path / "report.json")]
+        assert run_cli(argv) == EXIT_OK
+        assert held and held[0] is False
+
+    @pytest.mark.parametrize("output", [
+        ["--quiet"], ["--quiet", "--out", "report.json"],
+        ["--quiet", "--csv", "metrics.csv"]], ids=["bare", "out", "csv"])
+    def test_quiet_makes_no_summary_line(
+            self, output, tmp_path, monkeypatch, capsys):
+        made = []
+        summary = cli._summary
+
+        def summarizing(*args):
+            for line in summary(*args):
+                made.append(line)
+                yield line
+
+        monkeypatch.setattr(cli, "_summary", summarizing)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--scenario",
+                str(GOLDEN_DIR / "churn_stalls_6.scenario.json")]
+        assert run_cli(argv + output) == EXIT_OK
+        assert made == []
+        assert capsys.readouterr().out == ""
+
+    def test_summary_prints_after_the_out_file_is_written(
+            self, tmp_path, monkeypatch, capsys):
+        # each line is made when it is printed, once the file is complete
+        out = tmp_path / "report.json"
+        golden = (GOLDEN_DIR / "churn_stalls_6.json").read_bytes()
+        files = []
+        summary = cli._summary
+
+        def summarizing(*args):
+            for line in summary(*args):
+                files.append(out.read_bytes())
+                yield line
+
+        monkeypatch.setattr(cli, "_summary", summarizing)
+        argv = ["simulate", "--scenario",
+                str(GOLDEN_DIR / "churn_stalls_6.scenario.json"),
+                "--format", "json", "--out", str(out)]
+        assert run_cli(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        warnings = json.loads(golden)["warnings"]
+        assert files and set(files) == {golden}
+        assert len(lines) == len(files) + 1
+        assert lines[-1] == f"wrote {out}"
+        assert [line for line in lines if line.startswith("warning: ")] == [
+            f"warning: {warning}" for warning in warnings]
+
     def test_unknown_participant_event_listed(self, tmp_path, capsys):
         scenario = {
             "participants": [

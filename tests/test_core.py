@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import gc
 import io
 import json
 import math
@@ -348,12 +349,34 @@ class TestDumpsJson:
     def test_any_json_types(self, payload):
         _assert_renders(payload)
 
+    def test_empty_containers_leave_no_cycle(self):
+        # the pure-Python encoder's closures left a reference cycle for the
+        # collector on every call with an empty list or dict
+        payload = {"warnings": [], "stalls": {}, "deep": [[], {}, {"a": []}]}
+        _assert_renders(payload)
+        gc.collect()
+        dumps_json(payload)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("size", [255, 256, 257, 600])
+    def test_maps_of_scalars_across_block_seams(self, size):
+        # a block of sorted keys per C call; keys that need escaping or
+        # sort among the seams, and every scalar type
+        values = [None, True, False, 0, -3, 2**70, 0.1, -0.0, math.nan,
+                  math.inf, -math.inf, "x", "line\nbreak", LanguageTag("en")]
+        keys = [f"p{i:04d}" for i in range(size - len(_AWKWARD))] + _AWKWARD
+        stalls = {key: values[i % len(values)] for i, key in enumerate(keys)}
+        assert len(stalls) == size
+        _assert_renders({"listener_stalls": stalls, "samples": [{"t": 1}]})
+        _assert_renders(dict(reversed(list(stalls.items()))))
+
     def test_writing_a_table_takes_memory_that_does_not_grow_with_it(
             self, tmp_path):
-        # Past the payload itself, the peak is one block's strings: 128 KiB
-        # at both sizes on Python 3.11, where the whole text of the table and
-        # as many warnings is 2.3 and 9.4 MiB.  With the warnings encoded
-        # whole, it was 2.1 MiB at 10**4 rows.
+        # Past the payload itself, the peak is one block's strings: 119 and
+        # 120 KiB on Python 3.11 (128 KiB with each table block written in
+        # one piece), where the whole text of the table and as many warnings
+        # is 2.3 and 9.4 MiB.  With the warnings encoded whole, it was 2.1
+        # MiB at 10**4 rows.
         for rows in (10**4, 4 * 10**4):
             payload = _samples(rows)
             payload["warnings"] = [f"allocation failed for language l{i % 40}"

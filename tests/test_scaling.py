@@ -4,8 +4,12 @@ each scenario event the same in ``run_scenario`` and ``_check_scenario`` at
 N and 10*N members, each segment boundary of a turn the same in
 ``run_scenario`` whether 4 or 32 listener languages share it, and a table
 block the same to write whether each of its distinct rows is repeated 4 or
-30 times.  One gate is by memory, not counted work: ``scenario_digest``
-takes the same ``tracemalloc`` transient at 2000 and 20 000 members.
+30 times.  Three gates are by memory, not counted work:
+``scenario_digest`` takes the same ``tracemalloc`` transient at 2000 and
+20 000 members, ``dump_json`` the same for a map of 2000 scalars as for
+one of 20 000, short of what sorting the extra keys takes, and it passes
+a table block to ``write`` in pieces no longer than half the block plus
+one run of one row object.
 
 Each step is a roster edit, if any, and the ``update_orchestration`` pass
 after it, as ``run_scenario`` makes them, on a meeting of 40 languages and
@@ -35,14 +39,16 @@ Wall-clock time would see it, but is too noisy to gate on here.
 from __future__ import annotations
 
 import gc
+import json
 import logging
+import struct
 import sys
 import tracemalloc
 from typing import Callable
 
 import pytest
 
-from streamring.core import _BLOCK_ROWS, Meeting, Roster, dumps_json
+from streamring.core import _BLOCK_ROWS, Meeting, Roster, dump_json, dumps_json
 from streamring.orchestrator import update_orchestration
 from streamring.simulator import (
     _check_scenario, run_scenario, scenario_digest, scenario_from_json)
@@ -382,3 +388,69 @@ def test_the_digest_takes_the_same_memory_at_2000_and_20000_members():
     transients = [digest_transient(n) for n in sizes]
     block = digest_transient(_BLOCK_ROWS) - digest_transient(0)
     assert abs(transients[1] - transients[0]) < block, (transients, block)
+
+
+class Sink:
+    """A stream that keeps only the text of each ``write``, if asked to."""
+
+    def __init__(self, keep: bool = False) -> None:
+        self.pieces: list[str] = []
+        self.keep = keep
+
+    def write(self, text: str) -> int:
+        if self.keep:
+            self.pieces.append(text)
+        return len(text)
+
+
+def map_transient(n: int) -> int:
+    """The bytes ``dump_json`` allocates beyond what is held when it starts,
+    writing a map of ``n`` scalars, keyed in no sorted order, to a stream
+    that keeps nothing."""
+    stalls = {member((i * 7919) % max(n, 1)): i / 7 for i in range(n)}
+    sink = Sink()
+    dump_json(stalls, sink)  # fills the writer's encoders
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        dump_json(stalls, sink)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_map_takes_the_same_memory_at_2000_and_20000_keys():
+    # A map of scalars is encoded a block of sorted keys at a time, so the
+    # transients differ by less than one block's worth (the transient at
+    # one block less that at none) plus what sorting the extra keys takes:
+    # the sorted key list, a pointer per key, and the sort's merge buffer,
+    # at most half as many.  Measured: 89 014 and 240 393 bytes on Python
+    # 3.11, 151 379 apart, against a bound of 73 714 + 216 000; 52 632 and
+    # 240 377 on 3.12 and 3.13, 187 745 apart, against 36 855 + 216 000.
+    # Encoded whole they were 488 097 and 4 450 454 bytes on 3.11.
+    sizes = (2000, 20_000)
+    transients = [map_transient(n) for n in sizes]
+    block = map_transient(_BLOCK_ROWS) - map_transient(0)
+    sorting = 3 * struct.calcsize("P") * (sizes[1] - sizes[0]) // 2
+    assert transients[1] - transients[0] < block + sorting, (
+        transients, block, sorting)
+
+
+@pytest.mark.parametrize("repeats", [1, 32])
+def test_a_table_block_is_written_in_pieces(repeats):
+    # 256 rows, 256 distinct or 8 repeated 32 times: no piece passed to
+    # ``write`` is longer than half the block's text plus one run
+    rows = [{"time_s": i / 7, "k": i % 3, "token_cost": float(i % 3),
+             "naive_cost": 132.0, "alloc_failures": 0, "stalls_cum": i / 9}
+            for i in range(_BLOCK_ROWS // repeats)]
+    table = [row for row in rows for _ in range(repeats)]
+    assert len(table) == _BLOCK_ROWS
+    sink = Sink(keep=True)
+    dump_json(table, sink)
+    text = json.dumps(table, sort_keys=True, indent=2)
+    assert "".join(sink.pieces) == text
+    run = max(len(json.dumps([row] * repeats, sort_keys=True, indent=2))
+              for row in rows)  # with its brackets, as long as a separator
+    assert max(map(len, sink.pieces)) <= len(text) / 2 + run, (
+        list(map(len, sink.pieces)), len(text), run)
