@@ -313,11 +313,6 @@ class Roster(MutableMapping[str, LanguageTag]):
     def __getitem__(self, pid: str) -> LanguageTag:
         return self._members[pid]
 
-    def get(
-        self, pid: str, default: Optional[LanguageTag] = None
-    ) -> Optional[LanguageTag]:
-        return self._members.get(pid, default)  # no KeyError on a miss
-
     def __contains__(self, pid: object) -> bool:
         return pid in self._members
 

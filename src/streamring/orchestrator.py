@@ -24,15 +24,16 @@ hears the raw stream (``Meeting.raw_language``), each listener's pipeline
 (``Meeting.delivery``) and the ids that hear the raw stream are read-only
 properties, derived on each read from those, the mode and the roster, so
 they reflect the current roster and pipelines even between passes, and a
-pass touches no member but the two speakers.
+pass touches no member but the new speaker.
 
-A pass emits one event per pipeline it decommissions, allocates or fails
-to allocate, ``pipeline-reused`` per kept pipeline only when the floor or
-the source language moves, ``speaker-bypassed`` for the new speaker, and
-at most one ``route-added``, for the outgoing speaker.  It emits nothing
-per listener, so its events number O(k + L) whatever the roster's size; a
-membership pass, which keeps the floor and the source, visits in Python
-only the Δ languages it changes and the u still unserved: O(Δ + u).
+A pass reports only its pipeline decisions: one event per pipeline it
+decommissions, allocates or fails to allocate, and ``pipeline-reused`` per
+kept pipeline only when the floor or the source language moves.  The
+speaker is the caller's own argument and the outgoing speaker's pipeline
+is ``Meeting.delivery[outgoing]``, so neither is an event.  It emits
+nothing per listener, so its events number O(k + L) whatever the roster's
+size; a membership pass, which keeps the floor and the source, visits in
+Python only the Δ languages it changes and the u still unserved: O(Δ + u).
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ class EventKind(str, Enum):
     PIPELINE_ALLOCATED = "pipeline-allocated"
     PIPELINE_REUSED = "pipeline-reused"
     PIPELINE_DECOMMISSIONED = "pipeline-decommissioned"
-    ROUTE_ADDED = "route-added"
     ALLOCATION_FAILED = "allocation-failed"
-    SPEAKER_BYPASSED = "speaker-bypassed"
 
 
 # Module globals: ``EventKind.X`` is an Enum class lookup (about 140 ns on
@@ -72,25 +71,23 @@ class EventKind(str, Enum):
 _ALLOCATED = EventKind.PIPELINE_ALLOCATED
 _REUSED = EventKind.PIPELINE_REUSED
 _DECOMMISSIONED = EventKind.PIPELINE_DECOMMISSIONED
-_ROUTE_ADDED = EventKind.ROUTE_ADDED
 _ALLOCATION_FAILED = EventKind.ALLOCATION_FAILED
-_BYPASSED = EventKind.SPEAKER_BYPASSED
 
 
 class OrchestrationEvent(NamedTuple):
-    """One observable effect of an orchestration pass.
+    """One pipeline decision of an orchestration pass, for ``language``.
 
-    ``time`` is the caller's virtual timestamp (the simulator clock).
-    ``reinitialized`` is meaningful only for pipeline-reused: True when the
-    speaker's language differs from the previous pass's, so the pipeline is
-    re-pointed at a new source language and restarts cold.
+    It carries no time, speaker or listener: the time is the caller's own
+    step, and the outgoing speaker's pipeline is ``Meeting.delivery``.
+    ``pipeline_id`` is None for allocation-failed.  ``reinitialized`` is
+    meaningful only for pipeline-reused: True when the speaker's language
+    differs from the previous pass's, so the pipeline is re-pointed at a
+    new source language and restarts cold.
     """
 
     kind: EventKind
-    time: float = 0.0
-    language: Optional[LanguageTag] = None
+    language: LanguageTag
     pipeline_id: Optional[str] = None
-    participant: Optional[str] = None
     reinitialized: bool = False
 
 
@@ -120,7 +117,7 @@ def required_languages(
 
 
 def update_orchestration(
-    meeting: Meeting, new_speaker: Optional[str], *, time: float = 0.0
+    meeting: Meeting, new_speaker: Optional[str]
 ) -> tuple[Meeting, list[OrchestrationEvent]]:
     """Atomically hand the floor to ``new_speaker`` and reconcile pipelines.
 
@@ -139,8 +136,8 @@ def update_orchestration(
 
     # Stale first: released slots must be reusable within this same pass.
     for language in sorted(set(pipelines) - required):
-        events.append(_event((_DECOMMISSIONED, time, language,
-                               pipelines.pop(language), None, False)))
+        events.append(_event((_DECOMMISSIONED, language,
+                               pipelines.pop(language), False)))
 
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
@@ -152,15 +149,14 @@ def update_orchestration(
         pipeline_id = pipelines.get(language)
         if pipeline_id is not None:
             events.append(_event((
-                _REUSED, time, language, pipeline_id, None, reinitialized)))
+                _REUSED, language, pipeline_id, reinitialized)))
         elif meeting.free_slots <= 0:
             unserved.append(language)
-            events.append(_event((
-                _ALLOCATION_FAILED, time, language, None, None, False)))
+            events.append(_event((_ALLOCATION_FAILED, language, None, False)))
         else:
             pipelines[language] = meeting.new_pipeline_id()
             events.append(_event((
-                _ALLOCATED, time, language, pipelines[language], None, False)))
+                _ALLOCATED, language, pipelines[language], False)))
 
     # one record per unserved interval, not per pass: a LogRecord is built
     # for each call even when no handler will emit it
@@ -171,17 +167,6 @@ def update_orchestration(
         if opened:
             logger.error("no free pipeline slot for languages %s (capacity %d)",
                          ", ".join(opened), meeting.pool_capacity)
-
-    if new_speaker is not None:
-        events.append(_event((
-            _BYPASSED, time, speaker_language, None, new_speaker, False)))
-    # the outgoing speaker, if still a member, now listens to their language
-    if previous != new_speaker and previous in roster:
-        language = roster[previous]
-        pipeline_id = pipelines.get(language)
-        if pipeline_id is not None:
-            events.append(_event((
-                _ROUTE_ADDED, time, language, pipeline_id, previous, False)))
     return meeting, events
 
 

@@ -67,7 +67,6 @@ from .core import (
 from .latency import FORM_TABLE, LatencyModel, model_from_json
 from .orchestrator import (
     _ALLOCATED,
-    _ALLOCATION_FAILED,
     _DECOMMISSIONED,
     _REUSED,
     OrchestrationEvent,
@@ -457,8 +456,9 @@ def _check_scenario(
 
     roster = Roster()
     listed: set[str] = set()
-    tags: dict[str, LanguageTag] = {}  # by code: "EN" and "en" share one
-    shared: dict[LanguageTag, LanguageTag] = {}  # each language's one tag
+    # each language's one tag, by the text given and by the code a tag
+    # hashes and compares as: "EN" and "en" share one
+    tags: dict[str, LanguageTag] = {}
     for i, (pid, lang) in enumerate(scenario.participants):
         if not isinstance(pid, str):  # before ``listed``: a list is unhashable
             violations.append(f"participants[{i}].id must be a string, got {pid!r}")
@@ -475,7 +475,7 @@ def _check_scenario(
             tag = tags.get(lang)
             if tag is None:
                 tag = LanguageTag(lang)
-                tag = tags[lang] = shared.setdefault(tag, tag)
+                tag = tags[lang] = tags.setdefault(tag, tag)
             roster[pid] = tag
         except ValidationError as exc:
             violations.append(f"participant {pid!r}: {exc}")
@@ -641,7 +641,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         suffix = None  # of this step's allocation warnings, made at the first
         if event is None:  # start or end, without a pass: the end closes all
             # a generator, not a list: the end is at the run's memory peak
-            changes = (OrchestrationEvent(_DECOMMISSIONED, when, language)
+            changes = (OrchestrationEvent(_DECOMMISSIONED, language)
                        for language in sorted(open_sessions))
         else:
             turnover = event.kind is _SPEAKER_CHANGE
@@ -664,10 +664,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
             speaker = pid if turnover else meeting.active_speaker
             if speaker not in roster:
                 speaker = None  # no speaker yet, or the speaker just left
-            _, changes = update_orchestration(meeting, speaker, time=when)
+            _, changes = update_orchestration(meeting, speaker)
 
-        # speaker-bypassed and route-added fall through every test; a pass
-        # reports pipeline-reused only when the floor or the source moved
+        # a pass reports pipeline decisions only, and pipeline-reused only
+        # when the floor or the source moved; the rest is allocation-failed
         for change in changes:
             kind = change.kind
             if kind is _DECOMMISSIONED:
@@ -677,12 +677,11 @@ def run_scenario(scenario: Scenario) -> RunReport:
             elif kind is _REUSED:
                 reopen_cold = change.reinitialized
             else:
-                if kind is _ALLOCATION_FAILED:
-                    if suffix is None:
-                        suffix = (f" at t={when:g} s "
-                                  f"(pool capacity {meeting.pool_capacity})")
-                    failed.append(
-                        "allocation failed for language " + change.language + suffix)
+                if suffix is None:
+                    suffix = (f" at t={when:g} s "
+                              f"(pool capacity {meeting.pool_capacity})")
+                failed.append(
+                    "allocation failed for language " + change.language + suffix)
                 continue
             language = change.language
             opened = open_sessions.pop(language, None)

@@ -23,8 +23,11 @@ runs, from the repository root:
 A fresh process imports only what its command runs, which the in-process
 tests cannot show, and development mode with warnings as errors turns an
 unclosed file or a deprecated call into a failure.  The script prints one
-line per check and exits 1 if any check fails.  It needs only the standard
-library, so it runs on interpreters without pytest.
+line per check and exits 1 if any check fails.  Each interpreter first runs
+``-X dev -W error -c pass``: one that fails it gets one ``FAIL`` line,
+naming it and its exit status, counts as one failure and runs no checks.
+It needs only the standard library, so it runs on interpreters without
+pytest.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def run(python: str, args: list[str], env: Optional[dict] = None,
         stdout.write_bytes(done.stdout)
     if done.returncode != 0:
         lines = done.stderr.decode("utf-8", "replace").strip().splitlines()
-        return f"exit status {done.returncode}: {lines[-1] if lines else ''}"
+        return f"exit status {done.returncode}" + (f": {lines[-1]}" if lines else "")
     return None
 
 
@@ -145,6 +148,12 @@ def checks(python: str, tmp: Path):
 def main(argv: list[str]) -> int:
     failures = 0
     for python in argv or [sys.executable]:
+        # an interpreter that cannot start fails once, not once per check
+        problem = run(python, ["-c", "pass"])
+        if problem:
+            failures += 1
+            print(f"FAIL {python}: does not start: {problem}", flush=True)
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             for name, problem in checks(python, Path(tmp)):
                 failures += problem is not None

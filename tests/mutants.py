@@ -98,6 +98,12 @@ MUTANTS = (
            "reopen_cold = change.reinitialized",
            "reopen_cold = not change.reinitialized",
            (SESSIONS,)),
+    Mutant("an allocation failure opens a cold session", SIMULATOR,
+           '"allocation failed for language " + change.language + suffix)\n'
+           "                continue\n",
+           '"allocation failed for language " + change.language + suffix)\n'
+           "                reopen_cold = True\n",
+           (f"{GOLDEN}[churn_stalls_6]",)),
     Mutant("end-of-run closes dropped", SIMULATOR,
            "for language in sorted(open_sessions))", "for language in ())",
            (SESSIONS,)),

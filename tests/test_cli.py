@@ -760,6 +760,18 @@ class TestSimulate:
         assert [line for line in lines if line.startswith("warning: ")] == [
             f"warning: {warning}" for warning in warnings]
 
+    def test_summary_ends_with_the_metrics_csv_path(self, tmp_path, capsys):
+        csv_path = tmp_path / "metrics.csv"
+        argv = ["simulate", "--scenario",
+                str(GOLDEN_DIR / "churn_stalls_6.scenario.json"),
+                "--csv", str(csv_path)]
+        assert run_cli(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("scenario: ")
+        assert lines[-1] == f"metrics csv: {csv_path}"
+        assert csv_path.read_bytes() == (
+            GOLDEN_DIR / "churn_stalls_6.csv").read_bytes()
+
     def test_unknown_participant_event_listed(self, tmp_path, capsys):
         scenario = {
             "participants": [

@@ -91,10 +91,9 @@ class TestUpdateOrchestration:
         m = make_meeting({"A": "en", "B": "de", "C": "de", "D": "tr"}, 4)
         _, events = update_orchestration(m, "A")
         assert set(m.pipelines) == {LanguageTag("de"), LanguageTag("tr")}
-        # one event per pipeline and one for the speaker, none per listener
+        # one event per pipeline, none for the speaker or per listener
         assert count(events, EventKind.PIPELINE_ALLOCATED) == 2
-        assert count(events, EventKind.SPEAKER_BYPASSED) == 1
-        assert len(events) == 3
+        assert len(events) == 2
         de_pipe = m.pipelines[LanguageTag("de")]
         tr_pipe = m.pipelines[LanguageTag("tr")]
         # each pipeline -> listener route, and the raw stream feeds exactly
@@ -127,7 +126,7 @@ class TestUpdateOrchestration:
         # B takes the floor from A, whose language gets the one slot
         m = make_meeting({"A": "en", "B": "de", "C": "fr"}, 1)
         events = [event for speaker in ["A", "B", "C"]
-                  for event in update_orchestration(m, speaker, time=2.5)[1]]
+                  for event in update_orchestration(m, speaker)[1]]
         assert {event.kind for event in events} == set(EventKind)
         fields = OrchestrationEvent._fields
         for event in events:
@@ -135,11 +134,10 @@ class TestUpdateOrchestration:
             assert len(event) == len(fields)
             assert event == OrchestrationEvent(*event)
             assert repr(event) == repr(OrchestrationEvent(*event))
-            assert event.time == 2.5
         assert repr(events[0]) == (
             "OrchestrationEvent(kind=<EventKind.PIPELINE_ALLOCATED: "
-            "'pipeline-allocated'>, time=2.5, language='de', "
-            "pipeline_id='pl0001', participant=None, reinitialized=False)")
+            "'pipeline-allocated'>, language='de', pipeline_id='pl0001', "
+            "reinitialized=False)")
 
     def test_monolingual_meeting_all_bypass(self):
         m = make_meeting({"A": "en", "B": "en"}, 4)
@@ -246,8 +244,7 @@ class TestUpdateOrchestration:
         assert m.pipelines == {}
         assert m.delivery == {}
         assert m.bypass == set()
-        assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 1
-        assert count(events, EventKind.SPEAKER_BYPASSED) == 0
+        assert [e.kind for e in events] == [EventKind.PIPELINE_DECOMMISSIONED]
         assert m.free_slots == 4
         assert verify_invariants(m) == []
 
@@ -259,11 +256,8 @@ class TestUpdateOrchestration:
         _, events = update_orchestration(m, "A")
         assert m.delivery == delivery_before
         assert m.pipelines == map_before
-        assert count(events, EventKind.PIPELINE_ALLOCATED) == 0
-        assert count(events, EventKind.PIPELINE_DECOMMISSIONED) == 0
-        assert count(events, EventKind.ROUTE_ADDED) == 0
         # the floor and the source stay put: no kept pipeline is reported
-        assert count(events, EventKind.PIPELINE_REUSED) == 0
+        assert events == []
         assert m.source_language == LanguageTag("en")
 
     def test_a_membership_pass_reports_only_the_languages_it_changes(self):
@@ -273,14 +267,12 @@ class TestUpdateOrchestration:
         _, events = update_orchestration(m, "A")
         assert [(e.kind, e.language) for e in events] == [
             (EventKind.ALLOCATION_FAILED, LanguageTag("fr")),
-            (EventKind.SPEAKER_BYPASSED, LanguageTag("en")),
         ]
         del m.participants["C"]  # tr's slot goes to fr
         _, events = update_orchestration(m, "A")
         assert [(e.kind, e.language) for e in events] == [
             (EventKind.PIPELINE_DECOMMISSIONED, LanguageTag("tr")),
             (EventKind.PIPELINE_ALLOCATED, LanguageTag("fr")),
-            (EventKind.SPEAKER_BYPASSED, LanguageTag("en")),
         ]
         assert verify_invariants(m) == []
 
@@ -289,9 +281,11 @@ class TestUpdateOrchestration:
         update_orchestration(m, "A")
         en_pipe = m.pipelines[LanguageTag("en")]
         _, events = update_orchestration(m, "C")
+        # the outgoing speaker's route is read from the delivery, not an event
         assert m.delivery == {"A": en_pipe, "B": en_pipe}
-        added = [e for e in events if e.kind is EventKind.ROUTE_ADDED]
-        assert [(e.participant, e.pipeline_id) for e in added] == [("A", en_pipe)]
+        reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
+        assert [(e.language, e.pipeline_id) for e in reused] == [
+            (LanguageTag("en"), en_pipe)]
 
     def test_delivery_follows_roster_edits_between_passes(self):
         m = make_meeting({"A": "en", "B": "de", "C": "tr"}, 4)
@@ -346,7 +340,7 @@ class TestUpdateOrchestration:
         _, events = update_orchestration(m, "B")  # still an en speaker
         reused = [e for e in events if e.kind is EventKind.PIPELINE_REUSED]
         assert [e.reinitialized for e in reused] == [False]
-        assert count(events, EventKind.ROUTE_ADDED) == 0  # C's route unchanged
+        assert m.delivery == {"C": reused[0].pipeline_id}  # C's route unchanged
         assert m.bypass == {"A", "B"}
 
     def test_speaker_language_change_reinitializes(self):
@@ -358,25 +352,31 @@ class TestUpdateOrchestration:
         assert [e.reinitialized for e in reused] == [True, True]
         assert m.source_language == LanguageTag("fr")
 
-    def test_events_carry_timestamp(self):
+    def test_a_pass_takes_no_time(self):
+        # the time is the caller's own step: a pass neither takes nor
+        # echoes it, and the keyword raises before any state is touched
         m = make_meeting({"A": "en", "B": "de"}, 4)
-        _, events = update_orchestration(m, "A", time=12.5)
-        assert events and all(e.time == 12.5 for e in events)
+        with pytest.raises(TypeError):
+            update_orchestration(m, "A", time=12.5)
+        assert m.active_speaker is None and m.pipelines == {}
 
     def test_events_are_immutable_with_their_fields_and_defaults(self):
-        event = OrchestrationEvent(EventKind.ROUTE_ADDED)
+        fr = LanguageTag("fr")
+        event = OrchestrationEvent(EventKind.ALLOCATION_FAILED, fr)
         assert OrchestrationEvent._fields == (
-            "kind", "time", "language", "pipeline_id", "participant",
-            "reinitialized",
-        )
+            "kind", "language", "pipeline_id", "reinitialized")
         assert event == OrchestrationEvent(
-            kind=EventKind.ROUTE_ADDED, time=0.0, language=None,
-            pipeline_id=None, participant=None, reinitialized=False,
+            kind=EventKind.ALLOCATION_FAILED, language=fr, pipeline_id=None,
+            reinitialized=False,
         )
         for name in OrchestrationEvent._fields:
             with pytest.raises(AttributeError):
                 setattr(event, name, None)
-        assert event.time == 0.0 and event.kind is EventKind.ROUTE_ADDED
+        with pytest.raises(TypeError):  # every decision is for a language
+            OrchestrationEvent(EventKind.ALLOCATION_FAILED)
+        assert [kind.value for kind in EventKind] == [
+            "pipeline-allocated", "pipeline-reused",
+            "pipeline-decommissioned", "allocation-failed"]
 
     def test_retired_pipelines_are_forgotten(self):
         m = make_meeting({"A": "en", "B": "de"}, 4)
@@ -772,18 +772,14 @@ class TestRosterIndex:
                 del roster[pid]
                 if pid == speaker:
                     speaker = None
-            outgoing = m.active_speaker
-            _, events = update_orchestration(m, speaker)
+            update_orchestration(m, speaker)
             expected = scratch_delivery(m, speaker, translate_same_language)
-            added = [e.participant for e in events if e.kind is EventKind.ROUTE_ADDED]
-            assert added == ([outgoing] if outgoing in expected
-                             and outgoing != speaker else [])
             assert m.delivery == expected
             assert verify_invariants(m) == []
 
 
 def reference_pass(
-    meeting: Meeting, new_speaker, *, time: float, translate_same_language: bool
+    meeting: Meeting, new_speaker, *, translate_same_language: bool
 ) -> tuple[list[OrchestrationEvent], set[str]]:
     """The O(N) pass: the required languages counted over the whole roster.
     Returns its events and the ids that hear the raw stream, found by a
@@ -803,7 +799,7 @@ def reference_pass(
     pipelines = meeting.pipelines
     for language in sorted(set(pipelines) - required):
         events.append(OrchestrationEvent(
-            kind=EventKind.PIPELINE_DECOMMISSIONED, time=time,
+            kind=EventKind.PIPELINE_DECOMMISSIONED,
             language=language, pipeline_id=pipelines.pop(language)))
     reinitialized = meeting.source_language != speaker_language
     meeting.source_language = speaker_language
@@ -812,16 +808,16 @@ def reference_pass(
             # a kept pipeline is news only when the floor or the source moves
             if outgoing != new_speaker or reinitialized:
                 events.append(OrchestrationEvent(
-                    kind=EventKind.PIPELINE_REUSED, time=time,
+                    kind=EventKind.PIPELINE_REUSED,
                     language=language, pipeline_id=pipelines[language],
                     reinitialized=reinitialized))
         elif meeting.free_slots <= 0:
             events.append(OrchestrationEvent(
-                kind=EventKind.ALLOCATION_FAILED, time=time, language=language))
+                kind=EventKind.ALLOCATION_FAILED, language=language))
         else:
             pipelines[language] = meeting.new_pipeline_id()
             events.append(OrchestrationEvent(
-                kind=EventKind.PIPELINE_ALLOCATED, time=time,
+                kind=EventKind.PIPELINE_ALLOCATED,
                 language=language, pipeline_id=pipelines[language]))
     meeting.unserved = frozenset(
         lang for lang in required if lang not in pipelines)
@@ -832,14 +828,6 @@ def reference_pass(
             bypass.update(
                 pid for pid, lang in roster.items() if lang == speaker_language
             )
-        events.append(OrchestrationEvent(
-            kind=EventKind.SPEAKER_BYPASSED, time=time,
-            participant=new_speaker, language=speaker_language))
-    for pid, lang in roster.items():
-        if pid == outgoing != new_speaker and lang in pipelines:
-            events.append(OrchestrationEvent(
-                kind=EventKind.ROUTE_ADDED, time=time, language=lang,
-                pipeline_id=pipelines[lang], participant=pid))
     return events, bypass
 
 
@@ -883,7 +871,7 @@ class TestAgainstTheFullPass:
         reference = Meeting(participants=m.participants, pool_capacity=capacity)
         ids = [f"p{i}" for i in range(10)]
         speaker = None
-        for step in range(data.draw(st.integers(min_value=1, max_value=16))):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=16))):
             op = data.draw(st.sampled_from(
                 ["pass", "join", "leave", "language", "speaker-language",
                  "replace"]
@@ -915,12 +903,12 @@ class TestAgainstTheFullPass:
             handler = ErrorMessages()
             logger.addHandler(handler)
             try:
-                _, events = update_orchestration(m, speaker, time=float(step))
+                _, events = update_orchestration(m, speaker)
             finally:
                 logger.removeHandler(handler)
             unserved = reference.unserved
             expected, hears_raw = reference_pass(
-                reference, speaker, time=float(step),
+                reference, speaker,
                 translate_same_language=translate_same_language,
             )
             assert events == expected

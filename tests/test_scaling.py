@@ -175,14 +175,15 @@ def test_a_step_costs_the_same_at_n_and_ten_n(name):
     assert len(kinds[0]) <= 2 * len(LANGUAGES)  # O(k + L), not O(N)
 
 
-def test_the_allocating_hand_off_makes_one_route_event():
+def test_the_allocating_hand_off_routes_the_outgoing_speaker():
     m = meeting_of(SIZES[0])
     events = hand_off_allocating(m)
     kinds = [e.kind.value for e in events]
     assert kinds.count("pipeline-decommissioned") == 1
-    assert kinds.count("pipeline-allocated") == 1
-    assert [(e.participant, e.language) for e in events
-            if e.kind.value == "route-added"] == [(SPEAKER, "l00")]
+    # l00's new pipeline, which the outgoing speaker now hears
+    assert [(e.language, e.pipeline_id) for e in events
+            if e.kind.value == "pipeline-allocated"] == [
+        ("l00", m.delivery[SPEAKER])]
 
 
 #: Language counts L and 10*L for the membership passes, each with a pool

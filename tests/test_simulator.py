@@ -1068,7 +1068,7 @@ def per_session_report(scenario: Scenario) -> dict:
             states.append(point)
 
     def orchestrate(when, speaker, turnover):
-        _, events = update_orchestration(meeting, speaker, time=when)
+        _, events = update_orchestration(meeting, speaker)
         for event in events:
             if event.kind is EventKind.PIPELINE_DECOMMISSIONED:
                 close(event.language, when)
