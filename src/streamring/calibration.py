@@ -72,9 +72,6 @@ class MeasurementSet:
             raise ValidationError(f"latency must be finite, got {p}")
         self.samples.append(MeasurementSample(t=t, p=p, run=run))
 
-    def durations(self) -> list[float]:
-        return sorted({s.t for s in self.samples})
-
     def means(self) -> list[tuple[float, float]]:
         runs: dict[float, list[float]] = {}
         for s in self.samples:

@@ -70,11 +70,6 @@ _SCALARS = frozenset({str, LanguageTag, int, float, bool, type(None)})
 #: a list or a map takes memory that does not grow with its length.
 _BLOCK_ROWS = 256
 
-#: Pieces one block of a table is written in (see ``_rows``): a fixed count,
-#: so that the Python work per block does not grow with its runs' lengths.
-_PIECES = 2
-
-
 def dump_json(payload: object, fh: TextIO) -> None:
     """Write ``json.dumps(payload, sort_keys=True, indent=2)`` to ``fh``,
     byte for byte, each piece as soon as it is made, like ``json.dump``.
@@ -93,12 +88,12 @@ def dump_json(payload: object, fh: TextIO) -> None:
     ``str`` keys and hold only scalars, they are encoded by columns, one C
     call per column for the heads of its runs of one object (see
     ``_table``), interleaved with the key prefixes row by row, and the
-    block is written in up to ``_PIECES`` pieces (see ``_rows``); any other
-    block is written row by row.  Both encoders write a ``LanguageTag`` as
-    its string.  A value that is not exactly a JSON type or a tag (a tuple,
-    an ``int`` subclass), or a dict with a key that is not a ``str``, is
-    rendered by ``json.dumps`` where it stands, its newlines replaced by
-    the current newline and indent.
+    block is written in two pieces, cut at its middle run (see ``_rows``);
+    any other block is written row by row.  Both encoders write a
+    ``LanguageTag`` as its string.  A value that is not exactly a JSON type
+    or a tag (a tuple, an ``int`` subclass), or a dict with a key that is
+    not a ``str``, is rendered by ``json.dumps`` where it stands, its
+    newlines replaced by the current newline and indent.
     """
     _write(payload, "\n", fh.write)
 
@@ -182,26 +177,24 @@ def _rows(block: list, nl: str, opener: str,
     joined by ``,`` + ``nl``; or write nothing and return False when
     ``_table`` declines them.
 
-    The texts are written in at most ``_PIECES`` pieces, one ``write``
-    each, cut where the run of one row object holding the piece's share of
-    the rows' count starts: a piece holds its share plus at most one run,
-    and its row texts, its joined text and what ``write`` makes of it are
-    freed before the next piece is made."""
+    The texts are written in two pieces, one ``write`` each and none
+    empty, cut at the first run of one row object that starts at or after
+    the middle row: a piece holds half the rows plus at most one run, and
+    its texts, their join and what ``write`` makes of it are freed before
+    the next piece is made."""
     edges, heads = _runs(block)
     texts = _table(heads, nl)
     if texts is None:
         return False
-    size = len(block)
-    edges.append(size)
-    cuts = [0, *(bisect_left(edges, size * q // _PIECES)
-                 for q in range(1, _PIECES)), len(heads)]
+    middle = bisect_left(edges, len(block) // 2)
+    edges.append(len(block))
     write(opener)
-    lead = ()  # each later piece starts with the separator
-    for first, stop in zip(cuts, cuts[1:]):
-        if first < stop:
-            write(("," + nl).join(chain(lead, _repeated(
-                islice(texts, stop - first), edges[first:stop + 1]))))
-            lead = ("",)
+    if middle:  # the runs that start before the middle row
+        write(("," + nl).join(_repeated(islice(texts, middle),
+                                        edges[:middle + 1])))
+    if middle < len(heads):  # the rest, after a separator if rows came first
+        write(("," + nl).join(chain(("",) if middle else (), _repeated(
+            texts, edges[middle:]))))
     return True
 
 

@@ -56,8 +56,8 @@ class StreamMode(str, Enum):
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """A stream to be chunked.  Zero duration is constructible (useful as a
-    sentinel in scenario files) but yields no segments to schedule."""
+    """A stream to be chunked.  Zero duration is constructible but yields
+    no segments to schedule."""
 
     total_duration: float
     mode: StreamMode = StreamMode.LIVE

@@ -26,9 +26,9 @@ ends with a state point.  The sessions of one turn open and close together,
 so they share one schedule: each distinct (open time, warmth) among the
 sessions one step closes is scheduled once, and its segment boundaries are
 kept once, with the languages of the sessions that closed on it.  After the
-loop, a sort by time orders those boundaries and the state points; at a
-time two schedules share, the boundaries are split into one per language,
-in language order.  Then come the rows, where a zero-stall boundary gives
+loop, each boundary at a time two schedules share is split into one per
+language, in language order, and a sort by time orders the boundaries and
+the state points.  Then come the rows, where a zero-stall boundary gives
 its languages one row.  A state point's ``alloc_failures`` is the count of
 the run's allocation warnings so far.
 
@@ -46,8 +46,8 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import reduce
-from itertools import compress, count, islice, repeat
-from operator import add, eq, itemgetter
+from itertools import compress, islice, repeat
+from operator import add, eq, itemgetter, not_
 from typing import Optional, Union
 
 from .core import (
@@ -742,31 +742,23 @@ def run_scenario(scenario: Scenario) -> RunReport:
 
     series.turn_startups.sort(key=itemgetter("time", "language"))
 
-    # Where two schedules put a boundary at one time, their languages
-    # interleave: that run becomes an entry per language, in language order
-    # (a stable sort: within one language, in close order).
+    # an entry at a time two schedules share becomes one per language, in
+    # language order (a stable sort: within one language, in close order)
     entries.sort(key=itemgetter(0))
     times = list(map(itemgetter(0), entries))
-    ordered: list = []
-    done = 0
-    for start in compress(count(), map(eq, times, islice(times, 1, None))):
-        if start < done:
-            continue  # inside the last run
-        stop = start + 2
-        while stop < len(times) and times[stop] == times[start]:
-            stop += 1
-        ordered += entries[done:start]
-        ordered += sorted([(when, stall, (name,))
-                           for when, stall, names in entries[start:stop]
-                           for name in names], key=itemgetter(2))
-        done = stop
+    tied = set(compress(times, map(eq, times, islice(times, 1, None))))
+    if tied:
+        # by masks: reading ``tied`` in a comprehension allocates a cell
+        ties = list(map(tied.__contains__, times))
+        entries = [*sorted([(when, stall, (name,))
+                            for when, stall, names in compress(entries, ties)
+                            for name in names], key=itemgetter(2)),
+                   *compress(entries, map(not_, ties))]
+    del times, tied
     # at equal times a boundary belongs to the interval that is ending, so
     # the stable sort keeps it before the state change
-    ordered += entries[done:]
-    ordered += points
-    ordered.sort(key=itemgetter(0))
-    entries = ordered
-    del times
+    entries += points
+    entries.sort(key=itemgetter(0))
     # Only a state point, which makes a new row, changes k and the costs,
     # and only a stall changes stalls_cum: so a zero-stall boundary at the
     # previous row's own time object (a schedule's other languages) repeats

@@ -63,8 +63,7 @@ SESSIONS = ("tests/test_simulator.py::TestSharedSchedules::"
 LEDGER = ("tests/test_simulator.py::TestListenerLedger::"
           "test_charges_match_one_charge_per_close")
 EXHAUSTIVE = ("tests/test_simulator_exhaustive.py::"
-              "test_every_small_meeting_matches_per_session_scheduling"
-              "[shared-listener]")
+              "test_every_small_meeting_matches_per_session_scheduling")
 TIED = ("tests/test_simulator.py::TestTiedBoundaries::"
         "test_rows_interleave_by_language")
 FREED = ("tests/test_cli.py::TestSimulate::"
@@ -110,11 +109,12 @@ MUTANTS = (
     # the order moves only the stall total's last bits
     Mutant("end-of-run closes in insertion order", SIMULATOR,
            "for language in sorted(open_sessions))",
-           "for language in list(open_sessions))", (EXHAUSTIVE,)),
+           "for language in list(open_sessions))",
+           (f"{EXHAUSTIVE}[shared-listener]",)),
     Mutant("end-of-run closes in reverse language order", SIMULATOR,
            "for language in sorted(open_sessions))",
            "for language in sorted(open_sessions, reverse=True))",
-           (EXHAUSTIVE,)),
+           (f"{EXHAUSTIVE}[shared-listener]",)),
     Mutant("a same-instant state point appended", SIMULATOR,
            "if points and points[-1][0] == when:", "if False:",
            (f"{GOLDEN}[churn_stalls_6]",)),
@@ -156,11 +156,15 @@ MUTANTS = (
            "            continue\n"
            "        if stall:\n",
            (f"{TIED}[tau-1.3]",)),
-    # one entry per shared schedule boundary
+    # one entry per shared schedule boundary, split per language where two
+    # schedules share its time
+    Mutant("tied boundaries not split", SIMULATOR,
+           "    if tied:\n", "    if False:\n",
+           (f"{TIED}[tau-1.3]", f"{EXHAUSTIVE}[three-languages]")),
     Mutant("tied boundaries kept in schedule order", SIMULATOR,
            "for name in names], key=itemgetter(2))",
            "for name in names], key=lambda entry: 0)",
-           (f"{TIED}[tau-1.3]",)),
+           (f"{TIED}[tau-1.3]", f"{EXHAUSTIVE}[three-languages]")),
     Mutant("a shared zero-stall boundary repeats its row once too often",
            SIMULATOR,
            "        samples += repeat(row, len(names))\n\n",
@@ -238,9 +242,13 @@ MUTANTS = (
            ("tests/test_scaling.py::"
             "test_a_map_takes_the_same_memory_at_2000_and_20000_keys",)),
     Mutant("a table block written as one piece", "streamring/core.py",
-           "_PIECES = 2", "_PIECES = 1",
+           "    middle = bisect_left(edges, len(block) // 2)\n",
+           "    middle = len(heads)\n",
            ("tests/test_scaling.py::test_a_table_block_is_written_in_pieces[1]",
             "tests/test_scaling.py::test_a_table_block_is_written_in_pieces[32]")),
+    Mutant("an empty piece written after a block that is one run",
+           "streamring/core.py", "    if middle < len(heads):", "    if True:",
+           ("tests/test_scaling.py::test_a_table_block_is_written_in_pieces[256]",)),
 )
 
 

@@ -476,7 +476,7 @@ class TestBundledFixture:
         sets = load_bundled_measurements()
         assert set(sets) == {"A100", "RTX4060", "T4"}
         for mset in sets.values():
-            assert mset.durations() == [1.0, 2.0, 3.0, 5.0, 8.0]
+            assert [t for t, _ in mset.means()] == [1.0, 2.0, 3.0, 5.0, 8.0]
 
     def test_reproduces_published_ratios(self):
         sets = load_bundled_measurements()

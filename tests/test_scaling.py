@@ -438,10 +438,11 @@ def test_a_map_takes_the_same_memory_at_2000_and_20000_keys():
         transients, block, sorting)
 
 
-@pytest.mark.parametrize("repeats", [1, 32])
+@pytest.mark.parametrize("repeats", [1, 32, 256])
 def test_a_table_block_is_written_in_pieces(repeats):
-    # 256 rows, 256 distinct or 8 repeated 32 times: no piece passed to
-    # ``write`` is longer than half the block's text plus one run
+    # 256 rows, 256 distinct, 8 repeated 32 times or one repeated 256 times:
+    # no piece passed to ``write`` is longer than half the block's text plus
+    # one run, and none is empty
     rows = [{"time_s": i / 7, "k": i % 3, "token_cost": float(i % 3),
              "naive_cost": 132.0, "alloc_failures": 0, "stalls_cum": i / 9}
             for i in range(_BLOCK_ROWS // repeats)]
@@ -455,3 +456,9 @@ def test_a_table_block_is_written_in_pieces(repeats):
               for row in rows)  # with its brackets, as long as a separator
     assert max(map(len, sink.pieces)) <= len(text) / 2 + run, (
         list(map(len, sink.pieces)), len(text), run)
+    assert "" not in sink.pieces
+    sink = Sink(keep=True)
+    dump_json(table[:1], sink)  # a block of one row
+    assert "" not in sink.pieces
+    assert "".join(sink.pieces) == json.dumps(table[:1], sort_keys=True,
+                                              indent=2)
