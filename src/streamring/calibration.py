@@ -24,8 +24,8 @@ MEASUREMENT_CSV_HEADER = ("label", "t_seconds", "run", "p_seconds")
 
 _BUNDLED_CSV = Path(__file__).parent / "data" / "hardware_tiers.csv"
 
-#: Default upper limit for the continuous viability search, in seconds.
-DEFAULT_T_SEARCH_MAX = 600.0
+#: Upper limit of the continuous viability search, in seconds.
+T_SEARCH_MAX = 600.0
 
 
 class InsufficientDataError(ValidationError):
@@ -96,11 +96,12 @@ class FitDiagnostics:
 
 
 def fit(
-    measurements: MeasurementSet,
-    form: str,
-    cold_start_extra: float = 0.0,
+    measurements: MeasurementSet, form: str
 ) -> tuple[LatencyModel, FitDiagnostics]:
     """Least-squares fit of the affine or log form to per-duration means.
+
+    The model is warm (no cold start): a scenario's fixture reference adds
+    its ``cold_start_extra`` in ``simulator.resolve_model``.
 
     Raises InsufficientDataError with fewer than two distinct durations and
     ValidationError if the fitted parameters fall outside the model's
@@ -135,13 +136,7 @@ def fit(
         a = 0.0
     if -1e-9 < b < 0.0:
         b = 0.0
-    model = LatencyModel(
-        form=form,
-        a=a,
-        b=b,
-        valid_range=(ts[0], ts[-1]),
-        cold_start_extra=cold_start_extra,
-    )
+    model = LatencyModel(form=form, a=a, b=b, valid_range=(ts[0], ts[-1]))
     residuals = tuple((t, p - model.evaluate(t)) for t, p in means)
     rmse = math.sqrt(statistics.fmean([r * r for _, r in residuals]))
     if rmse == math.inf:  # squares of residuals past 1e154
@@ -152,16 +147,12 @@ def fit(
     )
 
 
-def fit_auto(
-    measurements: MeasurementSet, cold_start_extra: float = 0.0
-) -> tuple[LatencyModel, FitDiagnostics]:
-    """Fit both parametric forms and keep the one with lower RMSE."""
-    # a bad cold start fails every form alike: name it, not the fit
-    LatencyModel(FORM_AFFINE, b=1.0, cold_start_extra=cold_start_extra)
+def fit_auto(measurements: MeasurementSet) -> tuple[LatencyModel, FitDiagnostics]:
+    """Fit both parametric forms and keep the warm model with lower RMSE."""
     candidates = []
     for form in (FORM_AFFINE, FORM_LOG):
         try:
-            candidates.append(fit(measurements, form, cold_start_extra))
+            candidates.append(fit(measurements, form))
         except InsufficientDataError:
             raise
         except ValidationError:
@@ -171,20 +162,15 @@ def fit_auto(
     return min(candidates, key=lambda pair: pair[1].rmse)
 
 
-def table_model(
-    measurements: MeasurementSet, cold_start_extra: float = 0.0
-) -> LatencyModel:
-    """Non-parametric model interpolating the per-duration means directly."""
+def table_model(measurements: MeasurementSet) -> LatencyModel:
+    """Warm non-parametric model interpolating the per-duration means
+    directly."""
     means = measurements.means()
     if len(means) < 2:
         raise InsufficientDataError(
             f"need >= 2 distinct durations for a table model, got {len(means)}"
         )
-    return LatencyModel(
-        form=FORM_TABLE,
-        points=tuple(means),
-        cold_start_extra=cold_start_extra,
-    )
+    return LatencyModel(form=FORM_TABLE, points=tuple(means))
 
 
 def t_opt_discrete(points: Iterable[ThroughputPoint]) -> Optional[float]:
@@ -200,39 +186,37 @@ def t_opt_discrete(points: Iterable[ThroughputPoint]) -> Optional[float]:
     return None
 
 
-def t_opt_continuous(
-    model: LatencyModel, t_search_max: float = DEFAULT_T_SEARCH_MAX
-) -> Optional[float]:
+def t_opt_continuous(model: LatencyModel) -> Optional[float]:
     """Least t with tau(t) < 1, or None if the model never reaches real time
-    below ``t_search_max``.
+    at or below ``T_SEARCH_MAX``.
 
     Affine models solve in closed form: t = a / (1 - b), impossible for
     b >= 1.  Log and table models bisect on t - p(t), walking down from
-    t_search_max to bracket the lag-to-viable crossing; a table warns only
+    T_SEARCH_MAX to bracket the lag-to-viable crossing; a table warns only
     when that crossing lies outside its measured range.
     """
     if model.form == FORM_AFFINE:
         if model.b >= 1.0:
             return None
         crossing = model.a / (1.0 - model.b)
-        return crossing if crossing <= t_search_max else None
-    crossing = _bisect_crossing(model, t_search_max)
+        return crossing if crossing <= T_SEARCH_MAX else None
+    crossing = _bisect_crossing(model)
     if crossing is not None and model.form == FORM_TABLE:
         model._warn_outside(crossing)
     return crossing
 
 
-def _bisect_crossing(model: LatencyModel, t_search_max: float) -> Optional[float]:
+def _bisect_crossing(model: LatencyModel) -> Optional[float]:
     p = model._interpolate if model.form == FORM_TABLE else model.evaluate
 
     def gap(t: float) -> float:
         return t - p(t)
 
-    if gap(t_search_max) <= 0:
+    if gap(T_SEARCH_MAX) <= 0:
         return None
     # Walk down geometrically until inside the lag regime (gap <= 0).
-    hi = t_search_max
-    lo = t_search_max / 2.0
+    hi = T_SEARCH_MAX
+    lo = T_SEARCH_MAX / 2.0
     floor = 1e-6
     while lo > floor:
         try:

@@ -343,7 +343,11 @@ def _people(pairs: list) -> str:
 
 def resolve_model(spec: dict) -> LatencyModel:
     """Turn a scenario's model reference into a LatencyModel: either a
-    bundled-fixture reference fitted on the fly, or inline model JSON."""
+    bundled-fixture reference fitted on the fly, or inline model JSON.
+
+    A fit is warm; a fixture reference's ``cold_start_extra`` (0 by default)
+    is set on the fitted model here, and checked as inline model JSON's is.
+    """
     if "fixture" in spec:
         from .calibration import fit, fit_auto, load_bundled_measurements, table_model
 
@@ -357,10 +361,12 @@ def resolve_model(spec: dict) -> LatencyModel:
         cold = _number(spec.get("cold_start_extra", 0.0), "cold_start_extra")
         mset = sets[label]
         if form == "table":
-            return table_model(mset, cold)
-        if form == "auto":
-            return fit_auto(mset, cold)[0]
-        return fit(mset, form, cold)[0]
+            model = table_model(mset)
+        elif form == "auto":
+            model = fit_auto(mset)[0]
+        else:
+            model = fit(mset, form)[0]
+        return replace(model, cold_start_extra=cold)
     return model_from_json(spec)
 
 

@@ -66,6 +66,7 @@ EXHAUSTIVE = ("tests/test_simulator_exhaustive.py::"
               "test_every_small_meeting_matches_per_session_scheduling")
 TIED = ("tests/test_simulator.py::TestTiedBoundaries::"
         "test_rows_interleave_by_language")
+COLD_START = "tests/test_segproc.py::TestColdStart::"
 FREED = ("tests/test_cli.py::TestSimulate::"
          "test_scenario_is_freed_before_the_report_is_written")
 _LOOP = ("    for when, event in [(0.0, None), *((e.time + 0.0, e) for e in events),\n"
@@ -249,6 +250,26 @@ MUTANTS = (
     Mutant("an empty piece written after a block that is one run",
            "streamring/core.py", "    if middle < len(heads):", "    if True:",
            ("tests/test_scaling.py::test_a_table_block_is_written_in_pieces[256]",)),
+    # the scheduler: a cold start on the first job only, and one the clock
+    # can resolve
+    Mutant("a cold start on every segment", "streamring/segproc.py",
+           "        if not finishes:\n", "        if True:\n",
+           (f"{COLD_START}test_only_first_job_per_worker_pays",)),
+    Mutant("no cold-start resolution check", "streamring/segproc.py",
+           "            if math.ulp(startup_delay) > 1e-9 * "
+           "max(segment_duration, first_p):\n",
+           "            if False:\n",
+           (f"{COLD_START}test_a_cold_start_the_clock_cannot_resolve_is_rejected",)),
+    # calibration: the better fit kept, warm, and a fixture's cold start on it
+    Mutant("fit_auto keeps the higher RMSE", "streamring/calibration.py",
+           "return min(candidates, key=lambda pair: pair[1].rmse)",
+           "return max(candidates, key=lambda pair: pair[1].rmse)",
+           ("tests/test_latency.py::TestFit::test_fit_auto_selects_by_rmse",
+            "tests/test_golden.py::test_calibrate_and_topt_json_match_golden")),
+    Mutant("a fixture's cold start dropped", SIMULATOR,
+           "        return replace(model, cold_start_extra=cold)\n",
+           "        return model\n",
+           (f"{GOLDEN}[churn_large_5]",)),
 )
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from streamring import simulator
-from streamring.calibration import fit
+from streamring.calibration import fit, fit_auto, table_model
 from streamring.cli import _write_csv
 from streamring.core import (
     _BLOCK_ROWS,
@@ -566,6 +566,28 @@ class TestAutoSegmentDuration:
         assert report.resolved_segment_duration == 8.0
         assert any("falling back" in w for w in report.warnings)
         assert any("not real-time viable" in w for w in report.warnings)
+
+
+class TestFixtureColdStart:
+    """A fit is warm; a fixture reference's cold start is set on it once."""
+
+    @pytest.mark.parametrize("form", ["affine", "log", "auto", "table"])
+    @pytest.mark.parametrize("label", ["A100", "RTX4060", "T4"])
+    def test_the_cold_start_reaches_the_model_in_every_form(self, label, form):
+        model = simulator.resolve_model(
+            {"fixture": label, "form": form, "cold_start_extra": 0.81})
+        assert model.cold_start_extra == 0.81
+        mset = fixture_set(label)
+        if form == "table":
+            warm = table_model(mset)
+        elif form == "auto":
+            warm = fit_auto(mset)[0]
+        else:
+            warm = fit(mset, form)[0]
+        assert warm.cold_start_extra == 0.0
+        assert model == replace(warm, cold_start_extra=0.81)
+        _, playback = schedule_stream(StreamSpec(30.0), model, 3.0)
+        assert playback.startup_delay == model.evaluate(3.0) + 0.81
 
 
 #: Ids and languages that need escaping or look like the digest's own
